@@ -17,10 +17,6 @@ let experiments =
     ("ab", Exp_ab.run) ]
 
 let () =
-  (* Worker re-entry for the perf worker_sweep: when the distributed
-     backend spawns this binary as [main.exe worker --store ...] it
-     must run the worker loop and nothing else. *)
-  Dist.Worker.exec_if_requested ();
   let args = List.tl (Array.to_list Sys.argv) in
   let flags, names = List.partition (fun a -> String.length a > 0 && a.[0] = '-') args in
   let want_perf = List.mem "--perf" flags in

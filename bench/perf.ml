@@ -470,52 +470,6 @@ let shard_sweep_workload () =
         note = Some (Printf.sprintf "full c17 flow, shard=%d vs shard=1" n) })
     runs
 
-(* ---- distributed worker sweep ---------------------------------------
-
-   The full c17 flow at worker-process counts 0/1/2/4 with shard=4.
-   Workers are spawned from this very binary (main.ml re-enters
-   through Dist.Worker.exec_if_requested); every distributed run's
-   observable output must digest-match the workers=0 run — the
-   multi-process half of the shard identity contract, cross-checked
-   on the same records BENCH_perf.json archives.  Note host_cores in
-   the record: on a 1-core host the sweep measures dispatch and
-   artifact-transport overhead, not parallel speedup. *)
-
-let worker_sweep_workload () =
-  let netlist = Circuit.Generator.c17 () in
-  let config = { (Common.config ()) with Timing_opc.Flow.shard = 4 } in
-  let run_at workers =
-    Litho.Tile_cache.clear Litho.Tile_cache.global;
-    Gc.compact ();
-    if workers = 0 then time (fun () -> Timing_opc.Flow.run config netlist)
-    else begin
-      let b = Dist.Backend.create ~workers () in
-      Fun.protect ~finally:(fun () -> Dist.Backend.shutdown b) @@ fun () ->
-      time (fun () ->
-          Timing_opc.Flow.run
-            { config with
-              Timing_opc.Flow.dist = Some (Dist.Backend.flow_backend b) }
-            netlist)
-    end
-  in
-  let runs = List.map (fun w -> (w, run_at w)) [ 0; 1; 2; 4 ] in
-  let base_digest, t_base =
-    match runs with
-    | (0, (r, t)) :: _ -> (digest_flow_run r, t)
-    | _ -> assert false
-  in
-  List.map
-    (fun (w, (r, t)) ->
-      { (base_record ~workload:"worker_sweep" ~tasks:4 ~wall_s:t) with
-        domains_used = Common.domains;
-        speedup_vs_1 = (if w = 0 then None else Some (t_base /. t));
-        identical = Some (String.equal (digest_flow_run r) base_digest);
-        note =
-          Some
-            (Printf.sprintf "full c17 flow, shard=4, workers=%d vs in-process"
-               w) })
-    runs
-
 (* ---- resident timing service: warm vs cold query cost ---------------
 
    N queries per verb against one warm serve session vs the same N
@@ -788,8 +742,6 @@ let run_parallel_workloads () =
   let records = records @ cache_workloads () in
   Format.printf "@.######## PERF: sharded full-chip flow sweep ########@.";
   let records = records @ shard_sweep_workload () in
-  Format.printf "@.######## PERF: distributed worker sweep ########@.";
-  let records = records @ worker_sweep_workload () in
   Format.printf "@.######## PERF: warm serve session vs cold one-shot queries ########@.";
   let records = records @ serve_queries_workload () in
   Format.printf "@.######## PERF: serve corner queries per engine ########@.";

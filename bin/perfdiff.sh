@@ -29,7 +29,7 @@ done
 
 # Pin the environment knobs so a developer's shell cannot skew the
 # candidate run relative to the baseline.
-unset POTX_DOMAINS POTX_SHARD POTX_WORKERS POTX_FAULTS POTX_RETRIES \
+unset POTX_DOMAINS POTX_SHARD POTX_CACHE_MB POTX_FAULTS POTX_RETRIES \
   POTX_CACHE POTX_ENGINE POTX_TRACE POTX_METRICS POTX_PROFILE
 
 work=$(mktemp -d)
@@ -43,9 +43,7 @@ echo "== perfdiff: fresh quick perf bench =="
 }
 
 # shard_sweep interleaves many short tasks and is the noisiest
-# workload on a loaded host, so it gets a wider per-workload band;
-# worker_sweep adds process spawn and artifact transport on top of
-# the same work, so it gets the same band.
+# workload on a loaded host, so it gets a wider per-workload band.
 # The engine-comparison workloads time sub-second convolution pairs
 # whose ratio (not absolute wall) is the tracked number, so they get
 # a 100% band too.
@@ -57,11 +55,11 @@ ENGINE_TOL="--tolerance-for aerial_fft_vs_direct=1.0 \
   --tolerance-for ssta_vs_mc=1.0"
 if [ "${POTX_PERF_GATE:-0}" = "1" ]; then
   "$POTX" perfdiff --baseline "$BASELINE" --candidate "$work/BENCH_perf.json" \
-    --tolerance-for shard_sweep=1.5 --tolerance-for worker_sweep=1.5 \
+    --tolerance-for shard_sweep=1.5 \
     $ENGINE_TOL --gate
 else
   "$POTX" perfdiff --baseline "$BASELINE" --candidate "$work/BENCH_perf.json" \
-    --tolerance-for shard_sweep=1.5 --tolerance-for worker_sweep=1.5 \
+    --tolerance-for shard_sweep=1.5 \
     $ENGINE_TOL || exit $?
   echo "perfdiff.sh: timing regressions (if any) are non-fatal; set POTX_PERF_GATE=1 to gate"
 fi

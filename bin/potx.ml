@@ -30,21 +30,6 @@ let resolve_domains flag =
 let resolve_shard flag =
   if flag > 0 then flag else Timing_opc.Shard.env_count ~default:1 ()
 
-(* Worker processes: the --workers flag when positive, else
-   POTX_WORKERS, else 0 (shards execute in-process).  Like --shard,
-   deliberately absent from the stdout header: distributed output is
-   byte-identical to in-process output, and test/test_dist.ml plus
-   the check.sh workers smoke assert exactly that. *)
-let resolve_workers flag =
-  if flag > 0 then flag
-  else
-    match Sys.getenv_opt "POTX_WORKERS" with
-    | Some v -> (
-        match int_of_string_opt (String.trim v) with
-        | Some n when n > 0 -> n
-        | _ -> 0)
-    | None -> 0
-
 (* Aerial engine: the --engine flag when non-empty, else POTX_ENGINE,
    else direct.  Direct is the oracle every golden is recorded
    against; fft/auto trade bit-identity (within the DESIGN.md
@@ -119,8 +104,8 @@ let resolve_faults flag =
 (* The flow config shared by the one-shot run and the resident
    service; both hand it to Timing_opc_serve.Session, which runs the
    flow once and keeps the result warm. *)
-let flow_config ?(workers = 0) ~opc ~seed ~dose ~defocus ~shard ~domains
-    ~no_cache ~engine ~retries ~checkpoint_dir ~resume () =
+let flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
+    ~retries ~checkpoint_dir ~resume () =
   let base = Timing_opc.Flow.default_config () in
   let opc_style =
     match opc with
@@ -140,11 +125,7 @@ let flow_config ?(workers = 0) ~opc ~seed ~dose ~defocus ~shard ~domains
     retry = (if retries > 0 then Fault.retrying retries else Fault.env_retry ());
     checkpoint =
       (if checkpoint_dir = "" then None
-       else Some (Timing_opc.Checkpoint.create ~dir:checkpoint_dir ~resume));
-    dist =
-      (match resolve_workers workers with
-      | 0 -> None
-      | w -> Some (Dist.Backend.flow_backend (Dist.Backend.create ~workers:w ()))) }
+       else Some (Timing_opc.Checkpoint.create ~dir:checkpoint_dir ~resume)) }
 
 let with_session ~bench config f =
   let netlist = netlist_of_name config.Timing_opc.Flow.seed bench in
@@ -154,13 +135,13 @@ let with_session ~bench config f =
     (fun () -> f session)
 
 let run_flow bench opc seed dose defocus spread report shard selective ssta
-    domains workers no_cache engine faults retries checkpoint_dir resume trace
-    metrics profile =
+    domains no_cache engine faults retries checkpoint_dir resume trace metrics
+    profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   Fault.set_plan (resolve_faults faults);
   let config =
-    flow_config ~workers ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache
-      ~engine ~retries ~checkpoint_dir ~resume ()
+    flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
+      ~retries ~checkpoint_dir ~resume ()
   in
   Format.printf "flow: %s, OPC=%s, silicon %a, seed %d, domains %d@." bench opc
     Litho.Condition.pp config.Timing_opc.Flow.condition seed
@@ -169,13 +150,13 @@ let run_flow bench opc seed dose defocus spread report shard selective ssta
   Timing_opc_serve.Session.print_report Format.std_formatter session ~spread
     ~report ~selective ~ssta
 
-let serve_flow bench opc seed dose defocus shard domains workers no_cache
-    engine faults retries socket slowlog_ms slowlog_file trace metrics profile =
+let serve_flow bench opc seed dose defocus shard domains no_cache engine
+    faults retries socket slowlog_ms slowlog_file trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   Fault.set_plan (resolve_faults faults);
   let config =
-    flow_config ~workers ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache
-      ~engine ~retries ~checkpoint_dir:"" ~resume:false ()
+    flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
+      ~retries ~checkpoint_dir:"" ~resume:false ()
   in
   (* The slow-query log goes to stderr unless a file is named; it must
      never share the response channel (byte-determinism contract). *)
@@ -262,21 +243,6 @@ let domains_arg =
           "Worker domains for the extraction hot path (0 = take \
            $(b,POTX_DOMAINS) from the environment, else 1).  Results are \
            bit-identical for any value.")
-
-let workers_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "workers" ]
-        ~doc:
-          "Worker processes for OPC and extraction: the coordinator spawns \
-           $(docv) copies of this binary ($(b,potx worker)), streams one \
-           shard work item at a time to each over stdin (pull-based, so \
-           fast workers absorb stragglers' backlogs), and merges the \
-           results in canonical shard order.  A worker that crashes \
-           mid-shard is retired and its shard reassigned; an item out of \
-           retry budget is computed inline.  0 = take $(b,POTX_WORKERS) \
-           from the environment, else shards execute in-process.  Output \
-           is byte-identical for any value." ~docv:"N")
 
 let no_cache_arg =
   Arg.(
@@ -374,9 +340,8 @@ let run_cmd =
     Term.(
       const run_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg $ defocus_arg
       $ spread_arg $ report_arg $ shard_arg $ selective_arg $ ssta_arg
-      $ domains_arg $ workers_arg $ no_cache_arg $ engine_arg $ faults_arg
-      $ retries_arg $ checkpoint_arg $ resume_arg $ trace_arg $ metrics_arg
-      $ profile_arg)
+      $ domains_arg $ no_cache_arg $ engine_arg $ faults_arg $ retries_arg
+      $ checkpoint_arg $ resume_arg $ trace_arg $ metrics_arg $ profile_arg)
 
 let socket_arg =
   Arg.(
@@ -430,9 +395,9 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const serve_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg
-      $ defocus_arg $ shard_arg $ domains_arg $ workers_arg $ no_cache_arg
-      $ engine_arg $ faults_arg $ retries_arg $ socket_arg $ slowlog_arg
-      $ slowlog_file_arg $ trace_arg $ metrics_arg $ profile_arg)
+      $ defocus_arg $ shard_arg $ domains_arg $ no_cache_arg $ engine_arg
+      $ faults_arg $ retries_arg $ socket_arg $ slowlog_arg $ slowlog_file_arg
+      $ trace_arg $ metrics_arg $ profile_arg)
 
 (* ---- cells ---- *)
 
@@ -1200,76 +1165,12 @@ let perfdiff_cmd =
       const perfdiff $ baseline $ candidate $ tolerance $ tolerance_for $ scale
       $ gate)
 
-(* ---- worker ---- *)
-
-(* The coordinator spawns [potx worker --store DIR --index N] and is
-   normally intercepted by [Dist.Worker.exec_if_requested] in [main]
-   below, before cmdliner ever parses — this command exists for
-   documentation ([potx worker --help]) and for driving a worker by
-   hand. *)
-let worker_main store index faults =
-  if store = "" then
-    failwith "potx worker: --store DIR is required (normally spawned by --workers)"
-  else
-    Dist.Worker.run
-      ?faults:(if faults = "" then None else Some faults)
-      ~store ~index ()
-
-let worker_cmd =
-  let doc = "run as a distributed shard worker (spawned by --workers)" in
-  let man =
-    [ `S Manpage.s_description;
-      `P
-        "Reads shard work items as JSONL, one object per line on stdin; \
-         each item names a shard of an OPC or CD-extraction plan, the \
-         content keys of its inputs and the artifact the result must land \
-         under.  The worker recomputes the shard against the frozen drawn \
-         layout, saves the result into the shared content-addressed \
-         checkpoint store and acknowledges with exactly one JSONL reply \
-         line on stdout.  A malformed item line is answered with a \
-         $(i,failed) reply and the loop keeps serving; EOF on stdin is the \
-         normal shutdown.  Normally this command is spawned and fed by \
-         $(b,potx run --workers N) — it is documented here for debugging \
-         by hand." ]
-  in
-  let store =
-    Arg.(
-      value & opt string ""
-      & info [ "store" ]
-          ~doc:
-            "Content-addressed artifact store shared with the coordinator \
-             (chips and masks are loaded from it, results saved into it)."
-          ~docv:"DIR")
-  in
-  let index =
-    Arg.(
-      value & opt int 0
-      & info [ "index" ]
-          ~doc:
-            "Worker index; names the worker's crash fault point \
-             ($(i,dist.worker<index>.crash))." ~docv:"N")
-  in
-  let w_faults =
-    Arg.(
-      value & opt string ""
-      & info [ "faults" ]
-          ~doc:
-            "Fault plan propagated from the coordinator (canonical \
-             $(b,Fault.to_string) spec)." ~docv:"SPEC")
-  in
-  Cmd.v (Cmd.info "worker" ~doc ~man)
-    Term.(const worker_main $ store $ index $ w_faults)
-
 let () =
-  (* Worker re-entry: when spawned as [potx worker --store ...] the
-     process must be a worker loop and nothing else — no cmdliner, no
-     stdout preamble (stdout is the reply protocol). *)
-  Dist.Worker.exec_if_requested ();
   let doc = "post-OPC critical-dimension extraction for advanced timing analysis" in
   let info = Cmd.info "potx" ~version:"1.0.0" ~doc in
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; serve_cmd; worker_cmd; cells_cmd; litho_cmd; drc_cmd;
-            liberty_cmd; export_cmd; cds_cmd; cdcmp_cmd; obs_check_cmd;
-            obs_report_cmd; perfdiff_cmd ]))
+          [ run_cmd; serve_cmd; cells_cmd; litho_cmd; drc_cmd; liberty_cmd;
+            export_cmd; cds_cmd; cdcmp_cmd; obs_check_cmd; obs_report_cmd;
+            perfdiff_cmd ]))

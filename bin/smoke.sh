@@ -26,7 +26,7 @@ case $BENCH in */*) ;; *) BENCH="./$BENCH" ;; esac
 
 # Pin the knobs the cases set explicitly, so a developer's environment
 # cannot perturb the byte-compares.
-unset POTX_DOMAINS POTX_SHARD POTX_WORKERS POTX_FAULTS POTX_RETRIES \
+unset POTX_DOMAINS POTX_SHARD POTX_CACHE_MB POTX_FAULTS POTX_RETRIES \
   POTX_CACHE POTX_ENGINE POTX_TRACE POTX_METRICS POTX_PROFILE
 
 work=$(mktemp -d)
@@ -244,37 +244,6 @@ case_shard_resume() {
       --require-nonzero flow.shards
 }
 
-# The distributed-execution acceptance: stdout byte-identical to the
-# in-process baseline for {workers 1,2,4} x {shard 1,4}, a worker
-# crashed mid-shard reassigned without changing a byte, and the dist
-# counters (dispatched/completed/reassigned) actually counting.
-case_workers() {
-  ok=0
-  for w in 1 2 4; do
-    for n in 1 4; do
-      "$POTX" run --bench c17 --workers "$w" --shard "$n" \
-        > "$work/workers_${w}_${n}.out" 2> /dev/null || ok=1
-      cmp "$work/base.out" "$work/workers_${w}_${n}.out" || {
-        echo "   workers=$w shard=$n differs from the in-process run"
-        ok=1
-      }
-    done
-  done
-  "$POTX" run --bench c17 --workers 2 --shard 4 \
-    --faults 'dist.worker1.crash=fail1' \
-    --metrics "$work/workers_metrics.jsonl" \
-    > "$work/workers_crash.out" 2> /dev/null || ok=1
-  cmp "$work/base.out" "$work/workers_crash.out" || {
-    echo "   crashed-worker run differs from the in-process run"
-    ok=1
-  }
-  "$POTX" obs-check --metrics "$work/workers_metrics.jsonl" \
-    --require-nonzero dist.dispatched \
-    --require-nonzero dist.completed \
-    --require-nonzero dist.reassigned || ok=1
-  return $ok
-}
-
 run_case baseline case_baseline
 run_case multicore-bench case_multicore_bench
 run_case obs case_obs
@@ -282,7 +251,6 @@ run_case cache case_cache
 run_case fault-retry case_fault_retry
 run_case checkpoint-resume case_checkpoint_resume
 run_case shard-identity case_shard_identity
-run_case workers case_workers
 run_case ssta case_ssta
 run_case engine case_engine
 run_case profile-identity case_profile_identity

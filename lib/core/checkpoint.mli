@@ -27,34 +27,6 @@ val payload_path : t -> string -> string
 
 val meta_path : t -> string -> string
 
-(** The two halves of {!stage}, exposed so the distributed runner can
-    use a checkpoint directory as a content-addressed artifact store:
-    workers {!save} results under coordinator-chosen names and keys,
-    and the coordinator {!try_load}s them back with the same
-    stale/tamper rejection as a resume run.
-
-    [try_load t ~name ~key ~decode] returns the decoded payload only
-    when the stored meta matches [name], [key] and the payload's MD5;
-    anything else (including a torn concurrent write) counts as a
-    rejection and returns [None]. *)
-val try_load :
-  t ->
-  name:string ->
-  key:string ->
-  decode:(payload:string -> meta:Obs.Json.t -> 'a option) ->
-  'a option
-
-(** [save t ~name ~key ~payload ~extra] writes the payload and meta
-    files for one artifact.  The write is not atomic; a concurrent
-    reader is protected by [try_load]'s MD5 verification. *)
-val save :
-  t ->
-  name:string ->
-  key:string ->
-  payload:string ->
-  extra:(string * Obs.Json.t) list ->
-  unit
-
 (** [stage ckpt ~name ~key ~encode ~decode compute] runs one
     checkpointable stage.  With [ckpt = None] this is just
     [compute ()].  Otherwise, on a resume run a stored payload whose

@@ -1,5 +1,7 @@
 type opc_style = No_opc | Rule_opc | Model_opc
 
+type no_dist = |
+
 type config = {
   tech : Layout.Tech.t;
   env : Circuit.Delay_model.env;
@@ -18,39 +20,7 @@ type config = {
   engine : Litho.Aerial.engine;
   retry : Fault.retry;
   checkpoint : Checkpoint.t option;
-  dist : dist_backend option;
-}
-
-(* Multi-process shard execution, injected from above (lib/dist) so the
-   core flow never depends on process plumbing.  Both hooks receive the
-   shard plan and return per-shard results in shard order — the same
-   merge contract as the in-process path, so a backend that executes
-   shards remotely (or falls back to computing them inline) keeps the
-   output byte-identical.  Backends only understand the stock
-   technology; the flow guards the hooks with [dist_supported]. *)
-and dist_backend = {
-  dist_opc :
-    config ->
-    Layout.Chip.t ->
-    Shard.t list ->
-    ((int * Geometry.Polygon.t) list * Opc.Model_opc.stats list) list;
-      (* per-shard model-OPC overwrite batches for [Opc.Chip_opc.assemble] *)
-  dist_extract :
-    config ->
-    condition:Litho.Condition.t ->
-    chip:Layout.Chip.t ->
-    mask:Opc.Mask.t ->
-    subset:Layout.Chip.gate_ref list option ->
-    checkpoint:Checkpoint.t option ->
-    ckpt_stage:string ->
-    ckpt_extra:string ->
-    Shard.t list ->
-    Cdex.Gate_cd.t list list;
-      (* per-shard post-noise CD records; [subset = Some gates]
-         restricts extraction to those gates (owner-shard partition of
-         the given order); with [checkpoint] the backend persists each
-         shard's records under the flow's canonical stage names *)
-  dist_shutdown : unit -> unit;
+  dist : no_dist option;
 }
 
 let default_config () =
@@ -78,15 +48,6 @@ let default_config () =
     checkpoint = None;
     dist = None;
   }
-
-(* The distributed backend reconstructs worker-side state from a
-   parameter record naming the technology, so it only engages for the
-   stock node; other configs silently take the in-process path. *)
-let dist_supported config =
-  config.dist <> None && String.equal config.tech.Layout.Tech.name "node90"
-
-let shutdown_dist config =
-  match config.dist with Some b -> b.dist_shutdown () | None -> ()
 
 (* Per-stage wall/alloc gauges ([<stage>.wall_s], [<stage>.alloc_mw])
    accumulate into the registry on every run, traced or not, so a
@@ -243,7 +204,7 @@ let shard_plan config litho chip =
    the pre-shard code path.  Several shards become independent pool
    tasks (sequential inside; a nested pool would inline anyway), under
    the stage retry policy.  Merging results in shard order is what
-   keeps output byte-identical for any shard count x worker count. *)
+   keeps output byte-identical for any shard count x domain count. *)
 let map_shards ?pool ~label config (f : ?pool:Exec.Pool.t -> Shard.t -> 'a) shards =
   match (shards, pool) with
   | [ s ], _ -> [ f ?pool s ]
@@ -274,24 +235,17 @@ let opc_of_config ?pool config litho chip ~shards =
       Opc.Chip_opc.correct litho
         (Opc.Chip_opc.Rule (Opc.Rule_opc.default_recipe config.tech))
         chip ~tile:config.tile
-  | Model_opc -> (
+  | Model_opc ->
       let plan = Opc.Chip_opc.plan litho chip ~tile:config.tile in
-      match config.dist with
-      | Some b when dist_supported config ->
-          (* Worker processes recompute the (deterministic) plan from
-             the shipped chip; only the per-shard overwrite batches
-             come back, merged in canonical order by [assemble]. *)
-          Opc.Chip_opc.assemble plan (b.dist_opc config chip shards)
-      | _ ->
-          let tiles = Opc.Chip_opc.tiles plan in
-          let correct ?pool:_ (s : Shard.t) =
-            shard_span ~stage:"opc" s @@ fun () ->
-            Fault.point "opc.correct" @@ fun () ->
-            Opc.Chip_opc.correct_tiles litho config.opc_config plan
-              (Shard.split_tiles s tiles)
-          in
-          Opc.Chip_opc.assemble plan
-            (map_shards ?pool ~label:"flow.shards.opc" config correct shards))
+      let tiles = Opc.Chip_opc.tiles plan in
+      let correct ?pool:_ (s : Shard.t) =
+        shard_span ~stage:"opc" s @@ fun () ->
+        Fault.point "opc.correct" @@ fun () ->
+        Opc.Chip_opc.correct_tiles litho config.opc_config plan
+          (Shard.split_tiles s tiles)
+      in
+      Opc.Chip_opc.assemble plan
+        (map_shards ?pool ~label:"flow.shards.opc" config correct shards)
 
 (* --- checkpoint keys and codecs ---------------------------------- *)
 
@@ -321,12 +275,6 @@ let opc_style_tag = function
   | No_opc -> "none"
   | Rule_opc -> "rule"
   | Model_opc -> "model"
-
-let opc_style_of_tag = function
-  | "none" -> Some No_opc
-  | "rule" -> Some Rule_opc
-  | "model" -> Some Model_opc
-  | _ -> None
 
 (* Content hash of everything the OPC stage's output depends on.
    Domain count and the litho tile cache are deliberately excluded:
@@ -457,23 +405,7 @@ let add_silicon_noise config cds =
    checkpoints), "cds.sNofM" otherwise — so --resume is
    shard-granular.  Keys are computed eagerly here, never via a shared
    lazy, because they are evaluated from worker domains. *)
-let rec extract_cds ?pool config ~shards ~litho ~chip ~mask ~ckpt_stage
-    ~ckpt_extra =
-  match config.dist with
-  | Some b when dist_supported config ->
-      (* The backend owns the per-shard checkpoint artifacts (same
-         stage names and content keys as the inline path below), so a
-         run checkpointed under workers resumes under none and vice
-         versa. *)
-      List.concat
-        (b.dist_extract config ~condition:config.condition ~chip ~mask
-           ~subset:None ~checkpoint:config.checkpoint ~ckpt_stage ~ckpt_extra
-           shards)
-  | _ -> extract_cds_local ?pool config ~shards ~litho ~chip ~mask ~ckpt_stage
-           ~ckpt_extra
-
-and extract_cds_local ?pool config ~shards ~litho ~chip ~mask ~ckpt_stage
-    ~ckpt_extra =
+let extract_cds ?pool config ~shards ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra =
   let digests =
     match config.checkpoint with
     | None -> None
@@ -695,7 +627,6 @@ let extract_at ?pool ?gates ?condition ?chip ?mask r =
   let condition = Option.value condition ~default:config.condition in
   let chip = Option.value chip ~default:r.chip in
   let mask = Option.value mask ~default:r.mask in
-  let subset = gates in
   let gates =
     match gates with Some g -> g | None -> Layout.Chip.gates chip
   in
@@ -705,25 +636,11 @@ let extract_at ?pool ?gates ?condition ?chip ?mask r =
   Litho.Tile_cache.set_enabled config.cache;
   Litho.Aerial.set_engine config.engine;
   let litho = litho_model config in
-  match config.dist with
-  | Some b when dist_supported config ->
-      (* Ad-hoc re-queries ride the worker pool as an owner-shard
-         partition of the requested gate set: buckets are canonically
-         ordered and whole buckets change hands atomically, so
-         concatenating per-shard records in shard order is
-         byte-identical to the unsharded extraction (the [Shard]
-         invariant).  No checkpointing — ad-hoc queries are not
-         stages. *)
-      let shards = shard_plan config litho chip in
-      List.concat
-        (b.dist_extract config ~condition ~chip ~mask ~subset
-           ~checkpoint:None ~ckpt_stage:"cdq" ~ckpt_extra:"" shards)
-  | _ ->
-      with_pool_opt ?pool config (fun pool ->
-          Cdex.Extract.extract ?pool ~retry:config.retry litho condition
-            ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices
-            ~tile:config.tile ()
-          |> add_silicon_noise config)
+  with_pool_opt ?pool config (fun pool ->
+      Cdex.Extract.extract ?pool ~retry:config.retry litho condition
+        ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices
+        ~tile:config.tile ()
+      |> add_silicon_noise config)
 
 let reopc_chip ?pool r chip =
   let config = r.config in

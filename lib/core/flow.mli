@@ -8,6 +8,9 @@
 
 type opc_style = No_opc | Rule_opc | Model_opc
 
+(** Uninhabited, so the [dist] field below can only be [None]. *)
+type no_dist = |
+
 type config = {
   tech : Layout.Tech.t;
   env : Circuit.Delay_model.env;
@@ -35,7 +38,7 @@ type config = {
           extraction run one independent task per shard — each a
           separate [Exec.Pool] task when [domains > 1] — and merge by
           owner-shard rule, so the output is {e byte-identical} to the
-          unsharded run for any shard count x worker count.  Shards
+          unsharded run for any shard count x domain count.  Shards
           read shared context (drawn chip / merged mask) within the
           optical halo, so values larger than the die just degenerate
           to empty shards.  Checkpointing becomes shard-granular:
@@ -80,62 +83,13 @@ type config = {
           (["cds.sNofM"], each under its own content-hash key), so
           [--resume] re-does only the shards that are missing or
           stale *)
-  dist : dist_backend option;
-      (** multi-process shard execution (default [None] =
-          in-process).  When set — [potx run --workers N] installs
-          [Dist.Backend] here — model OPC, the extraction stage and
-          the warm re-queries hand their shard plans to the backend,
-          which dispatches them to worker processes and returns
-          per-shard results in shard order; the flow performs the
-          same canonical-order merge as in-process sharding, so
-          output is {e byte-identical} for any worker count (the
-          contract [test/test_dist.ml] enforces).  Only engages for
-          the stock [node90] technology; anything else silently takes
-          the in-process path *)
-}
-
-(** The hook record a distributed shard runner implements.  Each hook
-    receives the shard plan and must return per-shard results {e in
-    shard order}; how the shards are executed (worker processes,
-    inline fallback, resumed checkpoint artifacts) is the backend's
-    business, but the bytes must equal the in-process computation.
-    [dist_extract]'s [subset] restricts extraction to the given gates
-    (in the given order, owner-shard partitioned); [checkpoint] asks
-    the backend to persist per-shard records under the flow's
-    canonical stage names ([ckpt_stage]/[ckpt_extra], same
-    name-and-key scheme as the in-process path, so runs resume across
-    worker counts).  [dist_shutdown] releases worker processes — see
-    {!shutdown_dist}. *)
-and dist_backend = {
-  dist_opc :
-    config ->
-    Layout.Chip.t ->
-    Shard.t list ->
-    ((int * Geometry.Polygon.t) list * Opc.Model_opc.stats list) list;
-  dist_extract :
-    config ->
-    condition:Litho.Condition.t ->
-    chip:Layout.Chip.t ->
-    mask:Opc.Mask.t ->
-    subset:Layout.Chip.gate_ref list option ->
-    checkpoint:Checkpoint.t option ->
-    ckpt_stage:string ->
-    ckpt_extra:string ->
-    Shard.t list ->
-    Cdex.Gate_cd.t list list;
-  dist_shutdown : unit -> unit;
+  dist : no_dist option;
+      (** always [None]; no flow code reads it.  Kept only because
+          the benchmark's config literal ([perfbench/main.ml]) still
+          sets [dist = None]; the field goes when that line does *)
 }
 
 val default_config : unit -> config
-
-(** Does this config's [dist] backend engage?  True only with a
-    backend installed {e and} the stock technology. *)
-val dist_supported : config -> bool
-
-(** Shut the config's [dist] backend down (a no-op without one).
-    Owners of long-lived configs — the resident service session, the
-    CLI driver — call this when the config retires. *)
-val shutdown_dist : config -> unit
 
 (** Calibrated litho model for a config (memoised per technology). *)
 val litho_model : config -> Litho.Model.t
@@ -248,62 +202,6 @@ val extract_at :
     checkpointing. *)
 val reopc_chip :
   ?pool:Exec.Pool.t -> run -> Layout.Chip.t -> Opc.Mask.t * Opc.Model_opc.stats
-
-(** {1 Distributed-backend support}
-
-    The flow internals a {!dist_backend} implementation composes:
-    content-hash keys, exact payload codecs and the stages' noise
-    pass.  Exposed so a backend (and its worker processes) reproduces
-    the in-process bytes and artifact keys instead of inventing
-    parallel formulas.  Everything here is deterministic. *)
-
-(** Canonical tag for an OPC style (["none"]/["rule"]/["model"]) and
-    its inverse. *)
-val opc_style_tag : opc_style -> string
-
-val opc_style_of_tag : string -> opc_style option
-
-(** The flow's shard plan for a chip: [Shard.plan] at the config's
-    tile and the litho model's halo. *)
-val shard_plan : config -> Litho.Model.t -> Layout.Chip.t -> Shard.t list
-
-(** MD5 hex of the flattened chip text — the chip's identity in
-    checkpoint keys and transport artifacts. *)
-val chip_digest : Layout.Chip.t -> string
-
-(** The mask as Io shape lines; [Layout.Io.read_shapes] +
-    [Opc.Mask.of_polygons] reloads it byte-identically (order
-    preserved). *)
-val mask_text : Opc.Mask.t -> string
-
-(** Content-hash key of the OPC stage for this config and chip
-    ([extra] folds stage-specific context in, e.g. a shard spec). *)
-val opc_key : config -> extra:string -> Layout.Chip.t -> string
-
-(** Content-hash key of a CD-extraction stage.  Hashes the config's
-    condition/slices/tile/noise/seed/engine plus the given digests
-    and [extra]. *)
-val cds_key :
-  config -> extra:string -> mask_digest:string -> chip_digest:string -> string
-
-(** Exact checkpoint codecs for the OPC mask (+ convergence stats)
-    and the post-noise CD records, as used by [run]'s stages. *)
-val encode_mask :
-  Opc.Mask.t * Opc.Model_opc.stats -> string * (string * Obs.Json.t) list
-
-val decode_mask :
-  payload:string ->
-  meta:Obs.Json.t ->
-  (Opc.Mask.t * Opc.Model_opc.stats) option
-
-val encode_cds : Cdex.Gate_cd.t list -> string * (string * Obs.Json.t) list
-
-val decode_cds :
-  payload:string -> meta:Obs.Json.t -> Cdex.Gate_cd.t list option
-
-(** The flow's deterministic silicon-noise pass (seeded per gate key
-    from [config.seed]); workers apply it so stored records are final. *)
-val add_silicon_noise : config -> Cdex.Gate_cd.t list -> Cdex.Gate_cd.t list
 
 (** {1 Statistical timing (SSTA)} *)
 

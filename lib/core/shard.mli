@@ -42,9 +42,6 @@ val env_count : ?var:string -> ?default:int -> unit -> int
     only on the die bbox, [tile] and [count]. *)
 val plan : tile:int -> halo:int -> count:int -> Layout.Chip.t -> t list
 
-(** Does this shard own anchor coordinate [x]? *)
-val owns_x : t -> int -> bool
-
 (** The subset of OPC tiles owned by the shard (left-edge rule),
     preserving the canonical tile order. *)
 val split_tiles : t -> Geometry.Rect.t list -> Geometry.Rect.t list

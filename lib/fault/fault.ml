@@ -104,8 +104,6 @@ let set_plan p =
   Mutex.unlock hits_mutex;
   Atomic.set active p
 
-let current_plan () = Atomic.get active
-
 let declared_mutex = Mutex.create ()
 
 let declared : (string, unit) Hashtbl.t = Hashtbl.create 16

@@ -58,8 +58,6 @@ val to_string : plan -> string
     process. *)
 val set_plan : plan option -> unit
 
-val current_plan : unit -> plan option
-
 (** {1 Fault points} *)
 
 (** [declare name] registers a point name at module-load time so test

@@ -37,10 +37,7 @@ let run t = t.run
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Option.iter Exec.Pool.shutdown t.pool;
-    (* Retire any distributed worker pool (and its scratch store)
-       along with the session's own domains. *)
-    Flow.shutdown_dist t.run.Flow.config
+    Option.iter Exec.Pool.shutdown t.pool
   end
 
 (* Session-local counters drive the [metrics] verb (so replies depend

@@ -1,9 +1,8 @@
-(* Byte-identity test kit shared by test_shard, test_serve, test_ssta
-   and test_dist: one reduced flow config cheap enough to run dozens
-   of times, exact renderings of a run and of an ssta view, and the
-   monolithic-baseline digest comparison every scaling feature
-   (shard, domains, cache, checkpoint, faults, workers) is measured
-   against. *)
+(* Byte-identity test kit shared by test_shard, test_serve and
+   test_ssta: one reduced flow config cheap enough to run dozens of
+   times, exact renderings of a run and of an ssta view, and the
+   monolithic-baseline digest comparison every scaling feature (shard,
+   domains, cache, checkpoint, faults) is measured against. *)
 
 module F = Timing_opc.Flow
 

@@ -393,10 +393,12 @@ let test_report_derived () =
        [ ("exec.pool.p.busy_s", Obs.Metrics.Gauge 2.0) ]
     = None)
 
-(* ---- worker-count independence of flow metrics ---- *)
+(* ---- topology independence of flow metrics ---- *)
 
-let test_flow_metrics_domain_independent () =
-  let config domains =
+(* Deterministic counters and histogram buckets are equal across
+   domains {1,2} x shard {1,4}. *)
+let test_flow_metrics_topology_independent () =
+  let config ~domains ~shard =
     let c = Timing_opc.Flow.default_config () in
     {
       c with
@@ -404,22 +406,28 @@ let test_flow_metrics_domain_independent () =
         { c.Timing_opc.Flow.opc_config with Opc.Model_opc.iterations = 2 };
       slices = 3;
       domains;
+      shard;
     }
   in
-  (* Warm the global litho-model cache so both measured runs see the
+  (* Warm the global litho-model cache so every measured run sees the
      same call pattern (calibration simulates only on the first run). *)
-  ignore (Timing_opc.Flow.run (config 1) (Circuit.Generator.c17 ()));
-  let deterministic_metrics domains =
+  ignore (Timing_opc.Flow.run (config ~domains:1 ~shard:1) (Circuit.Generator.c17 ()));
+  (* Gauges carry wall time and exec.pool.* exists only when a pool is
+     created; both are exempt from the contract, as are the
+     litho.cache.* hit/miss counters, which depend on whatever earlier
+     runs left in the process-wide cache, and the two counters that
+     describe the shard plan itself. *)
+  let exempt name =
+    String.starts_with ~prefix:"exec.pool." name
+    || String.starts_with ~prefix:"litho.cache." name
+    || name = "flow.shards" || name = "shard.halo_gates"
+  in
+  let deterministic_metrics (domains, shard) =
     Obs.Metrics.reset Obs.Metrics.global;
-    ignore (Timing_opc.Flow.run (config domains) (Circuit.Generator.c17 ()));
+    ignore (Timing_opc.Flow.run (config ~domains ~shard) (Circuit.Generator.c17 ()));
     Obs.Metrics.snapshot Obs.Metrics.global
     |> List.filter_map (fun (name, v) ->
-           (* Gauges carry wall time and exec.pool.* exists only when a
-              pool is created; both are exempt from the contract, as
-              are the litho.cache.* hit/miss counters, which depend on
-              whatever earlier runs left in the process-wide cache. *)
-           if String.length name >= 10 && String.sub name 0 10 = "exec.pool." then None
-           else if String.length name >= 12 && String.sub name 0 12 = "litho.cache." then None
+           if exempt name then None
            else
              match v with
              | Obs.Metrics.Counter n -> Some (name, `C n)
@@ -427,10 +435,17 @@ let test_flow_metrics_domain_independent () =
              | Obs.Metrics.Histogram h ->
                  Some (name, `H (h.Obs.Metrics.edges, h.Obs.Metrics.counts, h.Obs.Metrics.count)))
   in
-  let a = deterministic_metrics 1 in
-  let b = deterministic_metrics 2 in
-  checkb "at least ten metric names" true (List.length a >= 10);
-  checkb "counters and buckets identical at domains 1 vs 2" true (a = b)
+  let reference = deterministic_metrics (1, 1) in
+  checkb "at least ten metric names" true (List.length reference >= 10);
+  List.iter
+    (fun (domains, shard) ->
+      checkb
+        (Printf.sprintf
+           "counters and buckets at domains %d shard %d equal domains 1 shard 1"
+           domains shard)
+        true
+        (deterministic_metrics (domains, shard) = reference))
+    [ (2, 1); (1, 4); (2, 4) ]
 
 let () =
   Alcotest.run "obs"
@@ -475,6 +490,6 @@ let () =
       ( "flow",
         [
           Alcotest.test_case "metrics at domains 1 vs 2" `Slow
-            test_flow_metrics_domain_independent;
+            test_flow_metrics_topology_independent;
         ] );
     ]

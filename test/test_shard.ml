@@ -1,5 +1,5 @@
 (* Sharded-flow identity contract: Flow.run with any shard count and
-   any worker count is byte-identical to the monolithic run — exact
+   any domain count is byte-identical to the monolithic run — exact
    CSV records, OPC stats, both STA summaries and the merged mask —
    including degenerate shards smaller than the optical halo, and in
    combination with the cache, checkpoint/resume and absorbed-fault
@@ -14,8 +14,8 @@ let checki = Alcotest.(check int)
 let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
 
 (* The reduced config, exact renderings and monolithic-baseline
-   comparison live in Identity_helpers, shared with test_serve,
-   test_ssta and test_dist. *)
+   comparison live in Identity_helpers, shared with test_serve and
+   test_ssta. *)
 let base_config = Identity_helpers.base_config
 
 let render = Identity_helpers.render_run
