@@ -200,11 +200,12 @@ let shard_plan config litho chip =
     chip
 
 (* Dispatch one task per shard.  A single shard runs inline on the
-   caller with the pool handed down to its inner hot loops — literally
-   the pre-shard code path.  Several shards become independent pool
-   tasks (sequential inside; a nested pool would inline anyway), under
-   the stage retry policy.  Merging results in shard order is what
-   keeps output byte-identical for any shard count x domain count. *)
+   caller with the pool handed down to its inner hot loops (model
+   OPC's sim tiles, extraction buckets) — literally the pre-shard code
+   path.  Several shards become independent pool tasks (sequential
+   inside; a nested pool would inline anyway), under the stage retry
+   policy.  Merging results in shard order is what keeps output
+   byte-identical for any shard count x domain count. *)
 let map_shards ?pool ~label config (f : ?pool:Exec.Pool.t -> Shard.t -> 'a) shards =
   match (shards, pool) with
   | [ s ], _ -> [ f ?pool s ]
@@ -226,8 +227,10 @@ let shard_span ~stage (s : Shard.t) f =
    columns the shard owns) against the shared read-only plan, then
    merges overwrites and stats in shard order — canonical tile order
    overall, so the mask and merged stats are byte-identical to the
-   monolithic pass.  Each shard task sits behind the [opc.correct]
-   fault point, mirroring the monolithic driver. *)
+   monolithic pass.  A single shard hands its pool to OPC, which
+   simulates each pass's stale sim tiles on it; several shards are
+   the pool's tasks themselves.  Each shard task sits behind the
+   [opc.correct] fault point, as monolithic [Chip_opc.correct] does. *)
 let opc_of_config ?pool config litho chip ~shards =
   match config.opc_style with
   | No_opc -> Opc.Chip_opc.correct litho Opc.Chip_opc.None_ chip ~tile:config.tile
@@ -238,10 +241,10 @@ let opc_of_config ?pool config litho chip ~shards =
   | Model_opc ->
       let plan = Opc.Chip_opc.plan litho chip ~tile:config.tile in
       let tiles = Opc.Chip_opc.tiles plan in
-      let correct ?pool:_ (s : Shard.t) =
+      let correct ?pool (s : Shard.t) =
         shard_span ~stage:"opc" s @@ fun () ->
         Fault.point "opc.correct" @@ fun () ->
-        Opc.Chip_opc.correct_tiles litho config.opc_config plan
+        Opc.Chip_opc.correct_tiles ?pool litho config.opc_config plan
           (Shard.split_tiles s tiles)
       in
       Opc.Chip_opc.assemble plan

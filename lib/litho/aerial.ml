@@ -132,26 +132,30 @@ let mask_raster (model : Model.t) ~window polygons =
   paint_mask raster (clipped_rects raster polygons);
   raster
 
-(* The direct (oracle) path: one box-blur cascade per kernel, blended
-   in kernel order on the calling domain so the accumulated image is
-   bit-identical for any worker count. *)
-let convolve_direct ?pool (model : Model.t) (condition : Condition.t) mask =
-  let intensity = Raster.like mask in
-  let blur (k : Model.kernel) =
-    let sigma = Model.effective_sigma model k ~defocus:condition.Condition.defocus in
-    let blurred = Raster.copy mask in
-    Blur.gaussian blurred ~sigma_px:(sigma /. model.Model.step);
-    blurred
-  in
-  let blurred =
-    match pool with
-    | None -> List.map blur model.Model.kernels
-    | Some p -> Exec.Pool.map_list ~label:"aerial.kernels" p blur model.Model.kernels
-  in
-  List.iter2
-    (fun (k : Model.kernel) b -> Raster.blend ~dst:intensity ~src:b ~w:k.Model.weight)
-    model.Model.kernels blurred;
-  intensity
+(* The rasters one direct simulation writes: the painted mask, one
+   blur scratch, and the accumulated intensity. *)
+type buffers = { mask : Raster.t; scratch : Raster.t; intensity : Raster.t }
+
+let buffers_like shape =
+  { mask = Raster.like shape; scratch = Raster.like shape; intensity = Raster.like shape }
+
+let buffers (model : Model.t) ~window =
+  buffers_like
+    (Raster.shape_of_window ~window ~halo:model.Model.halo ~step:model.Model.step)
+
+(* The direct (oracle) path: kernel by kernel, blit the mask into the
+   scratch, blur it, and blend it into the intensity.  Blending in
+   kernel order keeps the accumulated image bit-identical to blending
+   every blurred copy at the end. *)
+let convolve_direct (model : Model.t) (condition : Condition.t) b =
+  Raster.fill b.intensity 0.0;
+  List.iter
+    (fun (k : Model.kernel) ->
+      let sigma = Model.effective_sigma model k ~defocus:condition.Condition.defocus in
+      Raster.blit ~src:b.mask ~dst:b.scratch;
+      Blur.gaussian b.scratch ~sigma_px:(sigma /. model.Model.step);
+      Raster.blend ~dst:b.intensity ~src:b.scratch ~w:k.Model.weight)
+    model.Model.kernels
 
 (* Sigma the direct cascade actually realises: three integer-width box
    passes match the Gaussian variance only up to width quantisation
@@ -184,10 +188,9 @@ let convolve_fft (model : Model.t) (condition : Condition.t) mask =
           k.Model.weight ))
       model.Model.kernels
   in
-  Fft.convolve_gaussians mask ~kernels;
-  mask
+  Fft.convolve_gaussians mask ~kernels
 
-let simulate ?pool ?engine:e (model : Model.t) (condition : Condition.t) ~window
+let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
     polygons =
   Obs.Span.with_ ~name:"litho.simulate"
     ~attrs:(fun () -> [ ("polygons", string_of_int (List.length polygons)) ])
@@ -202,6 +205,16 @@ let simulate ?pool ?engine:e (model : Model.t) (condition : Condition.t) ~window
   let shape =
     Raster.shape_of_window ~window ~halo:model.Model.halo ~step:model.Model.step
   in
+  Option.iter
+    (fun b ->
+      let r = b.intensity in
+      if
+        Raster.nx r <> Raster.nx shape
+        || Raster.ny r <> Raster.ny shape
+        || Raster.step r <> Raster.step shape
+        || not (G.Point.equal (Raster.origin r) (Raster.origin shape))
+      then invalid_arg "Aerial.simulate: buffers made for another window")
+    into;
   let eng =
     resolve_engine (match e with Some e -> e | None -> engine ()) shape
   in
@@ -211,17 +224,39 @@ let simulate ?pool ?engine:e (model : Model.t) (condition : Condition.t) ~window
     if Tile_cache.enabled () then Some (cache_key eng model condition shape rects)
     else None
   in
-  match
-    Option.bind key (Tile_cache.find Tile_cache.global ~origin:(Raster.origin shape))
-  with
+  let hit =
+    Option.bind key
+      (Tile_cache.find
+         ?into:(Option.map (fun b -> b.intensity) into)
+         Tile_cache.global ~origin:(Raster.origin shape))
+  in
+  match hit with
   | Some intensity -> intensity
   | None ->
-      let mask = Raster.like shape in
-      paint_mask mask rects;
       let intensity =
         match eng with
-        | Fft -> convolve_fft model condition mask
-        | Direct | Auto -> convolve_direct ?pool model condition mask
+        | Fft ->
+            let r =
+              match into with
+              | Some b ->
+                  Raster.fill b.intensity 0.0;
+                  b.intensity
+              | None -> Raster.like shape
+            in
+            paint_mask r rects;
+            convolve_fft model condition r;
+            r
+        | Direct | Auto ->
+            let b =
+              match into with
+              | Some b ->
+                  Raster.fill b.mask 0.0;
+                  b
+              | None -> buffers_like shape
+            in
+            paint_mask b.mask rects;
+            convolve_direct model condition b;
+            b.intensity
       in
       Option.iter (fun k -> Tile_cache.store Tile_cache.global k intensity) key;
       intensity

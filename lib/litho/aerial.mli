@@ -17,11 +17,15 @@
     per tile by pixel count.  The resolved engine is part of the tile
     cache key, so engines never share cache entries.
 
-    When [pool] is given, the direct engine's per-kernel convolutions
-    run on its domains; the weighted blend is accumulated in kernel
-    order on the calling domain, so the image is bit-identical for any
-    worker count.  The FFT engine is single-transform and uses the
-    pool only across tiles ({!simulate_tiles}).
+    The direct engine blurs one scratch copy of the mask per kernel
+    and blends it into the intensity in kernel order, so a simulation
+    works in three rasters: mask, scratch and intensity.  With [into],
+    those are caller-owned {!buffers} made once for a fixed window and
+    reused by every simulation of it (model OPC's passes over its sim
+    tiles); the result is then [into]'s intensity raster, overwritten
+    by the next simulation into the same buffers.  One simulation runs
+    on one domain: parallelism is across tiles ({!simulate_tiles},
+    model OPC's sim tiles), never across the kernels of one image.
 
     When {!Tile_cache.enabled}, every simulation first consults the
     content-addressed {!Tile_cache.global}: the key is the clipped
@@ -29,9 +33,10 @@
     geometry, the defocus-adjusted kernel stack, and the resolved
     engine, so repeated cell patterns hit at any placement and a dose
     sweep at fixed defocus hits after its first condition (dose scales
-    the threshold, not the intensity).  Hits return a private copy and
-    are bit-identical to a fresh simulation by construction, so
-    enabling the cache never changes results — only wall time. *)
+    the threshold, not the intensity).  Hits return a private copy (or
+    fill [into]'s intensity) and are bit-identical to a fresh
+    simulation by construction, so enabling the cache never changes
+    results — only wall time. *)
 
 type engine = Direct | Fft | Auto
 
@@ -56,9 +61,17 @@ val set_engine : engine -> unit
     and benches can predict (and pin) the per-tile choice. *)
 val resolve_engine : engine -> Raster.t -> engine
 
+(** Caller-owned rasters for repeated simulations of one window. *)
+type buffers
+
+(** [buffers model ~window] allocates the mask, scratch and intensity
+    rasters for simulating [window] under [model]'s step and halo. *)
+val buffers : Model.t -> window:Geometry.Rect.t -> buffers
+
+(** Raises [Invalid_argument] when [into] was made for another window. *)
 val simulate :
-  ?pool:Exec.Pool.t ->
   ?engine:engine ->
+  ?into:buffers ->
   Model.t ->
   Condition.t ->
   window:Geometry.Rect.t ->

@@ -38,25 +38,50 @@ let box_h data nx ny w =
     done
   end
 
+(* One vertical box pass, swept row by row so every access is
+   unit-stride: [acc] holds one running sum per column.  Output row
+   [iy] overwrites input row [iy], which the window still subtracts
+   [r] rows later, so the last [r + 1] input rows are kept in [ring].
+   Each column sees the same adds and subtracts in the same order as a
+   column-at-a-time sweep, so the result is bit-identical to one.
+   Rows that both add and subtract run as one fused sweep. *)
 let box_v data nx ny w =
   if w > 1 then begin
     let r = (w - 1) / 2 in
     let inv = 1.0 /. float_of_int w in
-    let tmp = Array.make ny 0.0 in
-    for ix = 0 to nx - 1 do
-      let acc = ref 0.0 in
-      for iy = 0 to min (ny - 1) r do
-        acc := !acc +. data.((iy * nx) + ix)
-      done;
-      for iy = 0 to ny - 1 do
-        tmp.(iy) <- !acc *. inv;
-        let enter = iy + r + 1 and leave = iy - r in
-        if enter < ny then acc := !acc +. data.((enter * nx) + ix);
-        if leave >= 0 then acc := !acc -. data.((leave * nx) + ix)
-      done;
-      for iy = 0 to ny - 1 do
-        data.((iy * nx) + ix) <- tmp.(iy)
+    let acc = Array.make nx 0.0 in
+    let ring = Array.make ((r + 1) * nx) 0.0 in
+    for iy = 0 to min (ny - 1) r do
+      let row = iy * nx in
+      for ix = 0 to nx - 1 do
+        acc.(ix) <- acc.(ix) +. data.(row + ix)
       done
+    done;
+    for iy = 0 to ny - 1 do
+      let row = iy * nx and keep = iy mod (r + 1) * nx in
+      let enter = iy + r + 1 and leave = iy - r in
+      let erow = enter * nx and lrow = leave mod (r + 1) * nx in
+      if enter < ny && leave >= 0 then
+        for ix = 0 to nx - 1 do
+          let a = acc.(ix) in
+          ring.(keep + ix) <- data.(row + ix);
+          data.(row + ix) <- a *. inv;
+          acc.(ix) <- a +. data.(erow + ix) -. ring.(lrow + ix)
+        done
+      else begin
+        for ix = 0 to nx - 1 do
+          ring.(keep + ix) <- data.(row + ix);
+          data.(row + ix) <- acc.(ix) *. inv
+        done;
+        if enter < ny then
+          for ix = 0 to nx - 1 do
+            acc.(ix) <- acc.(ix) +. data.(erow + ix)
+          done;
+        if leave >= 0 then
+          for ix = 0 to nx - 1 do
+            acc.(ix) <- acc.(ix) -. ring.(lrow + ix)
+          done
+      end
     done
   end
 

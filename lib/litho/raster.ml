@@ -49,6 +49,11 @@ let copy t = { t with data = Array.copy t.data }
 
 let like t = { t with data = Array.make (t.nx * t.ny) 0.0 }
 
+let blit ~src ~dst =
+  if dst.nx <> src.nx || dst.ny <> src.ny then
+    invalid_arg "Raster.blit: geometry mismatch";
+  Array.blit src.data 0 dst.data 0 (Array.length dst.data)
+
 let relocate t ~origin = { t with origin }
 
 let blend ~dst ~src ~w =

@@ -41,6 +41,10 @@ val copy : t -> t
     nx, ny) — the allocation pattern for accumulation buffers. *)
 val like : t -> t
 
+(** [blit ~src ~dst] copies [src]'s pixels into [dst], which keeps its
+    own origin; rasters must share nx and ny. *)
+val blit : src:t -> dst:t -> unit
+
 (** [relocate t ~origin] views the same pixel data at a different
     layout origin.  The data array is shared with [t]; callers that
     mutate must [copy] first.  Used by {!Tile_cache} to re-home a

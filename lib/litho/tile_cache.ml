@@ -52,19 +52,31 @@ let entry_size key raster =
      boxing overhead are charged approximately. *)
   (8 * Raster.nx raster * Raster.ny raster) + String.length key + 64
 
-let find t ~origin key =
+let find ?into t ~origin key =
   if not (enabled ()) then None
   else
-    Mutex.protect t.lock @@ fun () ->
-    match Hashtbl.find_opt t.table key with
-    | Some e ->
-        t.tick <- t.tick + 1;
-        e.last_use <- t.tick;
-        Obs.Metrics.incr m_hits;
-        Some (Raster.copy (Raster.relocate e.raster ~origin))
-    | None ->
-        Obs.Metrics.incr m_misses;
-        None
+    let stored =
+      Mutex.protect t.lock @@ fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some e ->
+          t.tick <- t.tick + 1;
+          e.last_use <- t.tick;
+          Obs.Metrics.incr m_hits;
+          Some e.raster
+      | None ->
+          Obs.Metrics.incr m_misses;
+          None
+    in
+    (* A stored raster is never mutated after insertion (eviction only
+       drops the reference), so the pixel copy runs outside the lock. *)
+    Option.map
+      (fun raster ->
+        match into with
+        | Some dst ->
+            Raster.blit ~src:raster ~dst;
+            dst
+        | None -> Raster.copy (Raster.relocate raster ~origin))
+      stored
 
 let evict_lru t =
   let victim =
@@ -83,14 +95,17 @@ let evict_lru t =
       Obs.Metrics.incr m_evictions
 
 let store t key raster =
-  if enabled () then
-    Mutex.protect t.lock @@ fun () ->
-    if not (Hashtbl.mem t.table key) then begin
-      let size = entry_size key raster in
-      if size <= t.budget then begin
+  if enabled () then begin
+    let size = entry_size key raster in
+    if size <= t.budget then begin
+      (* Copy before taking the lock: callers overwrite their buffers on
+         the next pass.  A copy that loses a concurrent race for the
+         same key is simply dropped. *)
+      let raster = Raster.copy raster in
+      Mutex.protect t.lock @@ fun () ->
+      if not (Hashtbl.mem t.table key) then begin
         t.tick <- t.tick + 1;
-        Hashtbl.add t.table key
-          { raster = Raster.copy raster; size; last_use = t.tick };
+        Hashtbl.add t.table key { raster; size; last_use = t.tick };
         t.used <- t.used + size;
         (* The newest entry carries the highest tick, so the loop never
            evicts what it just inserted while anything older remains. *)
@@ -100,6 +115,7 @@ let store t key raster =
         publish_bytes t
       end
     end
+  end
 
 let clear t =
   Mutex.protect t.lock @@ fun () ->

@@ -12,10 +12,11 @@
     blur, same blend).
 
     The cache is bounded by a byte budget and evicts least recently
-    used entries.  Hits return a copy relocated to the caller's
-    origin, so callers may mutate the result freely.  All operations
-    are safe under concurrent use from pool domains (a single mutex;
-    the critical sections are hash-table lookups, not simulations).
+    used entries.  Hits return a copy relocated to the caller's origin
+    (or fill the caller's buffer), so callers may mutate the result
+    freely.  All operations are safe under concurrent use from pool
+    domains (a single mutex; the critical sections are hash-table
+    lookups, never simulations or pixel copies).
 
     Instrumentation: [litho.cache.hits] / [litho.cache.misses] /
     [litho.cache.evictions] counters and a [litho.cache.bytes] gauge
@@ -51,15 +52,19 @@ val set_enabled : bool -> unit
 val env_enabled : ?var:string -> ?default:bool -> unit -> bool
 
 (** [find t ~origin key] returns a mutable copy of the stored raster
-    relocated to [origin], or [None].  Counts a hit or a miss; a find
-    while the switch is off counts neither. *)
-val find : t -> origin:Geometry.Point.t -> string -> Raster.t option
+    relocated to [origin], or [None].  With [into], the stored pixels
+    are blitted into [into] instead (it must have the entry's nx and
+    ny, and keeps its own origin) and [into] is returned.  Counts a hit
+    or a miss; a find while the switch is off counts neither.  Only
+    the table lookup holds the lock; the pixel copy runs after it. *)
+val find : ?into:Raster.t -> t -> origin:Geometry.Point.t -> string -> Raster.t option
 
 (** [store t key raster] inserts a copy of [raster] (so later caller
     mutation cannot corrupt the cache), then evicts LRU entries until
-    the budget holds.  Re-storing an existing key is a no-op: contents
-    are equal by construction, so first-write-wins keeps hits stable
-    under concurrent stores. *)
+    the budget holds.  The copy is made before the lock is taken.
+    Re-storing an existing key is a no-op: contents are equal by
+    construction, so first-write-wins keeps hits stable under
+    concurrent stores. *)
 val store : t -> string -> Raster.t -> unit
 
 (** Drop every entry (budget and switch unchanged). *)

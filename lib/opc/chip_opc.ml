@@ -57,7 +57,7 @@ let tiles p = p.tiles
    (Rect.contains_point is closed); applying overwrites in canonical
    tile order keeps the later tile's result, exactly as the monolithic
    in-place pass did. *)
-let correct_tiles litho_model config ?(want = fun _ -> true) p ts =
+let correct_tiles ?pool litho_model config ?(want = fun _ -> true) p ts =
   let per_tile =
     List.filter_map
       (fun t ->
@@ -78,7 +78,9 @@ let correct_tiles litho_model config ?(want = fun _ -> true) p ts =
             |> List.filter_map (fun (_, i) ->
                    if in_targets i then None else Some p.items.(i))
           in
-          let fixed, stats = Model_opc.correct litho_model config ~targets ~context in
+          let fixed, stats =
+            Model_opc.correct ?pool litho_model config ~targets ~context
+          in
           Some (List.combine target_ids fixed, stats)
         end)
       ts

@@ -44,7 +44,13 @@ val correct_selective :
     stats.  Correcting all tiles in one batch or in any ordered
     partition of batches yields byte-identical masks and stats, which
     is what Core.Flow's sharded OPC relies on.  [correct] with a
-    [Model] style is [plan] + one [correct_tiles] batch + [assemble]. *)
+    [Model] style is [plan] + one [correct_tiles] batch + [assemble].
+
+    [correct_tiles ?pool] hands [pool] to {!Model_opc.correct} for
+    every tile, which simulates each pass's stale sim tiles on it; the
+    correction tiles themselves still run in order on the caller.
+    Results are byte-identical with or without a pool and for any
+    worker count (see {!Model_opc.correct}). *)
 
 type plan
 
@@ -54,6 +60,7 @@ val plan : Litho.Model.t -> Layout.Chip.t -> tile:int -> plan
 val tiles : plan -> Geometry.Rect.t list
 
 val correct_tiles :
+  ?pool:Exec.Pool.t ->
   Litho.Model.t ->
   Model_opc.config ->
   ?want:(Geometry.Polygon.t -> bool) ->

@@ -55,7 +55,7 @@ let m_dirty = Obs.Metrics.counter "opc.dirty_tiles"
 
 let m_clean = Obs.Metrics.counter "opc.clean_tiles"
 
-let correct_untraced (model : Litho.Model.t) config ~targets ~context =
+let correct_untraced ?pool (model : Litho.Model.t) config ~targets ~context =
   match targets with
   | [] ->
       ([], { iterations_run = 0; max_epe = 0.0; rms_epe = 0.0; sites = 0; unresolved = 0 })
@@ -163,6 +163,11 @@ let correct_untraced (model : Litho.Model.t) config ~targets ~context =
         model.Litho.Model.halo
         + (2 * int_of_float (Float.ceil model.Litho.Model.step)) + 2
       in
+      (* Each sim tile owns its rasters for the whole correction: every
+         pass simulates into them, so a pass allocates no image. *)
+      let buffers =
+        Array.map (fun w -> Litho.Aerial.buffers model ~window:w) tiles
+      in
       let rasters = Array.make (ntx * nty) None in
       let prev_masks = Array.make (List.length fragmented) None in
       let measure_pass () =
@@ -182,21 +187,29 @@ let correct_untraced (model : Litho.Model.t) config ~targets ~context =
                      [ G.Polygon.bbox m ])
                masks)
         in
-        Array.iteri
-          (fun idx r ->
-            let stale =
-              r = None || (not config.incremental)
-              || List.exists (G.Rect.touches (G.Rect.inflate tiles.(idx) reach)) moved
-            in
-            if stale then begin
-              Obs.Metrics.incr m_dirty;
-              rasters.(idx) <-
-                Some
-                  (Litho.Aerial.simulate model Litho.Condition.nominal
-                     ~window:tiles.(idx) mask_polys)
-            end
-            else Obs.Metrics.incr m_clean)
-          rasters;
+        (* Staleness is decided (and counted) on the calling domain in
+           tile order; only the simulations of the stale tiles fan out.
+           Each task writes its own tile's buffers, so the images do not
+           depend on the worker count. *)
+        let stale =
+          List.filter
+            (fun idx ->
+              rasters.(idx) = None || (not config.incremental)
+              || List.exists (G.Rect.touches (G.Rect.inflate tiles.(idx) reach)) moved)
+            (List.init (Array.length tiles) Fun.id)
+        in
+        Obs.Metrics.add m_dirty (List.length stale);
+        Obs.Metrics.add m_clean (Array.length tiles - List.length stale);
+        let simulate idx =
+          Litho.Aerial.simulate ~into:buffers.(idx) model Litho.Condition.nominal
+            ~window:tiles.(idx) mask_polys
+        in
+        let images =
+          match pool with
+          | None -> List.map simulate stale
+          | Some p -> Exec.Pool.map_list ~label:"opc.tiles" p simulate stale
+        in
+        List.iter2 (fun idx r -> rasters.(idx) <- Some r) stale images;
         let intensity_at c =
           match rasters.(tile_of c) with
           | Some r -> r
@@ -320,11 +333,11 @@ let correct_untraced (model : Litho.Model.t) config ~targets ~context =
           unresolved;
         } )
 
-let correct model config ~targets ~context =
+let correct ?pool model config ~targets ~context =
   Obs.Span.with_ ~name:"opc.correct"
     ~attrs:(fun () -> [ ("targets", string_of_int (List.length targets)) ])
   @@ fun () ->
-  let mask, stats = correct_untraced model config ~targets ~context in
+  let mask, stats = correct_untraced ?pool model config ~targets ~context in
   Obs.Metrics.add m_iterations stats.iterations_run;
   Obs.Metrics.add m_sites stats.sites;
   Obs.Metrics.add m_unresolved stats.unresolved;

@@ -46,8 +46,19 @@ type stats = {
     [context] shapes frozen but present in every simulation.  Returns
     the corrected target polygons (context is not included in the
     mask) and convergence statistics.  Correction happens at the
-    nominal process condition, as in standard flows. *)
+    nominal process condition, as in standard flows.
+
+    Each sim tile owns its mask, scratch and intensity rasters for the
+    whole correction ({!Litho.Aerial.buffers}), so a pass allocates no
+    image.  When [pool] is given, each pass simulates its stale tiles
+    on the pool ([opc.tiles] label).  Which tiles are stale is decided
+    on the calling domain in tile order, and every task writes only
+    its own tile's buffers; the EPE measurement and fragment moves
+    then run on the calling domain.  The polygons, stats and
+    [opc.*_tiles] counts are therefore identical for any worker
+    count, and to a call without a pool. *)
 val correct :
+  ?pool:Exec.Pool.t ->
   Litho.Model.t ->
   config ->
   targets:Geometry.Polygon.t list ->

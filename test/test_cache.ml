@@ -234,6 +234,41 @@ let test_metrics_monotone_and_hit () =
   checkb "hit equals translated simulation" true
     (Litho.Raster.unsafe_data a = Litho.Raster.unsafe_data b)
 
+(* ---- caller-owned simulation buffers ---- *)
+
+let test_buffers_identical () =
+  let m = Lazy.force model in
+  let chip = Lazy.force small_chip in
+  let window = G.Rect.make ~lx:0 ~ly:0 ~hx:1000 ~hy:1000 in
+  let shapes =
+    Layout.Chip.shapes_in chip Layout.Layer.Poly
+      (G.Rect.inflate window m.Litho.Model.halo)
+  in
+  let other = [ G.Polygon.of_rect (G.Rect.make ~lx:300 ~ly:100 ~hx:390 ~hy:900) ] in
+  let sim ?into polys = Litho.Aerial.simulate ?into m Litho.Condition.nominal ~window polys in
+  let data = Litho.Raster.unsafe_data in
+  let fresh = with_cache false (fun () -> data (sim shapes)) in
+  let fresh_other = with_cache false (fun () -> data (sim other)) in
+  let b = Litho.Aerial.buffers m ~window in
+  with_cache true @@ fun () ->
+  let h0 = counter_value "litho.cache.hits" in
+  let miss = sim ~into:b shapes in
+  checki "first simulation into buffers misses" h0 (counter_value "litho.cache.hits");
+  checkb "miss into buffers = fresh simulation" true (data miss = fresh);
+  (* Scribble over the intensity so a hit must overwrite every pixel. *)
+  Litho.Raster.fill miss 7.0;
+  let hit = sim ~into:b shapes in
+  checkb "repeat hits" true (counter_value "litho.cache.hits" > h0);
+  checkb "hit into buffers = fresh simulation" true (data hit = fresh);
+  (* A miss on reused buffers starts from a clean mask. *)
+  checkb "reused buffers = fresh simulation" true (data (sim ~into:b other) = fresh_other);
+  Alcotest.check_raises "buffers of another window"
+    (Invalid_argument "Aerial.simulate: buffers made for another window") (fun () ->
+      ignore
+        (Litho.Aerial.simulate ~into:b m Litho.Condition.nominal
+           ~window:(G.Rect.translate window (G.Point.make 5 0))
+           shapes))
+
 (* ---- engine key separation ---- *)
 
 let test_engine_keys_disjoint () =
@@ -286,4 +321,6 @@ let () =
         [ Alcotest.test_case "monotone + hit" `Slow test_metrics_monotone_and_hit ] );
       ( "engines",
         [ Alcotest.test_case "keys disjoint" `Slow test_engine_keys_disjoint ] );
+      ( "buffers",
+        [ Alcotest.test_case "miss and hit = fresh" `Slow test_buffers_identical ] );
     ]

@@ -112,6 +112,88 @@ let test_blur_identity_for_tiny_sigma () =
   Litho.Blur.gaussian r ~sigma_px:0.1;
   checkf 1e-9 "untouched" 1.0 (Litho.Raster.get r 5 5)
 
+(* The column-at-a-time cascade [Blur.gaussian] replaced: each
+   vertical pass walks one column with a stride of nx floats.  Kept
+   here as the bit-identity reference for the row-swept pass. *)
+let reference_box_h data nx ny w =
+  if w > 1 then begin
+    let r = (w - 1) / 2 in
+    let inv = 1.0 /. float_of_int w in
+    let tmp = Array.make nx 0.0 in
+    for iy = 0 to ny - 1 do
+      let row = iy * nx in
+      let acc = ref 0.0 in
+      for ix = 0 to min (nx - 1) r do
+        acc := !acc +. data.(row + ix)
+      done;
+      for ix = 0 to nx - 1 do
+        tmp.(ix) <- !acc *. inv;
+        let enter = ix + r + 1 and leave = ix - r in
+        if enter < nx then acc := !acc +. data.(row + enter);
+        if leave >= 0 then acc := !acc -. data.(row + leave)
+      done;
+      Array.blit tmp 0 data row nx
+    done
+  end
+
+let reference_box_v data nx ny w =
+  if w > 1 then begin
+    let r = (w - 1) / 2 in
+    let inv = 1.0 /. float_of_int w in
+    let tmp = Array.make ny 0.0 in
+    for ix = 0 to nx - 1 do
+      let acc = ref 0.0 in
+      for iy = 0 to min (ny - 1) r do
+        acc := !acc +. data.((iy * nx) + ix)
+      done;
+      for iy = 0 to ny - 1 do
+        tmp.(iy) <- !acc *. inv;
+        let enter = iy + r + 1 and leave = iy - r in
+        if enter < ny then acc := !acc +. data.((enter * nx) + ix);
+        if leave >= 0 then acc := !acc -. data.((leave * nx) + ix)
+      done;
+      for iy = 0 to ny - 1 do
+        data.((iy * nx) + ix) <- tmp.(iy)
+      done
+    done
+  end
+
+let reference_gaussian raster ~sigma_px =
+  if sigma_px > 0.25 then begin
+    let data = Litho.Raster.unsafe_data raster in
+    let nx = Litho.Raster.nx raster and ny = Litho.Raster.ny raster in
+    let sizes = Litho.Blur.box_sizes ~sigma:sigma_px ~passes:3 in
+    Array.iter (fun w -> reference_box_h data nx ny w) sizes;
+    Array.iter (fun w -> reference_box_v data nx ny w) sizes
+  end
+
+(* Sizes lean small so that one-column rasters and rasters no taller
+   than the box radius come up in every run. *)
+let arb_blur_case =
+  QCheck.make
+    ~print:(fun (nx, ny, sigma_px, seed) ->
+      Printf.sprintf "nx=%d ny=%d sigma_px=%h seed=%d" nx ny sigma_px seed)
+    QCheck.Gen.(
+      let size = oneof [ int_range 1 4; int_range 1 64 ] in
+      quad size size (float_range 0.3 40.0) (int_bound 1_000_000))
+
+let prop_blur_matches_reference =
+  QCheck.Test.make ~name:"gaussian = column-at-a-time reference" ~count:300
+    arb_blur_case (fun (nx, ny, sigma_px, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let r = Litho.Raster.create ~origin:G.Point.origin ~step:5.0 ~nx ~ny in
+      for iy = 0 to ny - 1 do
+        for ix = 0 to nx - 1 do
+          (* Mask-like plateaus plus signed noise. *)
+          let v = if Random.State.bool rng then 1.0 else Random.State.float rng 2.0 -. 1.0 in
+          Litho.Raster.set r ix iy v
+        done
+      done;
+      let expected = Litho.Raster.copy r in
+      Litho.Blur.gaussian r ~sigma_px;
+      reference_gaussian expected ~sigma_px;
+      Litho.Raster.unsafe_data r = Litho.Raster.unsafe_data expected)
+
 (* ---- Model / Aerial ---- *)
 
 let test_calibration_prints_on_target () =
@@ -309,6 +391,7 @@ let () =
           Alcotest.test_case "mass" `Quick test_blur_conserves_mass;
           Alcotest.test_case "spreads" `Quick test_blur_spreads;
           Alcotest.test_case "tiny sigma" `Quick test_blur_identity_for_tiny_sigma;
+          QCheck_alcotest.to_alcotest prop_blur_matches_reference;
         ] );
       ( "aerial",
         [

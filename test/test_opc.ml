@@ -145,6 +145,43 @@ let test_model_opc_empty_targets () =
   checki "no polygons" 0 (List.length corrected);
   checki "no sites" 0 stats.Opc.Model_opc.sites
 
+(* Three lines over a 2 x 2 grid of small sim tiles, so each pass has
+   several stale tiles to spread over the pool. *)
+let test_model_opc_pool_identical () =
+  let m = Lazy.force model in
+  let targets =
+    List.map
+      (fun (x, h) -> G.Polygon.of_rect (G.Rect.make ~lx:x ~ly:0 ~hx:(x + 90) ~hy:h))
+      [ (0, 1400); (400, 900); (800, 1300) ]
+  in
+  let with_cache enabled f =
+    let was = Litho.Tile_cache.enabled () in
+    Litho.Tile_cache.set_enabled enabled;
+    Litho.Tile_cache.clear Litho.Tile_cache.global;
+    Fun.protect ~finally:(fun () -> Litho.Tile_cache.set_enabled was) f
+  in
+  List.iter
+    (fun (incremental, cache) ->
+      let config =
+        { opc_config with Opc.Model_opc.iterations = 3; incremental; sim_tile = 700 }
+      in
+      with_cache cache @@ fun () ->
+      let correct ?pool () = Opc.Model_opc.correct ?pool m config ~targets ~context:[] in
+      let polys, stats = correct () in
+      List.iter
+        (fun domains ->
+          let polys', stats' =
+            Exec.Pool.with_pool ~domains (fun pool -> correct ~pool ())
+          in
+          let label =
+            Printf.sprintf "incremental %b, cache %b, %d domains" incremental cache
+              domains
+          in
+          checkb (label ^ ": polygons") true (List.for_all2 G.Polygon.equal polys polys');
+          checkb (label ^ ": stats") true (stats = stats'))
+        [ 1; 2; 4 ])
+    [ (true, true); (true, false); (false, true); (false, false) ]
+
 let test_merge_stats () =
   let s1 =
     { Opc.Model_opc.iterations_run = 3; max_epe = 5.0; rms_epe = 2.0; sites = 10; unresolved = 1 }
@@ -286,6 +323,7 @@ let () =
           Alcotest.test_case "reduces EPE" `Slow test_model_opc_reduces_epe;
           Alcotest.test_case "improves CD" `Slow test_model_opc_improves_cd;
           Alcotest.test_case "empty" `Quick test_model_opc_empty_targets;
+          Alcotest.test_case "pool identical" `Slow test_model_opc_pool_identical;
           Alcotest.test_case "merge stats" `Quick test_merge_stats;
         ] );
       ( "chip-opc",
