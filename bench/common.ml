@@ -8,19 +8,21 @@ let tech = Layout.Tech.node90
 
 let quick = ref false
 
-(* Worker domains from POTX_DOMAINS (default sequential).  Every
+(* Worker domains from --domains=N (default sequential).  Every
    engine below guarantees bit-identical results for any value, so the
    experiment tables never depend on this. *)
-let domains = Exec.Pool.env_domains ~default:1 ()
+let domains = ref 1
 
 let shared_pool =
-  lazy (if domains > 1 then Some (Exec.Pool.create ~name:"bench" ~domains ()) else None)
+  lazy
+    (if !domains > 1 then Some (Exec.Pool.create ~name:"bench" ~domains:!domains ())
+     else None)
 
 let pool () = Lazy.force shared_pool
 
 let config () =
   let c = Timing_opc.Flow.default_config () in
-  let c = { c with Timing_opc.Flow.seed; domains } in
+  let c = { c with Timing_opc.Flow.seed; domains = !domains } in
   if !quick then
     { c with
       Timing_opc.Flow.opc_config =

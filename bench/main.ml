@@ -5,6 +5,7 @@
      dune exec bench/main.exe -- --quick      # smaller workloads
      dune exec bench/main.exe -- t4 f1        # a subset
      dune exec bench/main.exe -- --perf       # bechamel engine benches
+     dune exec bench/main.exe -- --domains=4  # worker domains (default 1)
 
    See DESIGN.md for the experiment index and EXPERIMENTS.md for
    paper-vs-measured records. *)
@@ -21,6 +22,17 @@ let () =
   let flags, names = List.partition (fun a -> String.length a > 0 && a.[0] = '-') args in
   let want_perf = List.mem "--perf" flags in
   if List.mem "--quick" flags then Common.quick := true;
+  List.iter
+    (fun flag ->
+      match String.split_on_char '=' flag with
+      | [ "--domains"; n ] -> (
+          match int_of_string_opt n with
+          | Some n -> Common.domains := max 1 n
+          | None ->
+              Format.eprintf "bad --domains value %s (want an integer)@." n;
+              exit 2)
+      | _ -> ())
+    flags;
   let selected =
     match names with
     | [] -> List.map fst experiments

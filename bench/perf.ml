@@ -144,18 +144,13 @@ let rasters_identical a b =
          Litho.Raster.unsafe_data ra = Litho.Raster.unsafe_data rb)
        a b
 
+let uncached m = { m with Litho.Model.cache = false }
+
 (* The speedup record compares a sequential and a multi-domain run of
    identical work, so a warm content cache would turn the second run
-   into a memcpy benchmark: the cache is switched off for the duration
-   (and restored after). *)
-let with_cache_off f =
-  let was = Litho.Tile_cache.enabled () in
-  Litho.Tile_cache.set_enabled false;
-  Fun.protect ~finally:(fun () -> Litho.Tile_cache.set_enabled was) f
-
+   into a memcpy benchmark: the model runs with the cache off. *)
 let aerial_tiles_workload () =
-  with_cache_off @@ fun () ->
-  let m = Lazy.force model in
+  let m = uncached (Lazy.force model) in
   let chip = Lazy.force small_chip in
   let tile = 2000 in
   let windows =
@@ -177,7 +172,7 @@ let aerial_tiles_workload () =
   Obs.Metrics.add (Obs.Metrics.counter ("bench." ^ name ^ ".seq.tasks"))
     (List.length windows);
   let base = base_record ~workload:name ~tasks:(List.length windows) ~wall_s:t_seq in
-  let domains = Exec.Pool.env_domains ~default:(Exec.Pool.recommended ()) () in
+  let domains = Exec.Pool.recommended () in
   if domains <= 1 then [ base ]
   else
     let par, t_par =
@@ -243,9 +238,8 @@ let printed_cd m engine condition =
   bisect cx (cx +. (2.0 *. hl)) -. bisect (cx -. (2.0 *. hl)) cx
 
 let fft_vs_direct_workload () =
-  with_cache_off @@ fun () ->
-  let saved = Litho.Aerial.engine () in
-  Fun.protect ~finally:(fun () -> Litho.Aerial.set_engine saved) @@ fun () ->
+  let direct = uncached (Lazy.force model) in
+  let fft = uncached (Lazy.force model_fft) in
   let n = if !Common.quick then 3 else 6 in
   let iterations = if !Common.quick then 3 else 5 in
   let cfg = { (Opc.Model_opc.default_config tech) with Opc.Model_opc.iterations } in
@@ -254,22 +248,21 @@ let fft_vs_direct_workload () =
         let x = (i * 4000) + (j * 260) in
         G.Polygon.of_rect (G.Rect.make ~lx:x ~ly:0 ~hx:(x + 90) ~hy:2000))
   in
-  let run_at m engine =
-    (* OPC picks the engine off the process-global switch, exactly as
-       [Flow.run] configures it. *)
-    Litho.Aerial.set_engine engine;
+  (* OPC simulates on the model's engine, exactly as on
+     [Flow.litho_model]'s model. *)
+  let run_at m =
     Gc.compact ();
     time (fun () ->
         List.init n (fun i ->
             fst (Opc.Model_opc.correct m cfg ~targets:(cluster i) ~context:[])))
   in
-  let _, t_direct = run_at (Lazy.force model) Litho.Aerial.Direct in
-  let _, t_fft = run_at (Lazy.force model_fft) Litho.Aerial.Fft in
+  let _, t_direct = run_at direct in
+  let _, t_fft = run_at fft in
   let silicon = Litho.Condition.make ~dose:1.015 ~defocus:70.0 in
   let cd_delta =
     Float.abs
-      (printed_cd (Lazy.force model) Litho.Aerial.Direct silicon
-      -. printed_cd (Lazy.force model_fft) Litho.Aerial.Fft silicon)
+      (printed_cd direct Litho.Aerial.Direct silicon
+      -. printed_cd fft Litho.Aerial.Fft silicon)
   in
   (* The inner-condition budget from the engine tolerance contract. *)
   assert (cd_delta <= 1.0);
@@ -368,7 +361,6 @@ let opc_iterate_workload () =
     List.init n (fun i ->
         fst (Opc.Model_opc.correct m cfg ~targets:(cluster i) ~context:[]))
   in
-  Litho.Tile_cache.set_enabled true;
   Litho.Tile_cache.clear Litho.Tile_cache.global;
   Gc.compact ();
   let cold, t_cold = time run_all in
@@ -407,7 +399,6 @@ let process_window_workload () =
       (fun c -> Litho.Aerial.simulate_tiles m c ~windows source)
       conditions
   in
-  Litho.Tile_cache.set_enabled true;
   Litho.Tile_cache.clear Litho.Tile_cache.global;
   (* Digest outside the timed region (Marshal+MD5 of every raster would
      otherwise swamp the simulation cost being measured); compact first
@@ -428,7 +419,7 @@ let process_window_workload () =
 (* ---- sharded full-chip flow sweep -----------------------------------
 
    The full c17 flow at shard counts 1/2/4/8 (worker domains from
-   POTX_DOMAINS, as everywhere in the harness).  Each sharded run's
+   --domains, as everywhere in the harness).  Each sharded run's
    observable output — exact CD records, OPC stats, both STA summaries
    and the merged mask — must digest-match the shard=1 run; that is
    the Flow.config.shard identity contract, cross-checked here on the
@@ -464,7 +455,7 @@ let shard_sweep_workload () =
   List.map
     (fun (n, (r, t)) ->
       { (base_record ~workload:"shard_sweep" ~tasks:n ~wall_s:t) with
-        domains_used = Common.domains;
+        domains_used = !Common.domains;
         speedup_vs_1 = (if n = 1 then None else Some (t_base /. t));
         identical = Some (String.equal (digest_flow_run r) base_digest);
         note = Some (Printf.sprintf "full c17 flow, shard=%d vs shard=1" n) })
@@ -540,7 +531,7 @@ let serve_queries_workload () =
       { (base_record ~workload:("serve_queries." ^ verb) ~tasks:n
            ~wall_s:t_cold)
         with
-        domains_used = Common.domains;
+        domains_used = !Common.domains;
         wall_cached_s = Some t_warm;
         speedup_cached = Some (t_cold /. t_warm);
         identical = Some (warm_replies = cold_replies);
@@ -566,8 +557,6 @@ let serve_corner_engines_workload () =
   let reply_string reply =
     P.response_to_string { P.id = 0; verb = Some "corner"; reply }
   in
-  let saved = Litho.Aerial.engine () in
-  Fun.protect ~finally:(fun () -> Litho.Aerial.set_engine saved) @@ fun () ->
   List.map
     (fun engine ->
       let tag = Litho.Aerial.engine_to_string engine in
@@ -593,7 +582,7 @@ let serve_corner_engines_workload () =
       in
       { (base_record ~workload:("serve_corner." ^ tag) ~tasks:n ~wall_s:t_cold)
         with
-        domains_used = Common.domains;
+        domains_used = !Common.domains;
         wall_cached_s = Some t_warm;
         speedup_cached = Some (t_cold /. t_warm);
         identical = Some (warm_replies = cold_replies);
@@ -606,8 +595,6 @@ let serve_corner_engines_workload () =
     [ Litho.Aerial.Direct; Litho.Aerial.Fft ]
 
 let cache_workloads () =
-  let was = Litho.Tile_cache.enabled () in
-  Fun.protect ~finally:(fun () -> Litho.Tile_cache.set_enabled was) @@ fun () ->
   let records =
     [ with_cache_stats opc_iterate_workload;
       with_cache_stats process_window_workload ]
@@ -636,7 +623,6 @@ let profile_overhead_workload () =
     List.init n (fun i ->
         fst (Opc.Model_opc.correct m cfg ~targets:(cluster i) ~context:[]))
   in
-  Litho.Tile_cache.set_enabled true;
   Litho.Tile_cache.clear Litho.Tile_cache.global;
   ignore (work ());
   let median3 f =

@@ -27,11 +27,6 @@ for f in "$POTX" "$BENCH" "$BASELINE"; do
   fi
 done
 
-# Pin the environment knobs so a developer's shell cannot skew the
-# candidate run relative to the baseline.
-unset POTX_DOMAINS POTX_SHARD POTX_CACHE_MB POTX_FAULTS POTX_RETRIES \
-  POTX_CACHE POTX_ENGINE POTX_TRACE POTX_METRICS POTX_PROFILE
-
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 

@@ -17,47 +17,24 @@ let netlist_of_name seed name =
   | None -> failwith (Printf.sprintf "unknown benchmark %s (have: %s)" name
                         (String.concat ", " bench_names))
 
-(* Worker-domain count: the --domains flag when positive, else the
-   POTX_DOMAINS environment variable, else 1 (sequential).  Results
-   are bit-identical for any value (see Exec.Pool). *)
-let resolve_domains flag =
-  if flag > 0 then flag else Exec.Pool.env_domains ~default:1 ()
-
-(* Shard count: the --shard flag when positive, else POTX_SHARD, else
-   1 (monolithic).  Deliberately absent from the stdout header:
-   sharded output is byte-identical to unsharded output, and the
-   golden files plus check.sh smokes assert exactly that. *)
-let resolve_shard flag =
-  if flag > 0 then flag else Timing_opc.Shard.env_count ~default:1 ()
-
-(* Aerial engine: the --engine flag when non-empty, else POTX_ENGINE,
-   else direct.  Direct is the oracle every golden is recorded
+(* Aerial engine.  Direct is the oracle every golden is recorded
    against; fft/auto trade bit-identity (within the DESIGN.md
    tolerance contract) for wall time. *)
-let resolve_engine flag =
-  if flag = "" then Litho.Aerial.env_engine ()
-  else
-    match Litho.Aerial.engine_of_string flag with
-    | Some e -> e
-    | None ->
-        failwith
-          (Printf.sprintf "unknown engine %s (want direct, fft or auto)" flag)
+let parse_engine flag =
+  match Litho.Aerial.engine_of_string flag with
+  | Some e -> e
+  | None ->
+      failwith (Printf.sprintf "unknown engine %s (want direct, fft or auto)" flag)
 
-(* Observability sinks: --trace/--metrics flags when non-empty, else
-   the POTX_TRACE/POTX_METRICS environment variables.  With neither,
-   tracing stays disabled and the run is byte-identical to an
-   uninstrumented build's output. *)
-let resolve_sink flag var =
-  if flag <> "" then Some flag
-  else
-    match Sys.getenv_opt var with
-    | Some v when String.trim v <> "" -> Some (String.trim v)
-    | _ -> None
+(* An empty --trace/--metrics/--profile/--faults value means off. *)
+let sink flag = if flag = "" then None else Some flag
 
+(* With no sink, tracing stays disabled and the run is byte-identical
+   to an uninstrumented build's output. *)
 let with_obs ?(profile = "") ~trace ~metrics f =
-  let trace = resolve_sink trace "POTX_TRACE" in
-  let metrics = resolve_sink metrics "POTX_METRICS" in
-  let profile = resolve_sink profile "POTX_PROFILE" in
+  let trace = sink trace in
+  let metrics = sink metrics in
+  let profile = sink profile in
   Option.iter Obs.Span.stream_to trace;
   (* --profile needs the span log but no JSONL sink; when --trace
      already enabled (and cleared) the log, piggyback on it rather
@@ -88,22 +65,24 @@ let with_obs ?(profile = "") ~trace ~metrics f =
           Format.eprintf "wrote metrics %s@." path)
     f
 
-(* Fault plan: the --faults flag when non-empty, else POTX_FAULTS.
-   Parse errors are fatal — a silently ignored fault spec would make a
-   chaos run indistinguishable from a clean one. *)
-let resolve_faults flag =
+(* Fault plan.  Parse errors are fatal — a silently ignored fault spec
+   would make a chaos run indistinguishable from a clean one. *)
+let parse_faults flag =
   Option.map
     (fun s ->
       match Fault.parse s with
       | Ok plan -> plan
       | Error e -> failwith (Printf.sprintf "bad fault spec %S: %s" s e))
-    (resolve_sink flag "POTX_FAULTS")
+    (sink flag)
 
 (* ---- run / serve ---- *)
 
 (* The flow config shared by the one-shot run and the resident
    service; both hand it to Timing_opc_serve.Session, which runs the
-   flow once and keeps the result warm. *)
+   flow once and keeps the result warm.  Domain and shard counts <= 0
+   clamp to 1.  The shard count is deliberately absent from the stdout
+   header: sharded output is byte-identical to unsharded output, and
+   the golden files plus check.sh smokes assert exactly that. *)
 let flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
     ~retries ~checkpoint_dir ~resume () =
   let base = Timing_opc.Flow.default_config () in
@@ -118,11 +97,11 @@ let flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
     Timing_opc.Flow.seed;
     opc_style;
     condition = Litho.Condition.make ~dose ~defocus;
-    domains = resolve_domains domains;
-    shard = resolve_shard shard;
-    cache = base.Timing_opc.Flow.cache && not no_cache;
-    engine = resolve_engine engine;
-    retry = (if retries > 0 then Fault.retrying retries else Fault.env_retry ());
+    domains = max 1 domains;
+    shard = max 1 shard;
+    cache = not no_cache;
+    engine = parse_engine engine;
+    retry = Fault.retrying retries;
     checkpoint =
       (if checkpoint_dir = "" then None
        else Some (Timing_opc.Checkpoint.create ~dir:checkpoint_dir ~resume)) }
@@ -138,7 +117,7 @@ let run_flow bench opc seed dose defocus spread report shard selective ssta
     domains no_cache engine faults retries checkpoint_dir resume trace metrics
     profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
-  Fault.set_plan (resolve_faults faults);
+  Fault.set_plan (parse_faults faults);
   let config =
     flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
       ~retries ~checkpoint_dir ~resume ()
@@ -153,7 +132,7 @@ let run_flow bench opc seed dose defocus spread report shard selective ssta
 let serve_flow bench opc seed dose defocus shard domains no_cache engine
     faults retries socket slowlog_ms slowlog_file trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
-  Fault.set_plan (resolve_faults faults);
+  Fault.set_plan (parse_faults faults);
   let config =
     flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
       ~retries ~checkpoint_dir:"" ~resume:false ()
@@ -202,13 +181,12 @@ let report_arg =
 
 let shard_arg =
   Arg.(
-    value & opt int 0
+    value & opt int 1
     & info [ "shard" ]
         ~doc:
           "Spatial shards: OPC and extraction run one independent task per \
-           vertical die strip and merge by owner-shard rule (0 = take \
-           $(b,POTX_SHARD) from the environment, else 1).  Output is \
-           byte-identical for any value.")
+           vertical die strip and merge by owner-shard rule (values below 1 \
+           mean 1).  Output is byte-identical for any value.")
 
 let selective_arg =
   Arg.(
@@ -237,12 +215,11 @@ let ssta_arg =
 
 let domains_arg =
   Arg.(
-    value & opt int 0
+    value & opt int 1
     & info [ "domains" ]
         ~doc:
-          "Worker domains for the extraction hot path (0 = take \
-           $(b,POTX_DOMAINS) from the environment, else 1).  Results are \
-           bit-identical for any value.")
+          "Worker domains for the extraction hot path (values below 1 mean \
+           1).  Results are bit-identical for any value.")
 
 let no_cache_arg =
   Arg.(
@@ -251,11 +228,11 @@ let no_cache_arg =
         ~doc:
           "Disable the content-addressed litho tile cache for this run \
            (results are bit-identical either way; this trades wall time for \
-           memory).  $(b,POTX_CACHE)=0 in the environment does the same.")
+           memory).")
 
 let engine_arg =
   Arg.(
-    value & opt string ""
+    value & opt string "direct"
     & info [ "engine" ]
         ~doc:
           "Aerial convolution engine: $(b,direct) (per-kernel box-blur \
@@ -263,8 +240,7 @@ let engine_arg =
            (one mask spectrum shared by the whole kernel stack, applied in \
            the frequency domain — same images within the tolerance contract \
            in DESIGN.md, several times faster on OPC-sized tiles) or \
-           $(b,auto) (per-tile choice by pixel count).  Empty = take \
-           $(b,POTX_ENGINE) from the environment, else direct.")
+           $(b,auto) (per-tile choice by pixel count).")
 
 let faults_arg =
   Arg.(
@@ -273,8 +249,7 @@ let faults_arg =
         ~doc:
           "Deterministic fault-injection plan, e.g. \
            $(b,litho.simulate=fail2;sta.*=p0.1;seed=7) (see lib/fault for the \
-           grammar).  Empty = take $(b,POTX_FAULTS) from the environment, \
-           else no faults are injected." ~docv:"SPEC")
+           grammar).  Empty = no faults are injected." ~docv:"SPEC")
 
 let retries_arg =
   Arg.(
@@ -282,9 +257,8 @@ let retries_arg =
     & info [ "retries" ]
         ~doc:
           "Bounded-backoff retries per flow stage and extraction task (0 = \
-           take $(b,POTX_RETRIES) from the environment, else none).  A run \
-           whose transient faults are all absorbed by retries is \
-           byte-identical to a fault-free run.")
+           none).  A run whose transient faults are all absorbed by retries \
+           is byte-identical to a fault-free run.")
 
 let checkpoint_arg =
   Arg.(
@@ -310,8 +284,8 @@ let trace_arg =
     & info [ "trace" ]
         ~doc:
           "Write span events (JSONL, one object per line) to $(docv); also \
-           prints the span tree to stderr.  Empty = take $(b,POTX_TRACE) from \
-           the environment, else tracing stays off." ~docv:"FILE")
+           prints the span tree to stderr.  Empty = tracing stays off."
+        ~docv:"FILE")
 
 let metrics_arg =
   Arg.(
@@ -319,8 +293,7 @@ let metrics_arg =
     & info [ "metrics" ]
         ~doc:
           "Write the metrics registry (JSONL) to $(docv) when the command \
-           exits.  Empty = take $(b,POTX_METRICS) from the environment, else \
-           no file is written." ~docv:"FILE")
+           exits.  Empty = no file is written." ~docv:"FILE")
 
 let profile_arg =
   Arg.(
@@ -331,8 +304,7 @@ let profile_arg =
            Chrome-trace JSON profile to $(docv) when the command exits — load \
            it in chrome://tracing or Perfetto; the self-time table goes to \
            stderr.  Primary stdout is byte-identical with or without this \
-           flag.  Empty = take $(b,POTX_PROFILE) from the environment, else \
-           profiling stays off." ~docv:"FILE")
+           flag.  Empty = profiling stays off." ~docv:"FILE")
 
 let run_cmd =
   let doc = "run the full post-OPC extraction timing flow on a benchmark" in
@@ -490,9 +462,9 @@ let export_cds bench seed path domains no_cache engine trace metrics =
   let config =
     { base with
       Timing_opc.Flow.seed;
-      domains = resolve_domains domains;
-      cache = base.Timing_opc.Flow.cache && not no_cache;
-      engine = resolve_engine engine }
+      domains = max 1 domains;
+      cache = not no_cache;
+      engine = parse_engine engine }
   in
   let r = Timing_opc.Flow.run config (netlist_of_name seed bench) in
   (* Exact (hex-float) CDs: cdcmp deltas must reflect the engines, not

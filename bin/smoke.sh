@@ -24,11 +24,6 @@ PERF_BASELINE=${5:-}
 case $POTX in */*) ;; *) POTX="./$POTX" ;; esac
 case $BENCH in */*) ;; *) BENCH="./$BENCH" ;; esac
 
-# Pin the knobs the cases set explicitly, so a developer's environment
-# cannot perturb the byte-compares.
-unset POTX_DOMAINS POTX_SHARD POTX_CACHE_MB POTX_FAULTS POTX_RETRIES \
-  POTX_CACHE POTX_ENGINE POTX_TRACE POTX_METRICS POTX_PROFILE
-
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 failed=""
@@ -56,7 +51,7 @@ case_baseline() {
 # 2-domain run of the smallest bench workload: catches multicore
 # regressions (hangs, non-determinism) that unit tests can miss.
 case_multicore_bench() {
-  POTX_DOMAINS=2 "$BENCH" --quick t3 > /dev/null
+  "$BENCH" --quick --domains=2 t3 > /dev/null
 }
 
 case_obs() {

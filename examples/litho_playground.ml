@@ -83,15 +83,15 @@ let () =
   show "  OPC mask  " (end_of corrected_stub);
 
   (* 4. Process-variability band of the dense array, one simulation
-     per corner condition across POTX_DOMAINS workers (the band is
-     bit-identical for any worker count). *)
+     per corner condition across the recommended worker count (the
+     band is bit-identical for any worker count). *)
   let window = G.Rect.make ~lx:(-700) ~ly:1500 ~hx:700 ~hy:2500 in
   let conditions =
     Litho.Condition.corners ~dose_range:(0.96, 1.04) ~defocus_range:(0.0, 120.0)
   in
   let pv =
     Exec.Pool.with_pool ~name:"playground"
-      ~domains:(Exec.Pool.env_domains ~default:1 ())
+      ~domains:(Exec.Pool.recommended ())
       (fun pool -> Litho.Pvband.compute ~pool model conditions ~window dense)
   in
   Format.printf "@.%a@." Litho.Pvband.pp pv

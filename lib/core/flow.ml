@@ -41,9 +41,9 @@ let default_config () =
     seed = 42;
     slices = 7;
     domains = 1;
-    shard = Shard.env_count ();
-    cache = Litho.Tile_cache.env_enabled ();
-    engine = Litho.Aerial.env_engine ();
+    shard = 1;
+    cache = true;
+    engine = Litho.Aerial.Direct;
     retry = Fault.no_retry;
     checkpoint = None;
     dist = None;
@@ -104,21 +104,27 @@ let model_cache : (string, Litho.Model.t) Hashtbl.t = Hashtbl.create 4
 (* Memoised per (technology, engine): calibration simulates the
    reference pattern on the engine that will simulate production tiles
    (see Litho.Aerial.calibrate), so each engine gets its own centred
-   threshold and the entries must not alias. *)
+   threshold and the entries must not alias.  The cache setting only
+   changes wall time, so it is applied to the memoised model on the
+   way out. *)
 let litho_model config =
   let key =
     config.tech.Layout.Tech.name ^ "|"
     ^ Litho.Aerial.engine_to_string config.engine
   in
-  match Hashtbl.find_opt model_cache key with
-  | Some m -> m
-  | None ->
-      let m =
-        Litho.Aerial.calibrate ~engine:config.engine (Litho.Model.create ())
-          config.tech
-      in
-      Hashtbl.add model_cache key m;
-      m
+  let m =
+    match Hashtbl.find_opt model_cache key with
+    | Some m -> m
+    | None ->
+        let m =
+          Litho.Aerial.calibrate
+            (Litho.Model.create ~engine:config.engine ~cache:config.cache ())
+            config.tech
+        in
+        Hashtbl.add model_cache key m;
+        m
+  in
+  { m with Litho.Model.cache = config.cache }
 
 type run = {
   config : config;
@@ -477,8 +483,6 @@ let run config netlist =
         ("shards", string_of_int (max 1 config.shard)) ])
   @@ fun () ->
   Obs.Metrics.incr m_runs;
-  Litho.Tile_cache.set_enabled config.cache;
-  Litho.Aerial.set_engine config.engine;
   let litho =
     supervised ~name:"flow.litho_model" config (fun () -> litho_model config)
   in
@@ -566,8 +570,6 @@ let run_selective r ~selected =
     ~attrs:(fun () -> [ ("selected", string_of_int (List.length selected)) ])
   @@ fun () ->
   let config = r.config in
-  Litho.Tile_cache.set_enabled config.cache;
-  Litho.Aerial.set_engine config.engine;
   let litho = litho_model config in
   (* Selective OPC itself stays monolithic (its cost is bounded by the
      selected set); extraction reuses the sharded path. *)
@@ -636,8 +638,6 @@ let extract_at ?pool ?gates ?condition ?chip ?mask r =
   Obs.Span.with_ ~name:"flow.extract_at"
     ~attrs:(fun () -> [ ("gates", string_of_int (List.length gates)) ])
   @@ fun () ->
-  Litho.Tile_cache.set_enabled config.cache;
-  Litho.Aerial.set_engine config.engine;
   let litho = litho_model config in
   with_pool_opt ?pool config (fun pool ->
       Cdex.Extract.extract ?pool ~retry:config.retry litho condition
@@ -648,8 +648,6 @@ let extract_at ?pool ?gates ?condition ?chip ?mask r =
 let reopc_chip ?pool r chip =
   let config = r.config in
   Obs.Span.with_ ~name:"flow.reopc_chip" @@ fun () ->
-  Litho.Tile_cache.set_enabled config.cache;
-  Litho.Aerial.set_engine config.engine;
   let litho = litho_model config in
   let shards = shard_plan config litho chip in
   with_pool_opt ?pool config (fun pool ->

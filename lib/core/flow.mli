@@ -34,11 +34,11 @@ type config = {
           [Exec.Pool] *)
   shard : int;
       (** spatial shards (vertical die strips, see {!Shard}; default
-          follows [POTX_SHARD], unset = 1).  Model OPC and CD
-          extraction run one independent task per shard — each a
-          separate [Exec.Pool] task when [domains > 1] — and merge by
-          owner-shard rule, so the output is {e byte-identical} to the
-          unsharded run for any shard count x domain count.  Shards
+          1).  Model OPC and CD extraction run one independent task per
+          shard — each a separate [Exec.Pool] task when [domains > 1] —
+          and merge by owner-shard rule, so the output is
+          {e byte-identical} to the unsharded run for any shard count x
+          domain count.  Shards
           read shared context (drawn chip / merged mask) within the
           optical halo, so values larger than the die just degenerate
           to empty shards.  Checkpointing becomes shard-granular:
@@ -47,9 +47,8 @@ type config = {
       (** content-addressed litho tile cache ([Litho.Tile_cache]):
           repeated cell patterns and dose-sweep conditions reuse stored
           aerial images.  Hits are bit-identical to fresh simulations,
-          so this changes wall time only.  [run]/[run_selective] apply
-          it process-wide for the duration of the run.  Default follows
-          the [POTX_CACHE] environment variable (unset = on) *)
+          so this changes wall time only.  It reaches the simulator as
+          the [cache] field of {!litho_model}'s model.  Default on *)
   engine : Litho.Aerial.engine;
       (** aerial-image convolution engine ([Litho.Aerial]): [Direct] is
           the per-kernel box-blur cascade every golden is recorded
@@ -57,11 +56,11 @@ type config = {
           the whole kernel stack in the frequency domain — same images
           within the documented tolerance contract (DESIGN.md), several
           times faster on OPC-sized tiles; [Auto] picks per tile by
-          pixel count.  Applied process-wide by [run]/[run_selective]
-          and the warm re-query entry points; part of the litho model
+          pixel count.  It reaches the simulator as the [engine] field
+          of {!litho_model}'s model; it is part of the litho model
           calibration key, the tile-cache key and every checkpoint key,
           so engines never share cached or checkpointed state.  Default
-          follows [POTX_ENGINE] (unset = direct) *)
+          [Direct] *)
   retry : Fault.retry;
       (** bounded-backoff supervision applied to every flow stage, to
           extraction pool tasks and to per-gate CD measurement (default
@@ -89,9 +88,12 @@ type config = {
           sets [dist = None]; the field goes when that line does *)
 }
 
+(** The default run: shard 1, cache on, engine [Direct], one domain,
+    no retries, no checkpoint.  Reads no environment. *)
 val default_config : unit -> config
 
-(** Calibrated litho model for a config (memoised per technology). *)
+(** Calibrated litho model for a config (memoised per technology and
+    engine), carrying the config's [engine] and [cache]. *)
 val litho_model : config -> Litho.Model.t
 
 (** One complete run of the flow over a netlist. *)

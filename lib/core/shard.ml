@@ -9,9 +9,6 @@ type t = {
   halo_gates : int;
 }
 
-let env_count ?(var = "POTX_SHARD") ?(default = 1) () =
-  Exec.Pool.env_domains ~var ~default ()
-
 (* Ownership anchor of a gate site: the left edge of its extraction
    bucket.  Constant across all gates of a bucket, so a strip owns
    whole buckets and extraction order inside a shard matches the

@@ -30,9 +30,6 @@ type t = {
           can reach.  0 for a single-shard plan. *)
 }
 
-(** [POTX_SHARD] fallback for the shard count (unset/invalid → [default]). *)
-val env_count : ?var:string -> ?default:int -> unit -> int
-
 (** [plan ~tile ~halo ~count chip] cuts the die bbox into [count]
     equal-width strips ([count] is clamped to >= 1) and assigns every
     gate site to its owning strip.  [tile] must be the flow's

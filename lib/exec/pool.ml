@@ -295,12 +295,4 @@ let pp_report ppf t =
     (report t);
   Format.fprintf ppf "@]"
 
-let env_domains ?(var = "POTX_DOMAINS") ?(default = 1) () =
-  match Sys.getenv_opt var with
-  | None -> max 1 default
-  | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some n when n >= 1 -> n
-      | _ -> max 1 default)
-
 let recommended ?(cap = 4) () = max 1 (min cap (Domain.recommended_domain_count ()))

@@ -123,14 +123,6 @@ val occupancy : t -> float
 (** One line per label: [label: calls=.. tasks=.. wall=..s]. *)
 val pp_report : Format.formatter -> t -> unit
 
-(** {1 Configuration helpers} *)
-
-(** [env_domains ()] reads the worker count from the environment
-    variable [var] (default ["POTX_DOMAINS"]); unset, empty or
-    unparsable values give [default] (default 1).  Values are clamped
-    to at least 1. *)
-val env_domains : ?var:string -> ?default:int -> unit -> int
-
 (** [Domain.recommended_domain_count] capped at [cap] (default 4) —
     the conventional worker count for benches. *)
 val recommended : ?cap:int -> unit -> int

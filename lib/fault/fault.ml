@@ -179,14 +179,6 @@ let retrying n =
     max_backoff_s = 0.1;
   }
 
-let env_retry ?(var = "POTX_RETRIES") ?(default = 0) () =
-  match Sys.getenv_opt var with
-  | None -> retrying default
-  | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some n when n >= 0 -> retrying n
-      | _ -> retrying default)
-
 let with_retry ?(on_retry = fun _ -> ()) r f =
   let attempts = max 1 r.attempts in
   let rec go attempt backoff =

@@ -6,10 +6,10 @@
     active {e fault plan} can turn into injected failures, plus the
     bounded-backoff retry supervision that recovers from them.  Both
     sides are deterministic: plans are parsed from a textual spec
-    ([--faults] / [POTX_FAULTS]), probabilistic rules draw from
-    {!Stats.Rng} keyed by (plan seed, point name, hit index), and
-    every stage of the flow is a pure function of its inputs, so a
-    retried run is bit-identical to a fault-free one (the invariant
+    ([potx --faults]), probabilistic rules draw from {!Stats.Rng}
+    keyed by (plan seed, point name, hit index), and every stage of
+    the flow is a pure function of its inputs, so a retried run is
+    bit-identical to a fault-free one (the invariant
     [test/test_fault.ml] enforces).
 
     With no plan installed a fault point is one atomic load and a
@@ -90,10 +90,6 @@ val no_retry : retry
     [attempts = n + 1]) with the default 1 ms doubling backoff capped
     at 100 ms. *)
 val retrying : int -> retry
-
-(** [env_retry ()] reads the retry count from [POTX_RETRIES] (or
-    [var]); unset/unparsable gives [default] retries (default 0). *)
-val env_retry : ?var:string -> ?default:int -> unit -> retry
 
 (** [with_retry r f] runs [f ()]; on exception, if tries remain it
     sleeps the bounded backoff, bumps the [exec.retries] counter,

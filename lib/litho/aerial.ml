@@ -22,7 +22,7 @@ let m_engine_fft = Obs.Metrics.counter "litho.engine.fft"
    tiles stay on the direct path.  The resolved engine is part of the
    tile-cache key, so the engines never share cache entries. *)
 
-type engine = Direct | Fft | Auto
+type engine = Model.engine = Direct | Fft | Auto
 
 let engine_to_string = function Direct -> "direct" | Fft -> "fft" | Auto -> "auto"
 
@@ -32,17 +32,6 @@ let engine_of_string s =
   | "fft" -> Some Fft
   | "auto" -> Some Auto
   | _ -> None
-
-let env_engine ?(var = "POTX_ENGINE") ?(default = Direct) () =
-  match Option.bind (Sys.getenv_opt var) engine_of_string with
-  | Some e -> e
-  | None -> default
-
-let engine_switch = Atomic.make (env_engine ())
-
-let engine () = Atomic.get engine_switch
-
-let set_engine e = Atomic.set engine_switch e
 
 (* Auto crossover: below this pixel count the box cascade wins on raw
    constant factors; above it the shared-spectrum transform does.  The
@@ -215,13 +204,11 @@ let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
         || not (G.Point.equal (Raster.origin r) (Raster.origin shape))
       then invalid_arg "Aerial.simulate: buffers made for another window")
     into;
-  let eng =
-    resolve_engine (match e with Some e -> e | None -> engine ()) shape
-  in
+  let eng = resolve_engine (Option.value e ~default:model.Model.engine) shape in
   Obs.Metrics.incr (match eng with Fft -> m_engine_fft | _ -> m_engine_direct);
   let rects = clipped_rects shape polygons in
   let key =
-    if Tile_cache.enabled () then Some (cache_key eng model condition shape rects)
+    if model.Model.cache then Some (cache_key eng model condition shape rects)
     else None
   in
   let hit =
@@ -301,7 +288,10 @@ let calibrate ?engine (model : Model.t) (tech : Layout.Tech.t) =
       ~hx:(center + pitch)
       ~hy:((height / 2) + 500)
   in
-  let intensity = simulate ?engine model Condition.nominal ~window lines in
+  let model =
+    match engine with Some engine -> { model with Model.engine } | None -> model
+  in
+  let intensity = simulate model Condition.nominal ~window lines in
   let edge_x = float_of_int center +. (float_of_int l /. 2.0) in
   let threshold = Raster.sample intensity edge_x (float_of_int (height / 2)) in
   Model.with_threshold model threshold

@@ -14,8 +14,10 @@
     [Σ wₖ·exp(-2π²σₖ²|f|²)] ({!Fft.convolve_gaussians}); its output
     agrees with the direct engine within the documented tolerance
     contract (see DESIGN.md) but is not bit-equal.  [Auto] resolves
-    per tile by pixel count.  The resolved engine is part of the tile
-    cache key, so engines never share cache entries.
+    per tile by pixel count.  A simulation uses the model's
+    {!Model.t.engine} unless it is given [?engine].  The resolved
+    engine is part of the tile cache key, so engines never share cache
+    entries.
 
     The direct engine blurs one scratch copy of the mask per kernel
     and blends it into the intensity in kernel order, so a simulation
@@ -27,9 +29,9 @@
     on one domain: parallelism is across tiles ({!simulate_tiles},
     model OPC's sim tiles), never across the kernels of one image.
 
-    When {!Tile_cache.enabled}, every simulation first consults the
-    content-addressed {!Tile_cache.global}: the key is the clipped
-    mask geometry relative to the raster origin plus the raster
+    When the model's {!Model.t.cache} is set, every simulation first
+    consults the content-addressed {!Tile_cache.global}: the key is the
+    clipped mask geometry relative to the raster origin plus the raster
     geometry, the defocus-adjusted kernel stack, and the resolved
     engine, so repeated cell patterns hit at any placement and a dose
     sweep at fixed defocus hits after its first condition (dose scales
@@ -38,22 +40,11 @@
     simulation by construction, so enabling the cache never changes
     results — only wall time. *)
 
-type engine = Direct | Fft | Auto
+type engine = Model.engine = Direct | Fft | Auto
 
 val engine_to_string : engine -> string
 
 val engine_of_string : string -> engine option
-
-(** Engine named by the environment ([POTX_ENGINE] unless [var] says
-    otherwise); [default] (direct unless given) when unset or
-    unparsable. *)
-val env_engine : ?var:string -> ?default:engine -> unit -> engine
-
-(** The process-global engine used when {!simulate} gets no explicit
-    [?engine]; initialised from [POTX_ENGINE] (default direct). *)
-val engine : unit -> engine
-
-val set_engine : engine -> unit
 
 (** [resolve_engine e shape] is the concrete engine ([Direct] or
     [Fft]) that [e] selects for a tile of [shape]'s geometry; [Auto]
@@ -104,5 +95,6 @@ val mask_raster :
     under the nominal condition — a centred process.  The threshold is
     read off the simulated intensity at the drawn edge position, using
     the engine that will simulate (so each engine is centred on the
-    reference pattern). *)
+    reference pattern): [?engine] when given, else the model's.  The
+    returned model carries that engine. *)
 val calibrate : ?engine:engine -> Model.t -> Layout.Tech.t -> Model.t

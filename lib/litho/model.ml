@@ -1,11 +1,15 @@
 type kernel = { sigma : float; weight : float }
 
+type engine = Direct | Fft | Auto
+
 type t = {
   kernels : kernel list;
   threshold : float;
   step : float;
   halo : int;
   defocus_blur : float;
+  engine : engine;
+  cache : bool;
 }
 
 let default_kernels =
@@ -20,13 +24,15 @@ let normalise kernels =
   if Float.abs total < 1e-9 then invalid_arg "Model: kernel weights sum to 0";
   List.map (fun k -> { k with weight = k.weight /. total }) kernels
 
-let create ?(kernels = default_kernels) ?(step = 5.0) ?(defocus_blur = 0.18) () =
+let create ?(kernels = default_kernels) ?(step = 5.0) ?(defocus_blur = 0.18)
+    ?(engine = Direct) ?(cache = true) () =
   let kernels = normalise kernels in
   let max_sigma = List.fold_left (fun acc k -> Float.max acc k.sigma) 0.0 kernels in
   (* Halo covers 3 sigma of the widest kernel at worst-case defocus
      (200 nm), so tile boundaries cannot bias interior intensity. *)
   let worst = sqrt ((max_sigma ** 2.0) +. ((defocus_blur *. 200.0) ** 2.0)) in
-  { kernels; threshold = 0.5; step; halo = int_of_float (3.2 *. worst); defocus_blur }
+  { kernels; threshold = 0.5; step; halo = int_of_float (3.2 *. worst); defocus_blur;
+    engine; cache }
 
 let effective_sigma t k ~defocus =
   sqrt ((k.sigma ** 2.0) +. ((t.defocus_blur *. defocus) ** 2.0))

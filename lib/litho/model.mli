@@ -11,9 +11,15 @@
     [calibrate] anchors the threshold so that the reference feature — a
     dense line at drawn gate length — prints exactly on target at the
     nominal condition, making all residual CD error a pure proximity /
-    process-window signature, as in a centred production process. *)
+    process-window signature, as in a centred production process.
+
+    A model also carries how it is simulated: the convolution [engine]
+    and whether simulations consult the tile cache (see {!Aerial}). *)
 
 type kernel = { sigma : float;  (** nm *) weight : float }
+
+(** Aerial convolution engine (see {!Aerial}). *)
+type engine = Direct | Fft | Auto
 
 type t = {
   kernels : kernel list;  (** weights normalised to sum to 1 *)
@@ -21,6 +27,12 @@ type t = {
   step : float;  (** raster step, nm *)
   halo : int;  (** optical interaction halo, nm *)
   defocus_blur : float;  (** added sigma per nm defocus (quadrature) *)
+  engine : engine;
+      (** engine {!Aerial.simulate} uses when given no [?engine] *)
+  cache : bool;
+      (** whether simulations consult {!Tile_cache.global}; hits are
+          bit-identical to fresh simulations, so this changes wall time
+          only *)
 }
 
 (** Three-kernel default stack for the 90 nm-like node. *)
@@ -29,8 +41,16 @@ val default_kernels : kernel list
 (** Single-Gaussian stack for the kernel-count ablation. *)
 val single_kernel : kernel list
 
-(** [create ()] builds an uncalibrated model (threshold 0.5). *)
-val create : ?kernels:kernel list -> ?step:float -> ?defocus_blur:float -> unit -> t
+(** [create ()] builds an uncalibrated model (threshold 0.5) on the
+    [Direct] engine with the tile cache on. *)
+val create :
+  ?kernels:kernel list ->
+  ?step:float ->
+  ?defocus_blur:float ->
+  ?engine:engine ->
+  ?cache:bool ->
+  unit ->
+  t
 
 (** Effective sigma of a kernel under defocus. *)
 val effective_sigma : t -> kernel -> defocus:float -> float

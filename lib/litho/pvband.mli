@@ -14,8 +14,8 @@ type t = {
     With [pool], the per-condition simulations run in parallel; the
     band accumulation is sequential in condition order, so the result
     is bit-identical for any worker count.  [engine] overrides the
-    process-global aerial engine for every condition's simulation
-    (see {!Aerial}).
+    model's aerial engine for every condition's simulation (see
+    {!Aerial}).
     @raise Invalid_argument on an empty condition list. *)
 val compute :
   ?pool:Exec.Pool.t ->

@@ -21,27 +21,7 @@ let create ?(max_bytes = 256 * 1024 * 1024) () =
   { lock = Mutex.create (); table = Hashtbl.create 64; budget = max_bytes;
     used = 0; tick = 0 }
 
-let truthy s =
-  match String.lowercase_ascii (String.trim s) with
-  | "" | "0" | "false" | "off" | "no" -> false
-  | _ -> true
-
-let env_enabled ?(var = "POTX_CACHE") ?(default = true) () =
-  match Sys.getenv_opt var with None -> default | Some s -> truthy s
-
-let switch = Atomic.make (env_enabled ())
-
-let enabled () = Atomic.get switch
-
-let set_enabled v = Atomic.set switch v
-
-let global =
-  let mib =
-    match Option.bind (Sys.getenv_opt "POTX_CACHE_MB") int_of_string_opt with
-    | Some n when n > 0 -> n
-    | _ -> 256
-  in
-  create ~max_bytes:(mib * 1024 * 1024) ()
+let global = create ()
 
 (* The bytes gauge tracks the global cache only; short-lived test
    caches must not fight over one process-wide instrument. *)
@@ -53,30 +33,28 @@ let entry_size key raster =
   (8 * Raster.nx raster * Raster.ny raster) + String.length key + 64
 
 let find ?into t ~origin key =
-  if not (enabled ()) then None
-  else
-    let stored =
-      Mutex.protect t.lock @@ fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some e ->
-          t.tick <- t.tick + 1;
-          e.last_use <- t.tick;
-          Obs.Metrics.incr m_hits;
-          Some e.raster
-      | None ->
-          Obs.Metrics.incr m_misses;
-          None
-    in
-    (* A stored raster is never mutated after insertion (eviction only
-       drops the reference), so the pixel copy runs outside the lock. *)
-    Option.map
-      (fun raster ->
-        match into with
-        | Some dst ->
-            Raster.blit ~src:raster ~dst;
-            dst
-        | None -> Raster.copy (Raster.relocate raster ~origin))
-      stored
+  let stored =
+    Mutex.protect t.lock @@ fun () ->
+    match Hashtbl.find_opt t.table key with
+    | Some e ->
+        t.tick <- t.tick + 1;
+        e.last_use <- t.tick;
+        Obs.Metrics.incr m_hits;
+        Some e.raster
+    | None ->
+        Obs.Metrics.incr m_misses;
+        None
+  in
+  (* A stored raster is never mutated after insertion (eviction only
+     drops the reference), so the pixel copy runs outside the lock. *)
+  Option.map
+    (fun raster ->
+      match into with
+      | Some dst ->
+          Raster.blit ~src:raster ~dst;
+          dst
+      | None -> Raster.copy (Raster.relocate raster ~origin))
+    stored
 
 let evict_lru t =
   let victim =
@@ -95,25 +73,23 @@ let evict_lru t =
       Obs.Metrics.incr m_evictions
 
 let store t key raster =
-  if enabled () then begin
-    let size = entry_size key raster in
-    if size <= t.budget then begin
-      (* Copy before taking the lock: callers overwrite their buffers on
-         the next pass.  A copy that loses a concurrent race for the
-         same key is simply dropped. *)
-      let raster = Raster.copy raster in
-      Mutex.protect t.lock @@ fun () ->
-      if not (Hashtbl.mem t.table key) then begin
-        t.tick <- t.tick + 1;
-        Hashtbl.add t.table key { raster; size; last_use = t.tick };
-        t.used <- t.used + size;
-        (* The newest entry carries the highest tick, so the loop never
-           evicts what it just inserted while anything older remains. *)
-        while t.used > t.budget do
-          evict_lru t
-        done;
-        publish_bytes t
-      end
+  let size = entry_size key raster in
+  if size <= t.budget then begin
+    (* Copy before taking the lock: callers overwrite their buffers on
+       the next pass.  A copy that loses a concurrent race for the
+       same key is simply dropped. *)
+    let raster = Raster.copy raster in
+    Mutex.protect t.lock @@ fun () ->
+    if not (Hashtbl.mem t.table key) then begin
+      t.tick <- t.tick + 1;
+      Hashtbl.add t.table key { raster; size; last_use = t.tick };
+      t.used <- t.used + size;
+      (* The newest entry carries the highest tick, so the loop never
+         evicts what it just inserted while anything older remains. *)
+      while t.used > t.budget do
+        evict_lru t
+      done;
+      publish_bytes t
     end
   end
 

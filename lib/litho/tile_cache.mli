@@ -32,31 +32,16 @@ type t
     larger than the whole budget are simply not stored. *)
 val create : ?max_bytes:int -> unit -> t
 
-(** The process-wide cache used by {!Aerial.simulate}.  Its budget is
-    [POTX_CACHE_MB] (MiB) when set, else 256 MiB. *)
+(** The process-wide cache used by {!Aerial.simulate} for models
+    with {!Model.t.cache} set.  Its budget is 256 MiB. *)
 val global : t
-
-(** Global enable switch, shared by every cache (an [Atomic]; cheap to
-    read).  When off, [find] always misses and [store] is a no-op, so
-    the simulator behaves exactly as if the cache did not exist.
-    Initialised from the [POTX_CACHE] environment variable via
-    {!env_enabled}. *)
-val enabled : unit -> bool
-
-val set_enabled : bool -> unit
-
-(** [env_enabled ()] reads the [POTX_CACHE] variable (or [var]):
-    ["0"], ["false"], ["off"], ["no"] and the empty string disable,
-    anything else enables, unset means [default] (itself defaulting to
-    [true]). *)
-val env_enabled : ?var:string -> ?default:bool -> unit -> bool
 
 (** [find t ~origin key] returns a mutable copy of the stored raster
     relocated to [origin], or [None].  With [into], the stored pixels
     are blitted into [into] instead (it must have the entry's nx and
     ny, and keeps its own origin) and [into] is returned.  Counts a hit
-    or a miss; a find while the switch is off counts neither.  Only
-    the table lookup holds the lock; the pixel copy runs after it. *)
+    or a miss.  Only the table lookup holds the lock; the pixel copy
+    runs after it. *)
 val find : ?into:Raster.t -> t -> origin:Geometry.Point.t -> string -> Raster.t option
 
 (** [store t key raster] inserts a copy of [raster] (so later caller
@@ -67,7 +52,7 @@ val find : ?into:Raster.t -> t -> origin:Geometry.Point.t -> string -> Raster.t 
     concurrent stores. *)
 val store : t -> string -> Raster.t -> unit
 
-(** Drop every entry (budget and switch unchanged). *)
+(** Drop every entry (budget unchanged). *)
 val clear : t -> unit
 
 (** Current stored pixel-data bytes / entry count / byte budget. *)

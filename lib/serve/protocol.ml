@@ -220,6 +220,9 @@ let rec parse_request_obj ~nested j =
     | "corner" ->
         let* dose = get_float "dose" j in
         let* dose = require "dose" dose in
+        let* () =
+          if dose > 0.0 then Ok () else Error "field \"dose\" must be positive"
+        in
         let* defocus = get_float "defocus" j in
         let* defocus = require "defocus" defocus in
         let* spread = get_float "spread" j in

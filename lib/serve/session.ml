@@ -111,14 +111,18 @@ let resize t gate dl =
       let drawn =
         Circuit.Delay_model.drawn_lengths t.run.Flow.config.Flow.tech
       in
+      let base = Option.value (t.lengths gate) ~default:drawn in
+      let l_n = base.Circuit.Delay_model.l_n +. dl
+      and l_p = base.Circuit.Delay_model.l_p +. dl in
+      let* () =
+        if l_n > 0.0 && l_p > 0.0 then Ok ()
+        else
+          Error
+            (Printf.sprintf "dl %g leaves gate %S a non-positive channel length"
+               dl gate)
+      in
       let lengths_of name =
-        if String.equal name gate then
-          let base = Option.value (t.lengths name) ~default:drawn in
-          Some
-            {
-              Circuit.Delay_model.l_n = base.Circuit.Delay_model.l_n +. dl;
-              l_p = base.Circuit.Delay_model.l_p +. dl;
-            }
+        if String.equal name gate then Some { Circuit.Delay_model.l_n; l_p }
         else t.lengths name
       in
       let timing, reevaluated =
@@ -374,16 +378,20 @@ and profile t target =
       -1
     end
   in
+  (* The log survives [disable], so restoring the tracing state first
+     (even when the target raises) still leaves its spans readable. *)
   let result =
-    Obs.Span.with_ ~name:("serve.profile." ^ Protocol.verb target) (fun () ->
-        handle t target)
+    Fun.protect
+      ~finally:(fun () -> if not was_enabled then Obs.Span.disable ())
+      (fun () ->
+        Obs.Span.with_ ~name:("serve.profile." ^ Protocol.verb target) (fun () ->
+            handle t target))
   in
   let events =
     List.filter
       (fun (e : Obs.Span.event) -> e.Obs.Span.id > mark)
       (Obs.Span.events ())
   in
-  if not was_enabled then Obs.Span.disable ();
   Ok
     (Protocol.Profile_r
        {
@@ -432,6 +440,7 @@ let handle_line t line =
         | exception Fault.Injected point ->
             Error (Printf.sprintf "fault injected at %s" point)
         | exception Failure msg -> Error msg
+        | exception Invalid_argument msg -> Error msg
       in
       (match reply with Error _ -> bump t "serve.errors" | Ok _ -> ());
       finish verb { Protocol.id; verb = Some verb; reply }

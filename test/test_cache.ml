@@ -19,11 +19,11 @@ let small_chip =
     (let rng = Stats.Rng.create 7 in
      Layout.Placer.random_block tech Layout.Placer.default_config rng ~n:6)
 
+(* [f] gets the calibrated model with its tile cache on or off; on
+   starts from an empty global cache. *)
 let with_cache enabled f =
-  let was = Litho.Tile_cache.enabled () in
-  Litho.Tile_cache.set_enabled enabled;
   if enabled then Litho.Tile_cache.clear Litho.Tile_cache.global;
-  Fun.protect ~finally:(fun () -> Litho.Tile_cache.set_enabled was) f
+  f { (Lazy.force model) with Litho.Model.cache = enabled }
 
 let rasters_equal a b =
   List.length a = List.length b
@@ -39,19 +39,18 @@ let tile_windows =
       G.Rect.make ~lx:x ~ly:y ~hx:(x + 1200) ~hy:(y + 1200))
 
 let test_simulate_tiles_identical () =
-  let m = Lazy.force model in
   let chip = Lazy.force small_chip in
   let source w = Layout.Chip.shapes_in chip Layout.Layer.Poly w in
-  let sim () =
+  let sim m =
     Litho.Aerial.simulate_tiles m Litho.Condition.nominal ~windows:tile_windows source
   in
   let off = with_cache false sim in
   let cold = with_cache true sim in
-  (* Second cached call inside the same enabled window: all hits. *)
+  (* Second cached call on the same cold-started cache: all hits. *)
   let warm =
-    with_cache true (fun () ->
-        ignore (sim ());
-        sim ())
+    with_cache true (fun m ->
+        ignore (sim m);
+        sim m)
   in
   checkb "cold cached run = uncached" true (rasters_equal off cold);
   checkb "warm cached run = uncached" true (rasters_equal off warm)
@@ -67,12 +66,12 @@ let test_pvband_identical () =
   let conditions =
     Litho.Condition.corners ~dose_range:(0.95, 1.05) ~defocus_range:(0.0, 120.0)
   in
-  let compute () = Litho.Pvband.compute m conditions ~window polygons in
+  let compute m = Litho.Pvband.compute m conditions ~window polygons in
   let off = with_cache false compute in
   let on =
-    with_cache true (fun () ->
-        ignore (compute ());
-        compute ())
+    with_cache true (fun m ->
+        ignore (compute m);
+        compute m)
   in
   checkb "pvband identical cached vs not" true (off = on)
 
@@ -91,7 +90,6 @@ let test_flow_identical () =
   Litho.Tile_cache.clear Litho.Tile_cache.global;
   let off = Timing_opc.Flow.run (cheap_config ~cache:false) netlist in
   let on = Timing_opc.Flow.run (cheap_config ~cache:true) netlist in
-  Litho.Tile_cache.set_enabled true;
   checkb "cds identical" true (off.Timing_opc.Flow.cds = on.Timing_opc.Flow.cds);
   checkb "opc stats identical" true
     (off.Timing_opc.Flow.opc_stats = on.Timing_opc.Flow.opc_stats);
@@ -187,8 +185,7 @@ let prop_incremental_identical =
     (fun targets ->
       (* Cache off: the property must hold from the dirty-tile logic
          alone, not from cache hits hiding a stale raster. *)
-      with_cache false @@ fun () ->
-      let m = Lazy.force model in
+      with_cache false @@ fun m ->
       let on, s_on =
         Opc.Model_opc.correct m (opc_config ~incremental:true) ~targets ~context:[]
       in
@@ -217,7 +214,7 @@ let test_metrics_monotone_and_hit () =
   let d = G.Point.make 5000 0 in
   let moved = List.map (fun p -> G.Polygon.translate p d) shapes in
   let window' = G.Rect.translate window d in
-  with_cache true @@ fun () ->
+  with_cache true @@ fun m ->
   let h0 = counter_value "litho.cache.hits" in
   let m0 = counter_value "litho.cache.misses" in
   let a = Litho.Aerial.simulate m Litho.Condition.nominal ~window shapes in
@@ -245,23 +242,23 @@ let test_buffers_identical () =
       (G.Rect.inflate window m.Litho.Model.halo)
   in
   let other = [ G.Polygon.of_rect (G.Rect.make ~lx:300 ~ly:100 ~hx:390 ~hy:900) ] in
-  let sim ?into polys = Litho.Aerial.simulate ?into m Litho.Condition.nominal ~window polys in
+  let sim ?into m polys = Litho.Aerial.simulate ?into m Litho.Condition.nominal ~window polys in
   let data = Litho.Raster.unsafe_data in
-  let fresh = with_cache false (fun () -> data (sim shapes)) in
-  let fresh_other = with_cache false (fun () -> data (sim other)) in
+  let fresh = with_cache false (fun m -> data (sim m shapes)) in
+  let fresh_other = with_cache false (fun m -> data (sim m other)) in
   let b = Litho.Aerial.buffers m ~window in
-  with_cache true @@ fun () ->
+  with_cache true @@ fun m ->
   let h0 = counter_value "litho.cache.hits" in
-  let miss = sim ~into:b shapes in
+  let miss = sim ~into:b m shapes in
   checki "first simulation into buffers misses" h0 (counter_value "litho.cache.hits");
   checkb "miss into buffers = fresh simulation" true (data miss = fresh);
   (* Scribble over the intensity so a hit must overwrite every pixel. *)
   Litho.Raster.fill miss 7.0;
-  let hit = sim ~into:b shapes in
+  let hit = sim ~into:b m shapes in
   checkb "repeat hits" true (counter_value "litho.cache.hits" > h0);
   checkb "hit into buffers = fresh simulation" true (data hit = fresh);
   (* A miss on reused buffers starts from a clean mask. *)
-  checkb "reused buffers = fresh simulation" true (data (sim ~into:b other) = fresh_other);
+  checkb "reused buffers = fresh simulation" true (data (sim ~into:b m other) = fresh_other);
   Alcotest.check_raises "buffers of another window"
     (Invalid_argument "Aerial.simulate: buffers made for another window") (fun () ->
       ignore
@@ -279,7 +276,7 @@ let test_engine_keys_disjoint () =
     Layout.Chip.shapes_in chip Layout.Layer.Poly
       (G.Rect.inflate window m.Litho.Model.halo)
   in
-  with_cache true @@ fun () ->
+  with_cache true @@ fun m ->
   let sim engine = Litho.Aerial.simulate ~engine m Litho.Condition.nominal ~window shapes in
   let m0 = counter_value "litho.cache.misses" in
   let d = sim Litho.Aerial.Direct in

@@ -155,17 +155,15 @@ let test_model_opc_pool_identical () =
       [ (0, 1400); (400, 900); (800, 1300) ]
   in
   let with_cache enabled f =
-    let was = Litho.Tile_cache.enabled () in
-    Litho.Tile_cache.set_enabled enabled;
     Litho.Tile_cache.clear Litho.Tile_cache.global;
-    Fun.protect ~finally:(fun () -> Litho.Tile_cache.set_enabled was) f
+    f { m with Litho.Model.cache = enabled }
   in
   List.iter
     (fun (incremental, cache) ->
       let config =
         { opc_config with Opc.Model_opc.iterations = 3; incremental; sim_tile = 700 }
       in
-      with_cache cache @@ fun () ->
+      with_cache cache @@ fun m ->
       let correct ?pool () = Opc.Model_opc.correct ?pool m config ~targets ~context:[] in
       let polys, stats = correct () in
       List.iter

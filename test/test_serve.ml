@@ -234,6 +234,9 @@ let malformed =
     {|{"verb":"cds","lx":1,"ly":2,"hx":3}|};
     {|{"verb":"corner","dose":1.0}|};
     {|{"verb":"corner","defocus":30}|};
+    {|{"verb":"corner","dose":0,"defocus":70}|};
+    {|{"verb":"corner","dose":-1,"defocus":70}|};
+    {|{"verb":"profile","of":{"verb":"corner","dose":0,"defocus":70}}|};
     {|{"verb":"retime","endpoint":1.5}|};
     {|{"verb":"metrics","all":1}|};
     {|{"verb":"profile","of":{"verb":"profile"}}|};
@@ -665,9 +668,44 @@ let test_session_survives_fault () =
   | Error e -> checkb "fault surfaced" true (e <> "")
   | Ok _ -> Alcotest.fail "first request should absorb the injected fault");
   let second = Session.handle_line s {|{"verb":"status"}|} in
-  match second.P.reply with
+  (match second.P.reply with
   | Ok (P.Status_r st) -> checks "session still answers" "c17" st.bench
-  | _ -> Alcotest.fail "session did not survive the injected fault"
+  | _ -> Alcotest.fail "session did not survive the injected fault");
+  (* Requests the physics cannot answer get an error reply; none of
+     them ends the session. *)
+  List.iter
+    (fun line ->
+      (match (Session.handle_line s line).P.reply with
+      | Error e -> checkb ("refused " ^ line) true (e <> "")
+      | Ok _ -> Alcotest.failf "answered %s" line);
+      match (Session.handle_line s {|{"verb":"status"}|}).P.reply with
+      | Ok (P.Status_r st) -> checks ("answers after " ^ line) "c17" st.bench
+      | _ -> Alcotest.failf "session did not survive %s" line)
+    [
+      {|{"verb":"corner","dose":0,"defocus":70}|};
+      {|{"verb":"profile","of":{"verb":"corner","dose":0,"defocus":70}}|};
+      {|{"verb":"whatif","gate":"g10","dl":-200}|};
+    ]
+
+(* A profiled request whose target raises still turns span tracing
+   back off, so the failure leaves no tracing on for later requests. *)
+let test_failed_profile_restores_tracing () =
+  let s = session_for 1 in
+  let plan =
+    match Fault.parse "cdex.extract=fail1" with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "bad plan: %s" e
+  in
+  Fault.set_plan (Some plan);
+  Fun.protect ~finally:(fun () -> Fault.set_plan None) @@ fun () ->
+  let r =
+    Session.handle_line s
+      {|{"verb":"profile","of":{"verb":"corner","dose":1.03,"defocus":90}}|}
+  in
+  (match r.P.reply with
+  | Error e -> checkb "fault surfaced" true (e <> "")
+  | Ok _ -> Alcotest.fail "the injected fault should fail the profiled request");
+  checkb "tracing off again" false (Obs.Span.enabled ())
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -707,6 +745,8 @@ let () =
         [
           Alcotest.test_case "session survives injected fault" `Quick
             test_session_survives_fault;
+          Alcotest.test_case "failed profile restores tracing" `Quick
+            test_failed_profile_restores_tracing;
         ] );
       (* Last: these advance the memoized sessions' request sequence
          numbers via handle_line, which the determinism section's
