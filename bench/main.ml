@@ -1,10 +1,9 @@
 (* Experiment harness: regenerates every table (T1-T4) and figure
-   (F1-F6) of the reproduced evaluation, plus engine micro-benchmarks.
+   (F1-F6) of the reproduced evaluation, plus the extension studies.
 
      dune exec bench/main.exe                 # all experiments
      dune exec bench/main.exe -- --quick      # smaller workloads
      dune exec bench/main.exe -- t4 f1        # a subset
-     dune exec bench/main.exe -- --perf       # bechamel engine benches
      dune exec bench/main.exe -- --domains=4  # worker domains (default 1)
 
    See DESIGN.md for the experiment index and EXPERIMENTS.md for
@@ -20,7 +19,6 @@ let experiments =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let flags, names = List.partition (fun a -> String.length a > 0 && a.[0] = '-') args in
-  let want_perf = List.mem "--perf" flags in
   if List.mem "--quick" flags then Common.quick := true;
   List.iter
     (fun flag ->
@@ -50,7 +48,5 @@ let () =
   Format.printf "post-OPC timing reproduction bench (seed %d%s)@." Common.seed
     (if !Common.quick then ", quick mode" else "");
   let t0 = Unix.gettimeofday () in
-  if (not want_perf) || names <> [] then
-    List.iter (fun name -> List.assoc name experiments ()) selected;
-  if want_perf then Perf.run ();
+  List.iter (fun name -> List.assoc name experiments ()) selected;
   Format.printf "@.total wall time: %.1fs@." (Unix.gettimeofday () -. t0)

@@ -8,25 +8,20 @@
 
 open Cmdliner
 
-let bench_names = [ "c17"; "adder16"; "mult8"; "rand_12x20"; "chains_24x10" ]
+let bench_names = List.map fst (Circuit.Generator.benchmarks (Stats.Rng.create 0))
 
+(* [name] is one of [bench_names]: --bench only accepts those. *)
 let netlist_of_name seed name =
-  let rng = Stats.Rng.create seed in
-  match List.assoc_opt name (Circuit.Generator.benchmarks rng) with
-  | Some n -> n
-  | None -> failwith (Printf.sprintf "unknown benchmark %s (have: %s)" name
-                        (String.concat ", " bench_names))
+  List.assoc name (Circuit.Generator.benchmarks (Stats.Rng.create seed))
 
-(* Aerial engine.  Direct is the oracle every golden is recorded
-   against; fft/auto trade bit-identity (within the DESIGN.md
-   tolerance contract) for wall time. *)
-let parse_engine flag =
-  match Litho.Aerial.engine_of_string flag with
-  | Some e -> e
-  | None ->
-      failwith (Printf.sprintf "unknown engine %s (want direct, fft or auto)" flag)
+let opc_styles =
+  Timing_opc.Flow.
+    [ ("none", No_opc); ("rule", Rule_opc); ("model", Model_opc) ]
 
-(* An empty --trace/--metrics/--profile/--faults value means off. *)
+(* A flag taking one of [names]; its value is the name itself. *)
+let name_enum names = Arg.enum (List.map (fun n -> (n, n)) names)
+
+(* An empty --trace/--metrics/--profile value means off. *)
 let sink flag = if flag = "" then None else Some flag
 
 (* With no sink, tracing stays disabled and the run is byte-identical
@@ -65,15 +60,20 @@ let with_obs ?(profile = "") ~trace ~metrics f =
           Format.eprintf "wrote metrics %s@." path)
     f
 
-(* Fault plan.  Parse errors are fatal — a silently ignored fault spec
-   would make a chaos run indistinguishable from a clean one. *)
-let parse_faults flag =
-  Option.map
-    (fun s ->
-      match Fault.parse s with
-      | Ok plan -> plan
-      | Error e -> failwith (Printf.sprintf "bad fault spec %S: %s" s e))
-    (sink flag)
+(* Fault plan.  A bad spec is a usage error — a silently ignored fault
+   spec would make a chaos run indistinguishable from a clean one.  The
+   empty spec means no plan. *)
+let faults_conv =
+  let parse = function
+    | "" -> Ok None
+    | s ->
+        Result.map Option.some
+          (Result.map_error (Printf.sprintf "bad fault spec %S: %s" s) (Fault.parse s))
+  in
+  let print ppf plan =
+    Format.pp_print_string ppf (Option.fold ~none:"" ~some:Fault.to_string plan)
+  in
+  Arg.conv' ~docv:"SPEC" (parse, print)
 
 (* ---- run / serve ---- *)
 
@@ -86,21 +86,14 @@ let parse_faults flag =
 let flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
     ~retries ~checkpoint_dir ~resume () =
   let base = Timing_opc.Flow.default_config () in
-  let opc_style =
-    match opc with
-    | "none" -> Timing_opc.Flow.No_opc
-    | "rule" -> Timing_opc.Flow.Rule_opc
-    | "model" -> Timing_opc.Flow.Model_opc
-    | s -> failwith ("unknown OPC style " ^ s)
-  in
   { base with
     Timing_opc.Flow.seed;
-    opc_style;
+    opc_style = List.assoc opc opc_styles;
     condition = Litho.Condition.make ~dose ~defocus;
     domains = max 1 domains;
     shard = max 1 shard;
     cache = not no_cache;
-    engine = parse_engine engine;
+    engine;
     retry = Fault.retrying retries;
     checkpoint =
       (if checkpoint_dir = "" then None
@@ -117,7 +110,7 @@ let run_flow bench opc seed dose defocus spread report shard selective ssta
     domains no_cache engine faults retries checkpoint_dir resume trace metrics
     profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
-  Fault.set_plan (parse_faults faults);
+  Fault.set_plan faults;
   let config =
     flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
       ~retries ~checkpoint_dir ~resume ()
@@ -132,7 +125,7 @@ let run_flow bench opc seed dose defocus spread report shard selective ssta
 let serve_flow bench opc seed dose defocus shard domains no_cache engine
     faults retries socket slowlog_ms slowlog_file trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
-  Fault.set_plan (parse_faults faults);
+  Fault.set_plan faults;
   let config =
     flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
       ~retries ~checkpoint_dir:"" ~resume:false ()
@@ -160,10 +153,17 @@ let serve_flow bench opc seed dose defocus shard domains no_cache engine
       Timing_opc_serve.Server.serve_socket ?slowlog session ~path
 
 let bench_arg =
-  Arg.(value & opt string "c17" & info [ "bench"; "b" ] ~doc:"Benchmark netlist name.")
+  Arg.(
+    value
+    & opt (name_enum bench_names) "c17"
+    & info [ "bench"; "b" ]
+        ~doc:("Benchmark netlist: " ^ doc_alts bench_names ^ "."))
 
 let opc_arg =
-  Arg.(value & opt string "model" & info [ "opc" ] ~doc:"OPC style: none, rule or model.")
+  Arg.(
+    value
+    & opt (name_enum (List.map fst opc_styles)) "model"
+    & info [ "opc" ] ~doc:"OPC style: none, rule or model.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Placement/noise seed.")
 
@@ -232,19 +232,25 @@ let no_cache_arg =
 
 let engine_arg =
   Arg.(
-    value & opt string "direct"
+    value
+    & opt
+        (enum
+           (List.map
+              (fun e -> (Litho.Aerial.engine_to_string e, e))
+              Litho.Aerial.[ Direct; Fft; Auto ]))
+        Litho.Aerial.Direct
     & info [ "engine" ]
         ~doc:
           "Aerial convolution engine: $(b,direct) (per-kernel box-blur \
            cascade — the oracle every golden is recorded against), $(b,fft) \
            (one mask spectrum shared by the whole kernel stack, applied in \
            the frequency domain — same images within the tolerance contract \
-           in DESIGN.md, several times faster on OPC-sized tiles) or \
+           in DESIGN.md, about half the wall time of a whole flow) or \
            $(b,auto) (per-tile choice by pixel count).")
 
 let faults_arg =
   Arg.(
-    value & opt string ""
+    value & opt faults_conv None
     & info [ "faults" ]
         ~doc:
           "Deterministic fault-injection plan, e.g. \
@@ -464,7 +470,7 @@ let export_cds bench seed path domains no_cache engine trace metrics =
       Timing_opc.Flow.seed;
       domains = max 1 domains;
       cache = not no_cache;
-      engine = parse_engine engine }
+      engine }
   in
   let r = Timing_opc.Flow.run config (netlist_of_name seed bench) in
   (* Exact (hex-float) CDs: cdcmp deltas must reflect the engines, not
@@ -490,7 +496,13 @@ let cds_cmd =
    budget cannot express). *)
 
 let cdcmp file_a file_b budget =
-  let a = Cdex.Csv.load_file file_a and b = Cdex.Csv.load_file file_b in
+  let load path =
+    try Cdex.Csv.load_file path
+    with Failure msg | Sys_error msg ->
+      Format.eprintf "cdcmp: %s@." msg;
+      exit 1
+  in
+  let a = load file_a and b = load file_b in
   let key (r : Cdex.Gate_cd.t) =
     Printf.sprintf "%s|%h|%h"
       (Layout.Chip.gate_key r.Cdex.Gate_cd.gate)
@@ -546,7 +558,7 @@ let cdcmp file_a file_b budget =
 
 let cdcmp_cmd =
   let file n doc =
-    Arg.(required & pos n (some string) None & info [] ~doc ~docv:"CSV")
+    Arg.(required & pos n (some file) None & info [] ~doc ~docv:"CSV")
   in
   let budget =
     Arg.(
@@ -892,14 +904,14 @@ let obs_report metrics trace =
 let obs_report_cmd =
   let metrics =
     Arg.(
-      value & opt string ""
+      value & opt file ""
       & info [ "metrics" ]
           ~doc:"Metrics JSONL (as written by --metrics) to summarise."
           ~docv:"FILE")
   in
   let trace =
     Arg.(
-      value & opt string ""
+      value & opt file ""
       & info [ "trace" ]
           ~doc:"Trace JSONL (as written by --trace) to summarise." ~docv:"FILE")
   in
@@ -910,233 +922,6 @@ let obs_report_cmd =
           occupancy, cache hit rate, per-stage wall/alloc, span self-time")
     Term.(const obs_report $ metrics $ trace)
 
-(* ---- perfdiff ---- *)
-
-(* The perf-regression gate: diff two BENCH_perf.json files (the
-   committed baseline vs a fresh bench run — see bin/perfdiff.sh).
-   Workloads are matched on (workload, domains, tasks); wall times may
-   regress by the tolerance before anything is reported, correctness
-   (identical:false) is always fatal, and a host_cores mismatch
-   downgrades timing regressions to warnings because the wall clocks
-   are not comparable. *)
-
-type perf_exp = {
-  pworkload : string;
-  pdomains : int;
-  ptasks : int;
-  pwall_s : float;
-  pwall_cached_s : float option;
-  pidentical : bool option;
-  pcache_hits : float option;
-  pcache_misses : float option;
-  phost_cores : float option;
-}
-
-let read_whole_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let load_perf path =
-  match Obs.Json.parse (read_whole_file path) with
-  | Error e -> failwith (Printf.sprintf "%s: %s" path e)
-  | Ok j -> (
-      let num name o = Option.bind (Obs.Json.member name o) Obs.Json.to_float in
-      let file_cores = num "host_cores" j in
-      match Obs.Json.member "experiments" j with
-      | Some (Obs.Json.Arr es) ->
-          ( file_cores,
-            List.filter_map
-              (fun e ->
-                match
-                  ( Option.bind (Obs.Json.member "workload" e) Obs.Json.to_str,
-                    num "domains" e, num "tasks" e, num "wall_s" e )
-                with
-                | Some w, Some d, Some t, Some wall ->
-                    Some
-                      {
-                        pworkload = w;
-                        pdomains = int_of_float d;
-                        ptasks = int_of_float t;
-                        pwall_s = wall;
-                        pwall_cached_s = num "wall_cached_s" e;
-                        pidentical =
-                          (match Obs.Json.member "identical" e with
-                          | Some (Obs.Json.Bool b) -> Some b
-                          | _ -> None);
-                        pcache_hits = num "cache_hits" e;
-                        pcache_misses = num "cache_misses" e;
-                        phost_cores =
-                          (match num "host_cores" e with
-                          | Some v -> Some v
-                          | None -> file_cores);
-                      }
-                | _ -> None)
-              es )
-      | _ -> failwith (path ^ ": no experiments array"))
-
-(* Baselines under this are pure noise on any host (warm serve queries
-   sit in the tens of microseconds); so is any delta under 10 ms. *)
-let perfdiff_min_base = 0.02
-
-let perfdiff_min_delta = 0.01
-
-let perfdiff baseline candidate tolerance tolerance_for scales gate =
-  let parse_kv what s =
-    match String.index_opt s '=' with
-    | Some i -> (
-        let k = String.sub s 0 i
-        and v = String.sub s (i + 1) (String.length s - i - 1) in
-        match float_of_string_opt v with
-        | Some f -> (k, f)
-        | None -> failwith (Printf.sprintf "bad %s %S (want WORKLOAD=FLOAT)" what s))
-    | None -> failwith (Printf.sprintf "bad %s %S (want WORKLOAD=FLOAT)" what s)
-  in
-  let scales = List.map (parse_kv "--scale") scales in
-  let tol_for = List.map (parse_kv "--tolerance-for") tolerance_for in
-  let base_cores, base = load_perf baseline in
-  let cand_cores, cand = load_perf candidate in
-  let cores_mismatch =
-    match (base_cores, cand_cores) with
-    | Some b, Some c -> b <> c
-    | _ -> false
-  in
-  if cores_mismatch then
-    Format.printf
-      "perfdiff: host_cores differ (baseline %.0f, candidate %.0f): timing \
-       regressions are warnings only@."
-      (Option.get base_cores) (Option.get cand_cores);
-  let key e = (e.pworkload, e.pdomains, e.ptasks) in
-  let regressions = ref 0
-  and improvements = ref 0
-  and compared = ref 0
-  and broken = ref [] in
-  List.iter
-    (fun c ->
-      (match c.pidentical with
-      | Some false -> broken := c.pworkload :: !broken
-      | _ -> ());
-      match List.find_opt (fun b -> key b = key c) base with
-      | None ->
-          Format.printf "perfdiff: %s (domains=%d tasks=%d): new workload, no baseline@."
-            c.pworkload c.pdomains c.ptasks
-      | Some b ->
-          let scale = Option.value ~default:1.0 (List.assoc_opt c.pworkload scales) in
-          let tol =
-            Option.value ~default:tolerance (List.assoc_opt c.pworkload tol_for)
-          in
-          let explain () =
-            match (b.pcache_hits, b.pcache_misses, c.pcache_hits, c.pcache_misses) with
-            | Some bh, Some bm, Some ch, Some cm when bh +. bm > 0.0 && ch +. cm > 0.0 ->
-                Format.printf
-                  "perfdiff:   cache: hits %.0f->%.0f misses %.0f->%.0f (hit \
-                   rate %.1f%% -> %.1f%%)@."
-                  bh ch bm cm
-                  (bh /. (bh +. bm) *. 100.0)
-                  (ch /. (ch +. cm) *. 100.0)
-            | _ -> ()
-          in
-          let check what bw cw =
-            let cw = cw *. scale in
-            if bw < perfdiff_min_base then ()
-            else begin
-              incr compared;
-              let delta = cw -. bw in
-              if delta > (bw *. tol) && delta > perfdiff_min_delta then begin
-                incr regressions;
-                Format.printf
-                  "perfdiff: %s (domains=%d tasks=%d): %s %.3fs -> %.3fs \
-                   (%+.1f%%, tolerance %.0f%%)%s@."
-                  c.pworkload c.pdomains c.ptasks what bw cw
-                  (delta /. bw *. 100.0) (tol *. 100.0)
-                  (if cores_mismatch then " WARN" else " REGRESSION");
-                explain ()
-              end
-              else if -.delta > (bw *. tol) && -.delta > perfdiff_min_delta then
-                incr improvements
-            end
-          in
-          check "wall" b.pwall_s c.pwall_s;
-          (match (b.pwall_cached_s, c.pwall_cached_s) with
-          | Some bw, Some cw -> check "cached wall" bw cw
-          | _ -> ()))
-    cand;
-  List.iter
-    (fun b ->
-      if not (List.exists (fun c -> key c = key b) cand) then
-        Format.printf
-          "perfdiff: %s (domains=%d tasks=%d): in baseline but not candidate@."
-          b.pworkload b.pdomains b.ptasks)
-    base;
-  (match List.sort_uniq String.compare !broken with
-  | [] -> ()
-  | ws ->
-      Format.eprintf "perfdiff: FATAL: identical:false in candidate for: %s@."
-        (String.concat ", " ws);
-      exit 1);
-  Format.printf "perfdiff: %d comparisons, %d regressions, %d improvements%s@."
-    !compared !regressions !improvements
-    (if !regressions = 0 then " -- OK"
-     else if gate && not cores_mismatch then " -- GATE FAILED"
-     else " (warnings only)");
-  if !regressions > 0 && gate && not cores_mismatch then exit 1
-
-let perfdiff_cmd =
-  let baseline =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "baseline" ] ~doc:"Committed BENCH_perf.json to diff against."
-          ~docv:"FILE")
-  in
-  let candidate =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "candidate" ] ~doc:"Freshly measured BENCH_perf.json." ~docv:"FILE")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 0.5
-      & info [ "tolerance" ]
-          ~doc:
-            "Allowed fractional wall-time growth per workload before a \
-             regression is reported (0.5 = 50%).")
-  in
-  let tolerance_for =
-    Arg.(
-      value & opt_all string []
-      & info [ "tolerance-for" ]
-          ~doc:"Per-workload tolerance override, e.g. $(i,shard_sweep=1.0) (repeatable)."
-          ~docv:"WORKLOAD=T")
-  in
-  let scale =
-    Arg.(
-      value & opt_all string []
-      & info [ "scale" ]
-          ~doc:
-            "Multiply the candidate's wall times for one workload by a \
-             factor before comparing, e.g. $(i,opc_iterate=2.0) — injects a \
-             synthetic slowdown so the gate itself can be tested \
-             (repeatable)." ~docv:"WORKLOAD=FACTOR")
-  in
-  let gate =
-    Arg.(
-      value & flag
-      & info [ "gate" ]
-          ~doc:
-            "Exit nonzero on any timing regression (identical:false is fatal \
-             even without this flag).  bin/perfdiff.sh passes this under \
-             $(b,POTX_PERF_GATE=1).")
-  in
-  Cmd.v
-    (Cmd.info "perfdiff"
-       ~doc:"diff two BENCH_perf.json files and gate on perf regressions")
-    Term.(
-      const perfdiff $ baseline $ candidate $ tolerance $ tolerance_for $ scale
-      $ gate)
-
 let () =
   let doc = "post-OPC critical-dimension extraction for advanced timing analysis" in
   let info = Cmd.info "potx" ~version:"1.0.0" ~doc in
@@ -1144,5 +929,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ run_cmd; serve_cmd; cells_cmd; litho_cmd; drc_cmd; liberty_cmd;
-            export_cmd; cds_cmd; cdcmp_cmd; obs_check_cmd; obs_report_cmd;
-            perfdiff_cmd ]))
+            export_cmd; cds_cmd; cdcmp_cmd; obs_check_cmd; obs_report_cmd ]))

@@ -5,19 +5,17 @@
 # the script exits nonzero if any case failed.
 #
 #   usage: smoke.sh path/to/potx.exe path/to/bench_main.exe \
-#            [serve_script.jsonl serve_golden.txt [perf_baseline.json]]
+#            [serve_script.jsonl serve_golden.txt]
 #
 # The optional pair names the canonical serve request script and its
 # golden response capture (test/serve_script_c17.jsonl and
 # test/golden/serve_script_c17.txt); without them the serve cases are
-# skipped.  The optional fifth argument names the committed
-# BENCH_perf.json; without it the perfdiff-gate case is skipped.
+# skipped.
 
-POTX=${1:?usage: smoke.sh POTX BENCH_MAIN [SERVE_SCRIPT SERVE_GOLDEN [PERF_BASELINE]]}
-BENCH=${2:?usage: smoke.sh POTX BENCH_MAIN [SERVE_SCRIPT SERVE_GOLDEN [PERF_BASELINE]]}
+POTX=${1:?usage: smoke.sh POTX BENCH_MAIN [SERVE_SCRIPT SERVE_GOLDEN]}
+BENCH=${2:?usage: smoke.sh POTX BENCH_MAIN [SERVE_SCRIPT SERVE_GOLDEN]}
 SERVE_SCRIPT=${3:-}
 SERVE_GOLDEN=${4:-}
-PERF_BASELINE=${5:-}
 
 # Under dune, %{exe:...} can expand to a bare file name; qualify it so
 # the shell executes it by path instead of searching $PATH.
@@ -213,17 +211,6 @@ case_ssta() {
     tail -n +2 "$work/ssta_d4.out" | cmp "$work/ssta.body" -
 }
 
-# The perf-regression gate itself: a self-diff of the committed
-# baseline passes gated, and a synthetic 2x slowdown injected with
-# --scale must trip it.
-case_perfdiff_gate() {
-  "$POTX" perfdiff --baseline "$PERF_BASELINE" \
-    --candidate "$PERF_BASELINE" --gate &&
-    ! "$POTX" perfdiff --baseline "$PERF_BASELINE" \
-      --candidate "$PERF_BASELINE" --scale opc_iterate=2.0 --gate \
-      > /dev/null 2>&1
-}
-
 # Shard-granular checkpoints: a sharded resume loads per-shard CD
 # stages and still reproduces the monolithic stdout.
 case_shard_resume() {
@@ -239,6 +226,36 @@ case_shard_resume() {
       --require-nonzero flow.shards
 }
 
+# `potx ARGS` must fail as a usage error: a nonzero exit that is not
+# cmdliner's internal-error exit (125), with no "internal error" on
+# stderr.  Sets ok=1 otherwise.
+expect_usage_error() {
+  "$POTX" "$@" > /dev/null 2> "$work/bad_input.err"
+  rc=$?
+  if [ "$rc" -eq 0 ] || [ "$rc" -eq 125 ] ||
+    grep -q "internal error" "$work/bad_input.err"; then
+    echo "   potx $*: exit $rc"
+    sed 's/^/   | /' "$work/bad_input.err"
+    ok=1
+  fi
+}
+
+# Bad flag values and missing or malformed input files are usage
+# errors, never uncaught exceptions.
+case_bad_input() {
+  ok=0
+  printf 'g1,NAND2,1.0,70.0,90.0\n' > "$work/noheader.csv"
+  expect_usage_error run --engine bogus
+  expect_usage_error run --opc bogus
+  expect_usage_error run --bench nosuch
+  expect_usage_error run --faults 'litho.simulate=bogus'
+  expect_usage_error export --bench nosuch -o "$work/layout.txt"
+  expect_usage_error cdcmp /nonexistent.csv "$work/noheader.csv"
+  expect_usage_error cdcmp "$work/noheader.csv" "$work/noheader.csv"
+  expect_usage_error obs-report --metrics /nonexistent
+  return $ok
+}
+
 run_case baseline case_baseline
 run_case multicore-bench case_multicore_bench
 run_case obs case_obs
@@ -250,16 +267,12 @@ run_case ssta case_ssta
 run_case engine case_engine
 run_case profile-identity case_profile_identity
 run_case shard-resume case_shard_resume
+run_case bad-input case_bad_input
 if [ -n "$SERVE_SCRIPT" ] && [ -n "$SERVE_GOLDEN" ]; then
   run_case serve case_serve
   run_case serve-profile case_serve_profile
 else
   echo "== serve == (skipped: pass SERVE_SCRIPT and SERVE_GOLDEN to enable)"
-fi
-if [ -n "$PERF_BASELINE" ]; then
-  run_case perfdiff-gate case_perfdiff_gate
-else
-  echo "== perfdiff-gate == (skipped: pass PERF_BASELINE to enable)"
 fi
 
 if [ -n "$failed" ]; then

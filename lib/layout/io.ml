@@ -38,7 +38,10 @@ let parse_line lineno line =
               | [] -> []
               | [ _ ] -> assert false
             in
-            Some (layer, G.Polygon.make (pair ints)))
+            match G.Polygon.make (pair ints) with
+            | poly -> Some (layer, poly)
+            | exception Invalid_argument msg ->
+                failwith (Printf.sprintf "line %d: %s" lineno msg))
 
 let read_shapes text =
   String.split_on_char '\n' text

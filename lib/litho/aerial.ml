@@ -4,8 +4,6 @@ let m_simulations = Obs.Metrics.counter "litho.simulations"
 
 let () = Fault.declare "litho.simulate"
 
-let m_tiles = Obs.Metrics.counter "litho.tiles"
-
 let m_engine_direct = Obs.Metrics.counter "litho.engine.direct"
 
 let m_engine_fft = Obs.Metrics.counter "litho.engine.fft"
@@ -25,13 +23,6 @@ let m_engine_fft = Obs.Metrics.counter "litho.engine.fft"
 type engine = Model.engine = Direct | Fft | Auto
 
 let engine_to_string = function Direct -> "direct" | Fft -> "fft" | Auto -> "auto"
-
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "direct" -> Some Direct
-  | "fft" -> Some Fft
-  | "auto" -> Some Auto
-  | _ -> None
 
 (* Auto crossover: below this pixel count the box cascade wins on raw
    constant factors; above it the shared-spectrum transform does.  The
@@ -247,20 +238,6 @@ let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
       in
       Option.iter (fun k -> Tile_cache.store Tile_cache.global k intensity) key;
       intensity
-
-let simulate_tiles ?pool ?engine (model : Model.t) (condition : Condition.t)
-    ~windows polygons_of =
-  Obs.Span.with_ ~name:"litho.simulate_tiles"
-    ~attrs:(fun () -> [ ("tiles", string_of_int (List.length windows)) ])
-  @@ fun () ->
-  Obs.Metrics.add m_tiles (List.length windows);
-  let tile window =
-    simulate ?engine model condition ~window
-      (polygons_of (G.Rect.inflate window model.Model.halo))
-  in
-  match pool with
-  | None -> List.map tile windows
-  | Some p -> Exec.Pool.map_list ~label:"aerial.tiles" p tile windows
 
 let calibrate ?engine (model : Model.t) (tech : Layout.Tech.t) =
   (* Reference pattern: a dense array of vertical lines at drawn gate

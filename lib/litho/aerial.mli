@@ -26,8 +26,8 @@
     reused by every simulation of it (model OPC's passes over its sim
     tiles); the result is then [into]'s intensity raster, overwritten
     by the next simulation into the same buffers.  One simulation runs
-    on one domain: parallelism is across tiles ({!simulate_tiles},
-    model OPC's sim tiles), never across the kernels of one image.
+    on one domain: parallelism is across tiles (model OPC's sim
+    tiles), never across the kernels of one image.
 
     When the model's {!Model.t.cache} is set, every simulation first
     consults the content-addressed {!Tile_cache.global}: the key is the
@@ -43,8 +43,6 @@
 type engine = Model.engine = Direct | Fft | Auto
 
 val engine_to_string : engine -> string
-
-val engine_of_string : string -> engine option
 
 (** [resolve_engine e shape] is the concrete engine ([Direct] or
     [Fft]) that [e] selects for a tile of [shape]'s geometry; [Auto]
@@ -68,22 +66,6 @@ val simulate :
   window:Geometry.Rect.t ->
   Geometry.Polygon.t list ->
   Raster.t
-
-(** [simulate_tiles model condition ~windows polygons_of] simulates
-    one aerial image per window, fetching each tile's mask shapes with
-    [polygons_of (inflate window halo)].  Tiles are independent and
-    run in parallel on [pool] when given; the result list preserves
-    window order.  [polygons_of] is called from worker domains, so it
-    must be safe for concurrent reads (warm any lazily-built index
-    before calling). *)
-val simulate_tiles :
-  ?pool:Exec.Pool.t ->
-  ?engine:engine ->
-  Model.t ->
-  Condition.t ->
-  windows:Geometry.Rect.t list ->
-  (Geometry.Rect.t -> Geometry.Polygon.t list) ->
-  Raster.t list
 
 (** The rasterised (clamped, anti-aliased) mask without convolution;
     exposed for tests and debugging. *)

@@ -1,6 +1,6 @@
 (* Read-side companion to Metrics: quantile estimation over histogram
    snapshots and parsing of metrics JSONL back into values, for
-   obs-report / perfdiff / the serve `metrics all:true` reply. *)
+   obs-report and the serve `metrics all:true` reply. *)
 
 let quantile (h : Metrics.histogram_snapshot) q =
   if h.count = 0 then 0.0

@@ -125,8 +125,8 @@ let correct_untraced ?pool (model : Litho.Model.t) config ~targets ~context =
       let threshold = model.Litho.Model.threshold in
       (* Dirty-tile incremental re-simulation: the correction window is
          split into a fixed grid of [sim_tile] tiles, each simulated
-         independently with the model halo (the simulate_tiles halo
-         discipline).  Between passes only a handful of fragments move,
+         independently over its window inflated by the model halo.
+         Between passes only a handful of fragments move,
          so a tile is re-simulated only when a changed mask polygon can
          reach its raster extent; clean tiles keep their raster, which
          deterministic recomputation would reproduce bit-for-bit.  With

@@ -1,6 +1,6 @@
 (* The litho tile cache's one hard promise: a hit is bit-identical to
    the simulation it replaces.  These tests exercise that promise at
-   every consumer (Aerial.simulate_tiles, Pvband.compute, Flow.run),
+   every consumer (Aerial.simulate per tile, Pvband.compute, Flow.run),
    the byte-budget eviction, the incremental OPC dirty-tile path, and
    the observability counters. *)
 
@@ -38,11 +38,15 @@ let tile_windows =
       let x = i mod 2 * 1200 and y = i / 2 * 1200 in
       G.Rect.make ~lx:x ~ly:y ~hx:(x + 1200) ~hy:(y + 1200))
 
-let test_simulate_tiles_identical () =
+let test_tile_windows_identical () =
   let chip = Lazy.force small_chip in
   let source w = Layout.Chip.shapes_in chip Layout.Layer.Poly w in
   let sim m =
-    Litho.Aerial.simulate_tiles m Litho.Condition.nominal ~windows:tile_windows source
+    List.map
+      (fun window ->
+        Litho.Aerial.simulate m Litho.Condition.nominal ~window
+          (source (G.Rect.inflate window m.Litho.Model.halo)))
+      tile_windows
   in
   let off = with_cache false sim in
   let cold = with_cache true sim in
@@ -302,7 +306,7 @@ let () =
     [
       ( "identity",
         [
-          Alcotest.test_case "simulate_tiles" `Slow test_simulate_tiles_identical;
+          Alcotest.test_case "tile windows" `Slow test_tile_windows_identical;
           Alcotest.test_case "pvband" `Slow test_pvband_identical;
           Alcotest.test_case "flow" `Slow test_flow_identical;
         ] );

@@ -285,14 +285,18 @@ let test_domains_bit_identical () =
           (G.Rect.make ~lx:(i * 280) ~ly:100 ~hx:((i * 280) + 120) ~hy:1500))
   in
   let source w = List.filter (fun p -> G.Rect.inter (G.Polygon.bbox p) w <> None) polygons in
-  let sim ?pool () =
-    Litho.Aerial.simulate_tiles ?pool ~engine:Litho.Aerial.Fft m
-      Litho.Condition.nominal ~windows source
+  let tile window =
+    Litho.Aerial.simulate ~engine:Litho.Aerial.Fft m Litho.Condition.nominal
+      ~window
+      (source (G.Rect.inflate window m.Litho.Model.halo))
   in
-  let seq = sim () in
+  let seq = List.map tile windows in
   List.iter
     (fun domains ->
-      let par = Exec.Pool.with_pool ~name:"test_fft" ~domains (fun p -> sim ~pool:p ()) in
+      let par =
+        Exec.Pool.with_pool ~name:"test_fft" ~domains (fun p ->
+            Exec.Pool.map_list p tile windows)
+      in
       checkb
         (Printf.sprintf "fft tiles bit-identical at %d domains" domains)
         true

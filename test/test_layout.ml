@@ -224,13 +224,19 @@ let test_io_comments_and_blanks () =
   let text = "# a comment\n\npoly 0 0 90 0 90 2000 0 2000\n" in
   checki "one shape" 1 (List.length (Layout.Io.read_shapes text))
 
+(* Every malformed line raises the documented [Failure "line N: ..."],
+   never another exception. *)
 let test_io_rejects_garbage () =
-  checkb "unknown layer" true
-    (try ignore (Layout.Io.read_shapes "mystery 0 0 1 0 1 1 0 1"); false
-     with Failure _ -> true);
-  checkb "odd coords" true
-    (try ignore (Layout.Io.read_shapes "poly 0 0 90 0 90"); false
-     with Failure _ -> true)
+  let rejects what text =
+    checkb what true
+      (match Layout.Io.read_shapes text with
+      | _ -> false
+      | exception Failure msg -> String.starts_with ~prefix:"line 1: " msg)
+  in
+  rejects "unknown layer" "mystery 0 0 1 0 1 1 0 1";
+  rejects "odd coords" "poly 0 0 90 0 90";
+  rejects "non-rectilinear ring" "poly 0 0 90 0 90 100 10 100";
+  rejects "degenerate ring" "poly 0 0 90 0 90 0 0 0"
 
 let test_io_chip_dump () =
   let rng = Stats.Rng.create 8 in

@@ -135,6 +135,99 @@ let prop_leff_between_bounds_both_kinds =
       let hi = List.fold_left Float.max neg_infinity cds in
       r.Device.Leff.l_on >= lo -. 0.5 && r.Device.Leff.l_on <= hi +. 0.5)
 
+(* ---- parsers: mutation fuzzing ----
+
+   Every parser that reads outside input has one documented error
+   path: [Error _] for Obs.Json and Serve.Protocol, [Failure _] for
+   Cdex.Csv and Layout.Io.  Mutants of valid inputs (byte
+   substitutions, inserted delimiters, deleted, duplicated and spliced
+   ranges, truncations) must either parse or take that path; any other
+   exception fails the property. *)
+
+let json_seeds =
+  [ {|{"verb":"whatif","gate":"g22","dx":400,"dy":-200,"id":7}|};
+    {|{"type":"histogram","name":"serve.latency.status","count":3,"sum":1.5e-3,"edges":[0.1,1,10],"counts":[1,2,0,0]}|};
+    {|{"s":"a\"b\\c\u00e9\n","n":-0.0,"x":[true,false,null,[],{}],"e":1E+2}|};
+    {|[[[{"a":[1,2.5,-3e-7]}]]]|} ]
+
+let request_seeds =
+  [ {|{"verb":"status"}|};
+    {|{"verb":"retime","endpoint":9}|};
+    {|{"verb":"whatif","gate":"g22","dl":3.0}|};
+    {|{"verb":"whatif","gate":"g22","dx":400,"dy":0,"id":3}|};
+    {|{"verb":"cds","lx":0,"ly":0,"hx":3000,"hy":3000}|};
+    {|{"verb":"corner","dose":1.03,"defocus":90,"spread":8}|};
+    {|{"verb":"ssta","top":3}|};
+    {|{"verb":"metrics","all":true}|};
+    {|{"verb":"profile","of":{"verb":"retime"}}|};
+    {|{"verb":"shutdown"}|} ]
+
+let csv_seeds =
+  let row = "u1,t0,NAND2_X1,n,100,200,190,600,90,400,false" in
+  [ String.concat "\n"
+      [ Cdex.Csv.header;
+        row ^ ",0x1.051eb851eb852p+0,0x1.18p+6,3,true,0x1.6p+6;0x1.68p+6;0x1.5cp+6";
+        row ^ ",1.0200,70.0,3,false," ];
+    Cdex.Csv.header ^ "\nu2,t1,INV_X1,p,0,0,90,900,90,900,true,1.0,0.0,1,true,91.5\n" ]
+
+let shape_seeds =
+  [ "poly 0 0 90 0 90 1000 0 1000\n# comment\n\nmetal1 0 0 40 0 40 40 0 40";
+    "poly 0 0 200 0 200 100 100 100 100 300 0 300\nactive -50 -50 50 -50 50 50 -50 50\n" ]
+
+let fuzz_alphabet = "{}[]\":,.-+eE0123456789 \n\t#;\\/ux\000\255"
+
+let mutant_gen seeds =
+  QCheck.Gen.(
+    let byte =
+      oneof
+        [ char;
+          map (String.get fuzz_alphabet) (int_bound (String.length fuzz_alphabet - 1)) ]
+    in
+    let mutate s =
+      let n = String.length s in
+      let* op = int_bound 5 and* i = int_bound n and* j = int_bound n and* c = byte in
+      let* other = oneofl seeds in
+      let lo = min i j and hi = max i j in
+      let sub a b = String.sub s a (b - a) in
+      return
+        (match op with
+        | 0 when n > 0 ->
+            String.mapi (fun k x -> if k = min i (n - 1) then c else x) s
+        | 0 | 1 -> sub 0 i ^ String.make 1 c ^ sub i n
+        | 2 -> sub 0 lo ^ sub hi n
+        | 3 -> sub 0 hi ^ sub lo hi ^ sub hi n
+        | 4 -> sub 0 i
+        | _ ->
+            let m = String.length other in
+            sub 0 lo ^ String.sub other (min i m) (m - min i m) ^ sub hi n)
+    in
+    let rec apply k s = if k = 0 then return s else mutate s >>= apply (k - 1) in
+    let* k = int_range 1 6 in
+    oneofl seeds >>= apply k)
+
+let prop_parser ~name seeds parses =
+  QCheck.Test.make ~name ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%S") (mutant_gen seeds))
+    parses
+
+let prop_json_parse =
+  prop_parser ~name:"Obs.Json.parse returns Ok or Error" json_seeds (fun s ->
+      match Obs.Json.parse s with Ok _ | Error _ -> true)
+
+let prop_parse_request =
+  prop_parser ~name:"Protocol.parse_request returns Ok or Error" request_seeds
+    (fun s ->
+      match Timing_opc_serve.Protocol.parse_request s with Ok _ | Error _ -> true)
+
+let prop_csv_read =
+  prop_parser ~name:"Cdex.Csv.read parses or raises Failure" csv_seeds (fun s ->
+      match Cdex.Csv.read s with _ -> true | exception Failure _ -> true)
+
+let prop_read_shapes =
+  prop_parser ~name:"Layout.Io.read_shapes parses or raises Failure" shape_seeds
+    (fun s ->
+      match Layout.Io.read_shapes s with _ -> true | exception Failure _ -> true)
+
 let () =
   Alcotest.run "properties"
     [
@@ -150,4 +243,7 @@ let () =
             prop_snippet_similarity_bounds;
             prop_rng_int_bounds;
             prop_leff_between_bounds_both_kinds ] );
+      ( "parsers",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_json_parse; prop_parse_request; prop_csv_read; prop_read_shapes ] );
     ]

@@ -355,23 +355,37 @@ let test_null_move_is_identity () =
 
 (* The corner verb re-measures at the requested condition against the
    warm mask; a cold run whose config carries that condition as its
-   silicon must produce the same records and the same timing. *)
-let test_corner_matches_cold_run () =
-  let s = session_for 1 in
+   silicon must produce the same records and the same timing.  Each
+   aerial engine is checked against a cold run on that engine. *)
+let corner_matches_cold_run engine s =
   let r = Session.run s in
   let condition = Litho.Condition.make ~dose:1.05 ~defocus:110.0 in
-  let cold = F.run { (base_config ()) with F.condition } (Circuit.Generator.c17 ()) in
+  let cold =
+    F.run { (base_config ()) with F.condition; engine } (Circuit.Generator.c17 ())
+  in
+  let what = Litho.Aerial.engine_to_string engine ^ ": " in
   (match reply_exn s (P.Corner { dose = 1.05; defocus = 110.0; spread = None })
    with
   | P.Corner_r c ->
-      check_ps "corner wns" cold.F.post_opc_sta.Sta.Timing.wns c.wns;
-      check_ps "corner tns" cold.F.post_opc_sta.Sta.Timing.tns c.tns;
-      checkb "no classic corners unless asked" true (c.corners = [])
+      check_ps (what ^ "corner wns") cold.F.post_opc_sta.Sta.Timing.wns c.wns;
+      check_ps (what ^ "corner tns") cold.F.post_opc_sta.Sta.Timing.tns c.tns;
+      checkb (what ^ "no classic corners unless asked") true (c.corners = [])
   | _ -> Alcotest.fail "not a corner reply");
   (* The re-measured records themselves are bit-identical to the cold
      run's (same mask, same gates, same position-independent noise). *)
   let warm = F.extract_at ~condition r in
-  checkb "records bit-identical to cold run" true (warm = cold.F.cds)
+  checkb (what ^ "records bit-identical to cold run") true (warm = cold.F.cds)
+
+let test_corner_matches_cold_run () =
+  corner_matches_cold_run Litho.Aerial.Direct (session_for 1);
+  let fft =
+    Session.create ~bench:"c17"
+      { (base_config ()) with F.engine = Litho.Aerial.Fft }
+      (Circuit.Generator.c17 ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Session.close fft)
+    (fun () -> corner_matches_cold_run Litho.Aerial.Fft fft)
 
 let test_ssta_matches_cold () =
   let s = session_for 1 in
