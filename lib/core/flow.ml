@@ -132,6 +132,7 @@ type run = {
   chip : Layout.Chip.t;
   mask : Opc.Mask.t;
   opc_stats : Opc.Model_opc.stats;
+  opc_tiles : Opc.Chip_opc.tile_result list;
   cds : Cdex.Gate_cd.t list;
   annotation : Cdex.Annotate.t;
   loads : Circuit.Netlist.net -> float;
@@ -231,30 +232,37 @@ let shard_span ~stage (s : Shard.t) f =
 
 (* Model-based OPC runs one correction batch per shard (the tile
    columns the shard owns) against the shared read-only plan, then
-   merges overwrites and stats in shard order — canonical tile order
-   overall, so the mask and merged stats are byte-identical to the
-   monolithic pass.  A single shard hands its pool to OPC, which
+   concatenates the per-tile results in shard order — canonical tile
+   order overall, so the mask and merged stats are byte-identical to
+   the monolithic pass.  A single shard hands its pool to OPC, which
    simulates each pass's stale sim tiles on it; several shards are
    the pool's tasks themselves.  Each shard task sits behind the
-   [opc.correct] fault point, as monolithic [Chip_opc.correct] does. *)
-let opc_of_config ?pool config litho chip ~shards =
+   [opc.correct] fault point, as monolithic [Chip_opc.correct] does.
+   The per-tile results come back with the mask ([] for rule and no
+   OPC); a tile whose content key [reuse] holds is not corrected
+   again. *)
+let opc_of_config ?pool ?reuse config litho chip ~shards =
+  let whole style =
+    let mask, stats = Opc.Chip_opc.correct litho style chip ~tile:config.tile in
+    (mask, stats, [])
+  in
   match config.opc_style with
-  | No_opc -> Opc.Chip_opc.correct litho Opc.Chip_opc.None_ chip ~tile:config.tile
-  | Rule_opc ->
-      Opc.Chip_opc.correct litho
-        (Opc.Chip_opc.Rule (Opc.Rule_opc.default_recipe config.tech))
-        chip ~tile:config.tile
+  | No_opc -> whole Opc.Chip_opc.None_
+  | Rule_opc -> whole (Opc.Chip_opc.Rule (Opc.Rule_opc.default_recipe config.tech))
   | Model_opc ->
       let plan = Opc.Chip_opc.plan litho chip ~tile:config.tile in
       let tiles = Opc.Chip_opc.tiles plan in
       let correct ?pool (s : Shard.t) =
         shard_span ~stage:"opc" s @@ fun () ->
         Fault.point "opc.correct" @@ fun () ->
-        Opc.Chip_opc.correct_tiles ?pool litho config.opc_config plan
+        Opc.Chip_opc.correct_tiles ?pool ?reuse litho config.opc_config plan
           (Shard.split_tiles s tiles)
       in
-      Opc.Chip_opc.assemble plan
-        (map_shards ?pool ~label:"flow.shards.opc" config correct shards)
+      let results =
+        List.concat (map_shards ?pool ~label:"flow.shards.opc" config correct shards)
+      in
+      let mask, stats = Opc.Chip_opc.assemble plan results in
+      (mask, stats, results)
 
 (* --- checkpoint keys and codecs ---------------------------------- *)
 
@@ -351,6 +359,13 @@ let decode_mask ~payload ~meta =
             unresolved = int_of_string u;
           } )
   | _ -> None
+
+(* The run's OPC stage also yields its per-tile results; they are not
+   checkpointed, so a stage loaded from a checkpoint carries none. *)
+let encode_opc (mask, stats, _tiles) = encode_mask (mask, stats)
+
+let decode_opc ~payload ~meta =
+  Option.map (fun (mask, stats) -> (mask, stats, [])) (decode_mask ~payload ~meta)
 
 (* The CD checkpoint stores post-noise records, so a resumed run skips
    both the extraction and the noise pass.  The mask and chip digests
@@ -508,22 +523,22 @@ let run config netlist =
   in
   (* One pool spans both shard-parallel phases; the merged mask is the
      barrier between them. *)
-  let mask, opc_stats, cds, annotation, post_opc_sta =
+  let mask, opc_stats, opc_tiles, cds, annotation, post_opc_sta =
     with_flow_pool config (fun pool ->
-        let mask, opc_stats =
+        let mask, opc_stats, opc_tiles =
           supervised ~name:"flow.opc" config
             ~checkpoint:
               ( "opc",
                 (fun () -> opc_key config ~extra:"" chip),
-                encode_mask,
-                decode_mask )
+                encode_opc,
+                decode_opc )
             (fun () -> opc_of_config ?pool config litho chip ~shards)
         in
         let cds, annotation, post_opc_sta =
           extract_and_time ?pool config ~shards ~litho ~netlist ~chip ~mask
             ~loads ~clock_period
         in
-        (mask, opc_stats, cds, annotation, post_opc_sta))
+        (mask, opc_stats, opc_tiles, cds, annotation, post_opc_sta))
   in
   {
     config;
@@ -531,6 +546,7 @@ let run config netlist =
     chip;
     mask;
     opc_stats;
+    opc_tiles;
     cds;
     annotation;
     loads;
@@ -645,13 +661,28 @@ let extract_at ?pool ?gates ?condition ?chip ?mask r =
         ~tile:config.tile ()
       |> add_silicon_noise config)
 
+(* Only the run's own per-tile results are offered for reuse: a query
+   adds nothing to them, so a session's memory does not grow with its
+   what-ifs and a reply does not depend on the queries before it. *)
 let reopc_chip ?pool r chip =
   let config = r.config in
-  Obs.Span.with_ ~name:"flow.reopc_chip" @@ fun () ->
+  let results = ref [] in
+  let count p = string_of_int (List.length (List.filter p !results)) in
+  Obs.Span.with_ ~name:"flow.reopc_chip"
+    ~attrs:(fun () ->
+      [
+        ("tiles_reused", count Opc.Chip_opc.reused);
+        ("tiles_corrected", count (fun t -> not (Opc.Chip_opc.reused t)));
+      ])
+  @@ fun () ->
   let litho = litho_model config in
   let shards = shard_plan config litho chip in
   with_pool_opt ?pool config (fun pool ->
-      opc_of_config ?pool config litho chip ~shards)
+      let mask, stats, tiles =
+        opc_of_config ?pool ~reuse:r.opc_tiles config litho chip ~shards
+      in
+      results := tiles;
+      (mask, stats))
 
 (* --- statistical timing (SSTA) ------------------------------------ *)
 

@@ -103,6 +103,16 @@ type run = {
   chip : Layout.Chip.t;
   mask : Opc.Mask.t;
   opc_stats : Opc.Model_opc.stats;
+  opc_tiles : Opc.Chip_opc.tile_result list;
+      (** model OPC's per-correction-tile results, every shard's in
+          shard order (canonical tile order overall), as {!reopc_chip}
+          reuses them.  [[]] under rule or no OPC, and when the OPC
+          stage was loaded from a checkpoint: per-tile results are not
+          checkpointed, so the first re-OPC of a resumed run corrects
+          every tile (with byte-equal output).  Only this run's own
+          OPC stage fills it; no query adds to it.  {!run_selective}
+          keeps its base run's list, which still matches the full
+          model OPC that {!reopc_chip} runs *)
   cds : Cdex.Gate_cd.t list;  (** extraction condition records *)
   annotation : Cdex.Annotate.t;
   loads : Circuit.Netlist.net -> float;
@@ -198,10 +208,16 @@ val extract_at :
   run ->
   Cdex.Gate_cd.t list
 
-(** Full-chip OPC of a replacement chip under the run's config (style,
-    shard plan, dirty-tile incremental simulation and tile cache all
-    as in {!run}) — the mask side of a geometric what-if.  No
-    checkpointing. *)
+(** OPC of a replacement chip under the run's config (style, shard
+    plan, dirty-tile incremental simulation and tile cache all as in
+    {!run}) — the mask side of a geometric what-if.  Under model OPC,
+    a correction tile whose inputs (targets and frozen context, see
+    {!Opc.Chip_opc.tile_result}) equal a tile of the run's own
+    [opc_tiles] takes that tile's result; only the tiles the
+    replacement changed are corrected again.  The mask and stats are
+    byte-identical to correcting every tile.  The [flow.reopc_chip]
+    span carries [tiles_reused] and [tiles_corrected]; each reuse
+    counts one [opc.reused_tiles].  No checkpointing. *)
 val reopc_chip :
   ?pool:Exec.Pool.t -> run -> Layout.Chip.t -> Opc.Mask.t * Opc.Model_opc.stats
 

@@ -42,6 +42,23 @@ let add t ~iname ~cell placement =
 
 let instances t = List.rev t.instances
 
+let move t ~inst ~dx ~dy =
+  let moved = create t.tech in
+  List.iter
+    (fun i ->
+      let placement =
+        if String.equal i.iname inst then
+          {
+            i.placement with
+            G.Transform.offset =
+              G.Point.add i.placement.G.Transform.offset (G.Point.make dx dy);
+          }
+        else i.placement
+      in
+      add moved ~iname:i.iname ~cell:i.cell placement)
+    (instances t);
+  moved
+
 let num_instances t = List.length t.instances
 
 let find_instance t name =

@@ -36,6 +36,12 @@ val add : t -> iname:string -> cell:Cell.t -> Geometry.Transform.t -> unit
 
 val instances : t -> instance list
 
+(** [move t ~inst ~dx ~dy] is a new chip with instance [inst]
+    translated by (dx, dy) nm and every other instance in place, in
+    the same order, so flattened shapes keep their order.  [t] is
+    unchanged. *)
+val move : t -> inst:string -> dx:int -> dy:int -> t
+
 val num_instances : t -> int
 
 val find_instance : t -> string -> instance option

@@ -203,10 +203,7 @@ let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
     else None
   in
   let hit =
-    Option.bind key
-      (Tile_cache.find
-         ?into:(Option.map (fun b -> b.intensity) into)
-         Tile_cache.global ~origin:(Raster.origin shape))
+    Option.bind key (Tile_cache.find Tile_cache.global ~origin:(Raster.origin shape))
   in
   match hit with
   | Some intensity -> intensity
@@ -236,7 +233,14 @@ let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
             convolve_direct model condition b;
             b.intensity
       in
-      Option.iter (fun k -> Tile_cache.store Tile_cache.global k intensity) key;
+      (* The cache keeps what it is given.  An image in the caller's
+         [into] buffers is overwritten by the next simulation into
+         them, so only that one is copied first. *)
+      Option.iter
+        (fun k ->
+          Tile_cache.store Tile_cache.global k
+            (if Option.is_some into then Raster.copy intensity else intensity))
+        key;
       intensity
 
 let calibrate ?engine (model : Model.t) (tech : Layout.Tech.t) =

@@ -35,10 +35,18 @@
     geometry, the defocus-adjusted kernel stack, and the resolved
     engine, so repeated cell patterns hit at any placement and a dose
     sweep at fixed defocus hits after its first condition (dose scales
-    the threshold, not the intensity).  Hits return a private copy (or
-    fill [into]'s intensity) and are bit-identical to a fresh
-    simulation by construction, so enabling the cache never changes
-    results — only wall time. *)
+    the threshold, not the intensity).  Hits are bit-identical to a
+    fresh simulation by construction, so enabling the cache never
+    changes results — only wall time.
+
+    The returned raster is read-only.  A hit returns the stored image
+    itself, relocated to the window's origin ({!Tile_cache.find}),
+    even when [into] is given; a miss stores the image it computed,
+    copying it first only when it was computed in [into]'s buffers.
+    Only [into] buffers are the caller's to write.  Every caller only
+    reads the image: CD extraction ([Cdex.Extract]), {!Pvband},
+    {!calibrate}, model OPC ([Opc.Model_opc]), ORC ([Opc.Orc]), SRAF
+    placement ([Opc.Sraf]), the bench harness and the examples. *)
 
 type engine = Model.engine = Direct | Fft | Auto
 

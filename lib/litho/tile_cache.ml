@@ -32,7 +32,7 @@ let entry_size key raster =
      boxing overhead are charged approximately. *)
   (8 * Raster.nx raster * Raster.ny raster) + String.length key + 64
 
-let find ?into t ~origin key =
+let find t ~origin key =
   let stored =
     Mutex.protect t.lock @@ fun () ->
     match Hashtbl.find_opt t.table key with
@@ -45,16 +45,9 @@ let find ?into t ~origin key =
         Obs.Metrics.incr m_misses;
         None
   in
-  (* A stored raster is never mutated after insertion (eviction only
-     drops the reference), so the pixel copy runs outside the lock. *)
-  Option.map
-    (fun raster ->
-      match into with
-      | Some dst ->
-          Raster.blit ~src:raster ~dst;
-          dst
-      | None -> Raster.copy (Raster.relocate raster ~origin))
-    stored
+  (* A stored raster is never mutated (eviction only drops the
+     reference), so a hit shares its pixels with the entry. *)
+  Option.map (fun raster -> Raster.relocate raster ~origin) stored
 
 let evict_lru t =
   let victim =
@@ -75,10 +68,8 @@ let evict_lru t =
 let store t key raster =
   let size = entry_size key raster in
   if size <= t.budget then begin
-    (* Copy before taking the lock: callers overwrite their buffers on
-       the next pass.  A copy that loses a concurrent race for the
-       same key is simply dropped. *)
-    let raster = Raster.copy raster in
+    (* A raster that loses a concurrent race for the same key is
+       simply not stored. *)
     Mutex.protect t.lock @@ fun () ->
     if not (Hashtbl.mem t.table key) then begin
       t.tick <- t.tick + 1;

@@ -12,11 +12,14 @@
     blur, same blend).
 
     The cache is bounded by a byte budget and evicts least recently
-    used entries.  Hits return a copy relocated to the caller's origin
-    (or fill the caller's buffer), so callers may mutate the result
-    freely.  All operations are safe under concurrent use from pool
-    domains (a single mutex; the critical sections are hash-table
-    lookups, never simulations or pixel copies).
+    used entries.  Entries are shared, not copied: {!store} keeps the
+    raster it is given and a hit returns that raster relocated to the
+    caller's origin, sharing its pixels.  Stored and returned rasters
+    are therefore read-only; nobody may write to a raster after
+    storing it or to one a hit returned.  All operations are safe
+    under concurrent use from pool domains (a single mutex; the
+    critical sections are hash-table lookups, never simulations or
+    pixel copies).
 
     Instrumentation: [litho.cache.hits] / [litho.cache.misses] /
     [litho.cache.evictions] counters and a [litho.cache.bytes] gauge
@@ -36,20 +39,18 @@ val create : ?max_bytes:int -> unit -> t
     with {!Model.t.cache} set.  Its budget is 256 MiB. *)
 val global : t
 
-(** [find t ~origin key] returns a mutable copy of the stored raster
-    relocated to [origin], or [None].  With [into], the stored pixels
-    are blitted into [into] instead (it must have the entry's nx and
-    ny, and keeps its own origin) and [into] is returned.  Counts a hit
-    or a miss.  Only the table lookup holds the lock; the pixel copy
-    runs after it. *)
-val find : ?into:Raster.t -> t -> origin:Geometry.Point.t -> string -> Raster.t option
+(** [find t ~origin key] returns the stored raster relocated to
+    [origin] ({!Raster.relocate}: the pixels are the entry's own, the
+    entry keeps its origin), or [None].  The result is read-only.
+    Counts a hit or a miss; no pixel is copied. *)
+val find : t -> origin:Geometry.Point.t -> string -> Raster.t option
 
-(** [store t key raster] inserts a copy of [raster] (so later caller
-    mutation cannot corrupt the cache), then evicts LRU entries until
-    the budget holds.  The copy is made before the lock is taken.
-    Re-storing an existing key is a no-op: contents are equal by
-    construction, so first-write-wins keeps hits stable under
-    concurrent stores. *)
+(** [store t key raster] inserts [raster] itself, not a copy, then
+    evicts LRU entries until the budget holds.  The caller hands the
+    raster over: it must not write to it afterwards (a caller that
+    reuses a buffer stores a copy).  Re-storing an existing key is a
+    no-op: contents are equal by construction, so first-write-wins
+    keeps hits stable under concurrent stores. *)
 val store : t -> string -> Raster.t -> unit
 
 (** Drop every entry (budget unchanged). *)

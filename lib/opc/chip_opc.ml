@@ -50,56 +50,97 @@ let plan litho_model chip ~tile =
 
 let tiles p = p.tiles
 
-(* Correct a subset of the plan's tiles against the frozen drawn
-   context.  Corrections come back as (item id, polygon) overwrites
-   and stats per non-empty tile, both in the order of [ts].  A polygon
-   whose centre sits on a shared tile edge is a target of both tiles
-   (Rect.contains_point is closed); applying overwrites in canonical
-   tile order keeps the later tile's result, exactly as the monolithic
-   in-place pass did. *)
-let correct_tiles ?pool litho_model config ?(want = fun _ -> true) p ts =
-  let per_tile =
-    List.filter_map
-      (fun t ->
-        let centre_in i =
-          G.Rect.contains_point t (G.Rect.center (G.Polygon.bbox p.items.(i)))
-        in
-        let target_ids =
-          G.Spatial.query p.index t |> List.map snd
-          |> List.filter (fun i -> centre_in i && want p.items.(i))
-          |> List.sort_uniq Int.compare
-        in
-        if target_ids = [] then None
-        else begin
-          let targets = List.map (fun i -> p.items.(i)) target_ids in
-          let in_targets i = List.mem i target_ids in
-          let context =
-            G.Spatial.query p.index (G.Rect.inflate t p.halo)
-            |> List.filter_map (fun (_, i) ->
-                   if in_targets i then None else Some p.items.(i))
-          in
-          let fixed, stats =
-            Model_opc.correct ?pool litho_model config ~targets ~context
-          in
-          Some (List.combine target_ids fixed, stats)
-        end)
-      ts
-  in
-  (List.concat_map fst per_tile, List.map snd per_tile)
+(* One corrected tile.  [key] digests exactly what Model_opc.correct
+   reads besides the model and config: the targets' geometry in
+   target-id order, then the context's geometry in the order the
+   plan's spatial query returns it (that order is the mask paint
+   order).  Item ids and tile positions stay out of the key, so a tile
+   whose inputs a move left alone keys the same on the moved chip. *)
+type tile_result = {
+  key : Digest.t;
+  ids : int list;  (* target item ids, ascending *)
+  fixed : G.Polygon.t list;  (* corrected targets, in [ids] order *)
+  stats : Model_opc.stats;
+  reused : bool;
+}
 
-let apply_overwrites p groups =
+let reused r = r.reused
+
+let m_reused = Obs.Metrics.counter "opc.reused_tiles"
+
+let tile_key targets context =
+  let b = Buffer.create 4096 in
+  let add p =
+    List.iter
+      (fun (v : G.Point.t) ->
+        Buffer.add_string b (string_of_int v.G.Point.x);
+        Buffer.add_char b ',';
+        Buffer.add_string b (string_of_int v.G.Point.y);
+        Buffer.add_char b ';')
+      (G.Polygon.vertices p);
+    Buffer.add_char b '|'
+  in
+  List.iter add targets;
+  Buffer.add_char b '#';
+  List.iter add context;
+  Digest.string (Buffer.contents b)
+
+(* Correct a subset of the plan's tiles against the frozen drawn
+   context, one result per non-empty tile in the order of [ts].  A
+   tile whose key [reuse] holds takes the stored polygons and stats,
+   paired with this plan's target ids by position; any other tile is
+   corrected.  A polygon whose centre sits on a shared tile edge is a
+   target of both tiles (Rect.contains_point is closed); applying
+   results in canonical tile order keeps the later tile's polygon,
+   exactly as the monolithic in-place pass did. *)
+let correct_tiles ?pool ?(reuse = []) litho_model config ?(want = fun _ -> true) p
+    ts =
+  let stored = Hashtbl.create (List.length reuse) in
+  List.iter (fun r -> Hashtbl.replace stored r.key r) reuse;
+  List.filter_map
+    (fun t ->
+      let centre_in i =
+        G.Rect.contains_point t (G.Rect.center (G.Polygon.bbox p.items.(i)))
+      in
+      let ids =
+        G.Spatial.query p.index t |> List.map snd
+        |> List.filter (fun i -> centre_in i && want p.items.(i))
+        |> List.sort_uniq Int.compare
+      in
+      if ids = [] then None
+      else begin
+        let targets = List.map (fun i -> p.items.(i)) ids in
+        let in_targets i = List.mem i ids in
+        let context =
+          G.Spatial.query p.index (G.Rect.inflate t p.halo)
+          |> List.filter_map (fun (_, i) ->
+                 if in_targets i then None else Some p.items.(i))
+        in
+        let key = tile_key targets context in
+        match Hashtbl.find_opt stored key with
+        | Some r ->
+            Obs.Metrics.incr m_reused;
+            Some { r with ids; reused = true }
+        | None ->
+            let fixed, stats =
+              Model_opc.correct ?pool litho_model config ~targets ~context
+            in
+            Some { key; ids; fixed; stats; reused = false }
+      end)
+    ts
+
+let apply_results p results =
   let corrected = Array.copy p.items in
-  List.iter (List.iter (fun (i, q) -> corrected.(i) <- q)) groups;
+  List.iter
+    (fun r -> List.iter2 (fun i q -> corrected.(i) <- q) r.ids r.fixed)
+    results;
   corrected
 
-let assemble p results =
-  ( Mask.of_polygons (Array.to_list (apply_overwrites p (List.map fst results))),
-    Model_opc.merge_stats (List.concat_map snd results) )
+let merged_stats results = Model_opc.merge_stats (List.map (fun r -> r.stats) results)
 
-let model_correct litho_model config chip ~tile ~want =
-  let p = plan litho_model chip ~tile in
-  let overwrites, stats = correct_tiles litho_model config ~want p p.tiles in
-  (apply_overwrites p [ overwrites ], Model_opc.merge_stats stats)
+let assemble p results =
+  ( Mask.of_polygons (Array.to_list (apply_results p results)),
+    merged_stats results )
 
 let correct litho_model style chip ~tile =
   Fault.point "opc.correct" @@ fun () ->
@@ -110,10 +151,8 @@ let correct litho_model style chip ~tile =
       let neighbours window = Layout.Chip.shapes_in chip Layout.Layer.Poly window in
       (Rule_opc.correct recipe ~neighbours polys, zero_stats)
   | Model config ->
-      let corrected, stats =
-        model_correct litho_model config chip ~tile ~want:(fun _ -> true)
-      in
-      (Mask.of_polygons (Array.to_list corrected), stats)
+      let p = plan litho_model chip ~tile in
+      assemble p (correct_tiles litho_model config p p.tiles)
 
 let correct_selective litho_model config recipe chip ~tile ~selected =
   Fault.point "opc.correct" @@ fun () ->
@@ -128,18 +167,17 @@ let correct_selective litho_model config recipe chip ~tile ~selected =
     let bb = G.Polygon.bbox p in
     G.Spatial.query gate_index bb <> []
   in
-  let corrected, stats =
-    model_correct litho_model config chip ~tile ~want:touches_selected
-  in
+  let p = plan litho_model chip ~tile in
+  let results = correct_tiles litho_model config ~want:touches_selected p p.tiles in
   (* Rule-bias the untouched shapes. *)
   let neighbours window = Layout.Chip.shapes_in chip Layout.Layer.Poly window in
   let final =
-    Array.to_list corrected
-    |> List.map (fun p ->
-           if touches_selected p then p
+    Array.to_list (apply_results p results)
+    |> List.map (fun q ->
+           if touches_selected q then q
            else
-             match Rule_opc.correct recipe ~neighbours [ p ] |> Mask.polygons with
-             | [ q ] -> q
-             | _ -> p)
+             match Rule_opc.correct recipe ~neighbours [ q ] |> Mask.polygons with
+             | [ q' ] -> q'
+             | _ -> q)
   in
-  (Mask.of_polygons final, stats)
+  (Mask.of_polygons final, merged_stats results)

@@ -36,11 +36,10 @@ val correct_selective :
     after construction, so disjoint tile subsets can be corrected
     concurrently from several domains.
 
-    [correct_tiles] corrects any subset of the plan's tiles (keeping
-    the subset in canonical tile order) and returns the corrected
-    polygons as (item id, polygon) overwrites plus the per-tile stats;
-    [assemble] applies per-subset results — again in canonical tile
-    order overall — to a fresh copy of the drawn items and merges the
+    [correct_tiles] corrects any subset of the plan's tiles and returns
+    one {!tile_result} per tile that holds a target, in the subset's
+    (canonical) order; [assemble] applies results, in canonical tile
+    order overall, to a fresh copy of the drawn items and merges the
     stats.  Correcting all tiles in one batch or in any ordered
     partition of batches yields byte-identical masks and stats, which
     is what Core.Flow's sharded OPC relies on.  [correct] with a
@@ -59,16 +58,40 @@ val plan : Litho.Model.t -> Layout.Chip.t -> tile:int -> plan
 (** The correction tiles in canonical (x-major, then y) order. *)
 val tiles : plan -> Geometry.Rect.t list
 
+(** One corrected tile: its target polygons after correction, its
+    stats, and a content key of its inputs.  {!Model_opc.correct}
+    reads exactly two inputs of a tile: its targets (the polygons
+    whose bbox centre lies in the tile) and its frozen drawn context
+    (every other polygon within the litho halo).  The key is a digest
+    of the targets' geometry in target-id order and of the context's
+    geometry in the order the plan's spatial query returns it, which
+    is the mask paint order.  It holds no item ids and no tile
+    position, so the same inputs key the same on another plan, for
+    instance the plan of a chip with one instance moved.  The model
+    and the OPC config are not in the key: a result may only be
+    reused under the model and config that produced it. *)
+type tile_result
+
+(** [true] when the result was taken from [?reuse] rather than
+    corrected. *)
+val reused : tile_result -> bool
+
+(** [correct_tiles ?reuse] takes each tile whose key matches a result
+    in [reuse] from that result (its polygons and stats, paired with
+    this plan's target ids by position) and corrects the others;
+    every reuse counts one [opc.reused_tiles].  The results, and so
+    the assembled mask and stats, are byte-identical to correcting
+    every tile, provided [reuse] came from [correct_tiles] under the
+    same model and [config].  Nothing is stored: the caller owns the
+    results it passes back. *)
 val correct_tiles :
   ?pool:Exec.Pool.t ->
+  ?reuse:tile_result list ->
   Litho.Model.t ->
   Model_opc.config ->
   ?want:(Geometry.Polygon.t -> bool) ->
   plan ->
   Geometry.Rect.t list ->
-  (int * Geometry.Polygon.t) list * Model_opc.stats list
+  tile_result list
 
-val assemble :
-  plan ->
-  ((int * Geometry.Polygon.t) list * Model_opc.stats list) list ->
-  Mask.t * Model_opc.stats
+val assemble : plan -> tile_result list -> Mask.t * Model_opc.stats

@@ -146,10 +146,18 @@ let rec request_to_json ?id r =
 
 let request_to_string ?id r = J.to_string (request_to_json ?id r)
 
+(* JSON numbers are doubles: integers up to 2^53 in magnitude are the
+   ones [int_field] writes back exactly, and [int_of_float] would wrap
+   a larger one (1e30 reads as 0). *)
+let max_exact_int = 0x1p53
+
 (* Field accessors returning result, so parse errors name the field. *)
 let get_int name j =
   match J.member name j with
-  | Some (J.Num v) when Float.is_integer v -> Ok (Some (int_of_float v))
+  | Some (J.Num v) when Float.is_integer v && Float.abs v <= max_exact_int ->
+      Ok (Some (int_of_float v))
+  | Some (J.Num v) when Float.is_integer v ->
+      Error (Printf.sprintf "field %S is out of range (|n| <= 2^53)" name)
   | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
   | None -> Ok None
 

@@ -34,6 +34,11 @@
     {"verb":"shutdown"}                  reply, then stop the server
     v}
 
+    Integer fields must be integral and at most 2{^53} in magnitude,
+    the range a JSON number holds exactly; anything else is a parse
+    error.  A move whose [dx] exceeds the die width or whose [dy]
+    exceeds the die height gets an error reply before any flow work.
+
     The plain [metrics] reply is a pure function of this session's
     request history, so it can appear in golden scripts; [all:true]
     and [profile] replies carry wall-clock data (gauges, histograms,

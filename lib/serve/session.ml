@@ -140,26 +140,6 @@ let resize t gate dl =
              remeasured = 0;
            })
 
-(* Rebuild the chip with the instance translated by (dx, dy). *)
-let chip_with_move chip ~inst ~dx ~dy =
-  let moved = Layout.Chip.create (Layout.Chip.tech chip) in
-  List.iter
-    (fun (i : Layout.Chip.instance) ->
-      let placement =
-        if String.equal i.Layout.Chip.iname inst then
-          {
-            i.Layout.Chip.placement with
-            Geometry.Transform.offset =
-              Geometry.Point.add i.Layout.Chip.placement.Geometry.Transform.offset
-                (Geometry.Point.make dx dy);
-          }
-        else i.Layout.Chip.placement
-      in
-      Layout.Chip.add moved ~iname:i.Layout.Chip.iname ~cell:i.Layout.Chip.cell
-        placement)
-    (Layout.Chip.instances chip);
-  moved
-
 let inst_gate_rects chip inst =
   List.filter_map
     (fun (g : Layout.Chip.gate_ref) ->
@@ -167,13 +147,28 @@ let inst_gate_rects chip inst =
       else None)
     (Layout.Chip.gates chip)
 
+(* A move longer than the die is refused before any flow work: the
+   moved die, and with it the OPC tile grid, would grow with the
+   distance. *)
+let check_move_reach chip ~dx ~dy =
+  match Layout.Chip.die chip with
+  | Some die ->
+      let w = Geometry.Rect.width die and h = Geometry.Rect.height die in
+      if dx < -w || dx > w || dy < -h || dy > h then
+        Error
+          (Printf.sprintf "move (%d, %d) nm reaches past the %d x %d nm die" dx
+             dy w h)
+      else Ok ()
+  | None -> Error "chip has no die"
+
 let move t gate dx dy =
   let r = t.run in
   let config = r.Flow.config in
   match Layout.Chip.find_instance r.Flow.chip gate with
   | None -> Error (Printf.sprintf "unknown instance %S" gate)
   | Some _ ->
-      let chip = chip_with_move r.Flow.chip ~inst:gate ~dx ~dy in
+      let* () = check_move_reach r.Flow.chip ~dx ~dy in
+      let chip = Layout.Chip.move r.Flow.chip ~inst:gate ~dx ~dy in
       let mask, _opc_stats = Flow.reopc_chip ?pool:t.pool r chip in
       (* Gate sites whose aerial image the move can reach: the hull of
          the old and new instance footprints, inflated by the optical

@@ -141,17 +141,29 @@ let test_oversized_entry_not_stored () =
   checki "oversized entry refused" 0 (Litho.Tile_cache.entries c);
   checki "no bytes held" 0 (Litho.Tile_cache.bytes c)
 
-let test_hit_is_a_copy () =
+(* Entries are shared, not copied: [store] keeps its argument, a hit
+   hands back the stored pixel array itself, and relocating a hit
+   re-homes only that hit. *)
+let test_hit_shares_stored_raster () =
   let c = Litho.Tile_cache.create ~max_bytes:10_000 () in
-  Litho.Tile_cache.store c "k" (raster_of_bytes 80);
-  (match Litho.Tile_cache.find c ~origin:G.Point.origin "k" with
-  | None -> Alcotest.fail "miss"
-  | Some r -> Litho.Raster.set r 0 0 99.0);
-  match Litho.Tile_cache.find c ~origin:G.Point.origin "k" with
-  | None -> Alcotest.fail "miss"
-  | Some r ->
-      Alcotest.(check (float 0.0))
-        "mutating a hit does not corrupt the cache" 0.0 (Litho.Raster.get r 0 0)
+  let stored = raster_of_bytes 80 in
+  Litho.Tile_cache.store c "k" stored;
+  let data = Litho.Raster.unsafe_data in
+  let at = G.Point.make 500 700 in
+  match
+    ( Litho.Tile_cache.find c ~origin:at "k",
+      Litho.Tile_cache.find c ~origin:G.Point.origin "k" )
+  with
+  | Some moved, Some home ->
+      checkb "store keeps its argument, a hit shares its pixels" true
+        (data moved == data stored);
+      checkb "every hit shares the same pixels" true (data home == data stored);
+      checkb "hit relocated to the caller's origin" true
+        (G.Point.equal (Litho.Raster.origin moved) at);
+      checkb "relocating a hit leaves the stored origin alone" true
+        (G.Point.equal (Litho.Raster.origin stored) G.Point.origin
+        && G.Point.equal (Litho.Raster.origin home) G.Point.origin)
+  | _ -> Alcotest.fail "miss"
 
 (* ---- incremental OPC: dirty-tile on/off identity ---- *)
 
@@ -314,7 +326,8 @@ let () =
         [
           Alcotest.test_case "byte budget" `Quick test_eviction_budget;
           Alcotest.test_case "oversized" `Quick test_oversized_entry_not_stored;
-          Alcotest.test_case "hit is a copy" `Quick test_hit_is_a_copy;
+          Alcotest.test_case "hit shares the stored raster" `Quick
+            test_hit_shares_stored_raster;
         ] );
       ( "incremental",
         [ QCheck_alcotest.to_alcotest prop_incremental_identical ] );

@@ -205,6 +205,111 @@ let test_report_table_renders () =
   checkb "title present" true (contains "== t ==");
   checkb "row present" true (contains "333")
 
+(* ---- re-OPC reuse: a move's re-OPC equals a full correction ---- *)
+
+module F = Timing_opc.Flow
+module H = Identity_helpers
+module R = Geometry.Rect
+
+let reused_tiles () = Obs.Metrics.counter_value (Obs.Metrics.counter "opc.reused_tiles")
+
+(* The base runs of a netlist that a move is re-OPC'd from: domains 1
+   and 2 at shard 1 and 3, then a run whose OPC stage was loaded from
+   a checkpoint (it carries no per-tile results, so its re-OPC
+   corrects every tile). *)
+let reopc_bases =
+  let memo = Hashtbl.create 2 in
+  fun nl ->
+    match Hashtbl.find_opt memo nl with
+    | Some runs -> runs
+    | None ->
+        let netlist = H.netlist_of nl in
+        let plain =
+          List.map
+            (fun (domains, shard) -> F.run (H.base_config ~domains ~shard ()) netlist)
+            [ (1, 1); (2, 1); (1, 3); (2, 3) ]
+        in
+        let dir = Filename.temp_dir "potx_reopc_" "resume" in
+        let with_ckpt resume =
+          F.run
+            { (H.base_config ()) with
+              F.checkpoint = Some (Timing_opc.Checkpoint.create ~dir ~resume) }
+            netlist
+        in
+        ignore (with_ckpt false);
+        let resumed = with_ckpt true in
+        checkb "a resumed OPC stage carries no per-tile results" true
+          (resumed.F.opc_tiles = []);
+        let runs = plain @ [ resumed ] in
+        Hashtbl.add memo nl runs;
+        runs
+
+(* Four moves of one instance, one of each kind: a null move, a move
+   that keeps every poly centre of the instance in its correction
+   tile, a move that carries a poly centre across a tile edge, and a
+   move past the die's right edge, which grows the die and so the tile
+   grid. *)
+let reopc_moves (r : F.run) ~pick ~k =
+  let chip = r.F.chip and tile = r.F.config.F.tile in
+  let die = Option.get (Layout.Chip.die chip) in
+  let polys_of (i : Layout.Chip.instance) =
+    let solo = Layout.Chip.create (Layout.Chip.tech chip) in
+    Layout.Chip.add solo ~iname:i.Layout.Chip.iname ~cell:i.Layout.Chip.cell
+      i.Layout.Chip.placement;
+    Layout.Chip.flatten_layer solo Layout.Layer.Poly
+  in
+  let with_poly =
+    List.filter_map
+      (fun i -> match polys_of i with [] -> None | ps -> Some (i.Layout.Chip.iname, ps))
+      (Layout.Chip.instances chip)
+  in
+  let inst, polys = List.nth with_poly (pick mod List.length with_poly) in
+  let centres = List.map (fun p -> (R.center (Geometry.Polygon.bbox p)).Geometry.Point.x) polys in
+  let col_lo cx = die.R.lx + ((cx - die.R.lx) / tile * tile) in
+  let room f = List.fold_left (fun acc cx -> min acc (max 0 (f cx))) max_int centres in
+  let inside =
+    if k mod 2 = 0 then min k (room (fun cx -> col_lo cx + tile - cx - 1))
+    else -min k (room (fun cx -> cx - col_lo cx - 1))
+  in
+  let cx = List.hd centres in
+  let across =
+    if col_lo cx + tile < die.R.hx then col_lo cx + tile - cx + (k mod 200) + 1
+    else col_lo cx - cx - (k mod 200) - 1
+  in
+  let past_die = die.R.hx - (R.hull_of_list (List.map Geometry.Polygon.bbox polys)).R.lx + k in
+  List.map
+    (fun (what, dx) ->
+      (Printf.sprintf "%s move of %s by %d" what inst dx, Layout.Chip.move chip ~inst ~dx ~dy:0))
+    [ ("null", 0); ("in-tile", inside); ("edge-crossing", across); ("die-growing", past_die) ]
+
+let prop_reopc_equals_full =
+  QCheck.Test.make ~name:"re-OPC with reuse = full correction" ~count:4
+    (QCheck.make
+       ~print:(fun (nl, pick, k) -> Printf.sprintf "netlist %d, instance %d, k=%d" nl pick k)
+       QCheck.Gen.(triple (oneofl [ 0; 2 ]) (int_bound 1000) (int_range 1 300)))
+    (fun (nl, pick, k) ->
+      let bases = reopc_bases nl in
+      let config = (List.hd bases).F.config in
+      List.for_all
+        (fun (what, chip) ->
+          let mask, stats =
+            Opc.Chip_opc.correct (F.litho_model config)
+              (Opc.Chip_opc.Model config.F.opc_config) chip ~tile:config.F.tile
+          in
+          List.for_all
+            (fun base ->
+              let m, s = F.reopc_chip base chip in
+              (Opc.Mask.polygons m = Opc.Mask.polygons mask && s = stats)
+              || QCheck.Test.fail_reportf "%s: re-OPC differs from full correction" what)
+            bases)
+        (reopc_moves (List.hd bases) ~pick ~k))
+
+let test_reopc_reuse () =
+  let before = reused_tiles () in
+  let _, _, property = QCheck_alcotest.to_alcotest prop_reopc_equals_full in
+  property ();
+  checkb "some drawn move reused a tile" true (reused_tiles () > before)
+
 let () =
   Alcotest.run "flow"
     [
@@ -227,4 +332,6 @@ let () =
       ( "rule-explore",
         [ Alcotest.test_case "smoke" `Slow test_rule_explore_smoke ] );
       ("report", [ Alcotest.test_case "table" `Quick test_report_table_renders ]);
+      ( "reopc",
+        [ Alcotest.test_case "reuse = full correction" `Slow test_reopc_reuse ] );
     ]

@@ -243,6 +243,10 @@ let malformed =
     {|{"verb":"profile","of":{"verb":"shutdown"}}|};
     {|{"verb":"profile","of":{"verb":"zap"}}|};
     {|{"verb":"profile","of":"retime"}|};
+    (* Integral but past 2^53: int_of_float would wrap them. *)
+    {|{"verb":"whatif","gate":"g22","dx":1e30}|};
+    {|{"verb":"whatif","gate":"g22","dx":-1e19}|};
+    {|{"id":1e300,"verb":"status"}|};
   ]
 
 let test_malformed_requests () =
@@ -352,6 +356,43 @@ let test_null_move_is_identity () =
       check_ps "wns unchanged" r.F.post_opc_sta.Sta.Timing.wns w.wns_after;
       checkb "some sites re-measured" true (w.remeasured > 0)
   | _ -> Alcotest.fail "not a whatif reply"
+
+(* A real move's reply equals a recompute on the moved chip, made of
+   public steps only: model OPC of the whole moved chip, extraction of
+   every gate against that mask, and a full STA under the resulting
+   annotation.  The reply re-OPCs only the tiles the move reaches,
+   re-measures only the gates near it and re-times incrementally. *)
+let move_matches_recompute domains () =
+  let s = session_for domains in
+  let r = Session.run s in
+  let config = r.F.config in
+  List.iter
+    (fun (gate, dx, dy) ->
+      let what = Printf.sprintf "domains %d: %s (%+d, %+d)" domains gate dx dy in
+      let chip = Layout.Chip.move r.F.chip ~inst:gate ~dx ~dy in
+      let mask, _ =
+        Opc.Chip_opc.correct (F.litho_model config)
+          (Opc.Chip_opc.Model config.F.opc_config) chip ~tile:config.F.tile
+      in
+      let cds = F.extract_at ~chip ~mask r in
+      let timing =
+        F.time_with r
+          ~lengths_of:(F.lengths_of_annotation (F.annotate config cds) r.F.netlist)
+      in
+      let worst = List.hd timing.Sta.Timing.paths in
+      match reply_exn s (P.Whatif { gate; change = P.Move { dx; dy } }) with
+      | P.Whatif_r w ->
+          let exact = Alcotest.(check (float 0.0)) in
+          exact (what ^ ": wns") timing.Sta.Timing.wns w.wns_after;
+          checki (what ^ ": worst endpoint") worst.Sta.Timing.endpoint
+            w.worst.P.endpoint;
+          exact (what ^ ": worst arrival") worst.Sta.Timing.arrival
+            w.worst.P.arrival;
+          exact (what ^ ": worst slack") worst.Sta.Timing.slack w.worst.P.slack;
+          checkb (what ^ ": worst gates") true
+            (worst.Sta.Timing.gates = w.worst.P.gates)
+      | _ -> Alcotest.fail "not a whatif reply")
+    [ ("g10", 400, 0); ("g16", -400, 0); ("g19", 0, 300); ("g22", 1500, 0) ]
 
 (* The corner verb re-measures at the requested condition against the
    warm mask; a cold run whose config carries that condition as its
@@ -699,6 +740,8 @@ let test_session_survives_fault () =
       {|{"verb":"corner","dose":0,"defocus":70}|};
       {|{"verb":"profile","of":{"verb":"corner","dose":0,"defocus":70}}|};
       {|{"verb":"whatif","gate":"g10","dl":-200}|};
+      {|{"verb":"whatif","gate":"g10","dx":1000000000}|};
+      {|{"verb":"whatif","gate":"g10","dx":0,"dy":-1000000000}|};
     ]
 
 (* A profiled request whose target raises still turns span tracing
@@ -743,6 +786,10 @@ let () =
             test_resize_matches_cold;
           Alcotest.test_case "null move is identity" `Quick
             test_null_move_is_identity;
+          Alcotest.test_case "move matches recompute, domains 1" `Quick
+            (move_matches_recompute 1);
+          Alcotest.test_case "move matches recompute, domains 2" `Quick
+            (move_matches_recompute 2);
           Alcotest.test_case "corner matches cold run" `Quick
             test_corner_matches_cold_run;
           Alcotest.test_case "cds matches records" `Quick
