@@ -79,11 +79,9 @@ let faults_conv =
 
 (* The flow config shared by the one-shot run and the resident
    service; both hand it to Timing_opc_serve.Session, which runs the
-   flow once and keeps the result warm.  Domain and shard counts <= 0
-   clamp to 1.  The shard count is deliberately absent from the stdout
-   header: sharded output is byte-identical to unsharded output, and
-   the golden files plus check.sh smokes assert exactly that. *)
-let flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
+   flow once and keeps the result warm.  Domain counts <= 0 clamp to
+   1. *)
+let flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
     ~retries ~checkpoint_dir ~resume () =
   let base = Timing_opc.Flow.default_config () in
   { base with
@@ -91,7 +89,6 @@ let flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
     opc_style = List.assoc opc opc_styles;
     condition = Litho.Condition.make ~dose ~defocus;
     domains = max 1 domains;
-    shard = max 1 shard;
     cache = not no_cache;
     engine;
     retry = Fault.retrying retries;
@@ -106,13 +103,13 @@ let with_session ~bench config f =
     ~finally:(fun () -> Timing_opc_serve.Session.close session)
     (fun () -> f session)
 
-let run_flow bench opc seed dose defocus spread report shard selective ssta
+let run_flow bench opc seed dose defocus spread report selective ssta
     domains no_cache engine faults retries checkpoint_dir resume trace metrics
     profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   Fault.set_plan faults;
   let config =
-    flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
+    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
       ~retries ~checkpoint_dir ~resume ()
   in
   Format.printf "flow: %s, OPC=%s, silicon %a, seed %d, domains %d@." bench opc
@@ -122,12 +119,12 @@ let run_flow bench opc seed dose defocus spread report shard selective ssta
   Timing_opc_serve.Session.print_report Format.std_formatter session ~spread
     ~report ~selective ~ssta
 
-let serve_flow bench opc seed dose defocus shard domains no_cache engine
+let serve_flow bench opc seed dose defocus domains no_cache engine
     faults retries socket slowlog_ms slowlog_file trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   Fault.set_plan faults;
   let config =
-    flow_config ~opc ~seed ~dose ~defocus ~shard ~domains ~no_cache ~engine
+    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
       ~retries ~checkpoint_dir:"" ~resume:false ()
   in
   (* The slow-query log goes to stderr unless a file is named; it must
@@ -179,15 +176,6 @@ let spread_arg =
 let report_arg =
   Arg.(value & opt int 0 & info [ "report" ] ~doc:"Print the top-N critical paths.")
 
-let shard_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shard" ]
-        ~doc:
-          "Spatial shards: OPC and extraction run one independent task per \
-           vertical die strip and merge by owner-shard rule (values below 1 \
-           mean 1).  Output is byte-identical for any value.")
-
 let selective_arg =
   Arg.(
     value & flag
@@ -218,8 +206,9 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ]
         ~doc:
-          "Worker domains for the extraction hot path (values below 1 mean \
-           1).  Results are bit-identical for any value.")
+          "Worker domains for model OPC (its correction tiles and their sim \
+           tiles) and CD extraction (values below 1 mean 1).  Results are \
+           bit-identical for any value.")
 
 let no_cache_arg =
   Arg.(
@@ -317,7 +306,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg $ defocus_arg
-      $ spread_arg $ report_arg $ shard_arg $ selective_arg $ ssta_arg
+      $ spread_arg $ report_arg $ selective_arg $ ssta_arg
       $ domains_arg $ no_cache_arg $ engine_arg $ faults_arg $ retries_arg
       $ checkpoint_arg $ resume_arg $ trace_arg $ metrics_arg $ profile_arg)
 
@@ -367,13 +356,13 @@ let serve_cmd =
          the protocol reference in README.md.";
       `P
         "Responses are byte-deterministic: the same request script yields \
-         identical bytes for any $(b,--domains), $(b,--shard) or tile-cache \
+         identical bytes for any $(b,--domains) or tile-cache \
          state, and each reply equals the matching cold one-shot run." ]
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const serve_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg
-      $ defocus_arg $ shard_arg $ domains_arg $ no_cache_arg $ engine_arg
+      $ defocus_arg $ domains_arg $ no_cache_arg $ engine_arg
       $ faults_arg $ retries_arg $ socket_arg $ slowlog_arg $ slowlog_file_arg
       $ trace_arg $ metrics_arg $ profile_arg)
 

@@ -94,22 +94,28 @@ case_checkpoint_resume() {
       --require-nonzero flow.checkpoint.loaded
 }
 
-# The sharding acceptance: stdout byte-identical to the monolithic run
-# for N in {1,2,4,8} at 1 and 4 worker domains.  The header line
-# prints the domain count, so the comparison starts below it.
-case_shard_identity() {
+# The determinism acceptance: plain and --selective stdout
+# byte-identical to the sequential run at 1, 2 and 4 worker domains.
+# The header line prints the domain count, so the comparison starts
+# below it.
+case_domains_identity() {
   ok=0
-  for n in 1 2 4 8; do
-    for d in 1 4; do
-      "$POTX" run --bench c17 --shard "$n" --domains "$d" \
-        > "$work/shard_${n}_${d}.out" 2> /dev/null || ok=1
-      tail -n +2 "$work/shard_${n}_${d}.out" > "$work/shard_${n}_${d}.body"
-      tail -n +2 "$work/base.out" | cmp - "$work/shard_${n}_${d}.body" || {
-        echo "   shard=$n domains=$d differs from the monolithic run"
-        ok=1
-      }
+  for sel in "" --selective; do
+    for d in 1 2 4; do
+      out="$work/domains${sel}_$d.out"
+      "$POTX" run --bench c17 $sel --domains "$d" > "$out" 2> /dev/null || ok=1
+      tail -n +2 "$out" > "$out.body"
+      if [ "$d" = 1 ]; then
+        ref="$out.body"
+      else
+        cmp "$ref" "$out.body" || {
+          echo "   run $sel --domains $d differs from --domains 1"
+          ok=1
+        }
+      fi
     done
   done
+  tail -n +2 "$work/base.out" | cmp - "$work/domains_1.out.body" || ok=1
   return $ok
 }
 
@@ -211,21 +217,6 @@ case_ssta() {
     tail -n +2 "$work/ssta_d4.out" | cmp "$work/ssta.body" -
 }
 
-# Shard-granular checkpoints: a sharded resume loads per-shard CD
-# stages and still reproduces the monolithic stdout.
-case_shard_resume() {
-  "$POTX" run --bench c17 --shard 4 --checkpoint "$work/shard_ckpt" \
-    > "$work/shard_ckpt1.out" 2> /dev/null &&
-    "$POTX" run --bench c17 --shard 4 --checkpoint "$work/shard_ckpt" \
-      --resume --metrics "$work/shard_ckpt_metrics.jsonl" \
-      > "$work/shard_ckpt2.out" 2> /dev/null &&
-    cmp "$work/base.out" "$work/shard_ckpt1.out" &&
-    cmp "$work/base.out" "$work/shard_ckpt2.out" &&
-    "$POTX" obs-check --metrics "$work/shard_ckpt_metrics.jsonl" \
-      --require-nonzero flow.checkpoint.loaded \
-      --require-nonzero flow.shards
-}
-
 # `potx ARGS` must fail as a usage error: a nonzero exit that is not
 # cmdliner's internal-error exit (125), with no "internal error" on
 # stderr.  Sets ok=1 otherwise.
@@ -262,11 +253,10 @@ run_case obs case_obs
 run_case cache case_cache
 run_case fault-retry case_fault_retry
 run_case checkpoint-resume case_checkpoint_resume
-run_case shard-identity case_shard_identity
+run_case domains-identity case_domains_identity
 run_case ssta case_ssta
 run_case engine case_engine
 run_case profile-identity case_profile_identity
-run_case shard-resume case_shard_resume
 run_case bad-input case_bad_input
 if [ -n "$SERVE_SCRIPT" ] && [ -n "$SERVE_GOLDEN" ]; then
   run_case serve case_serve

@@ -30,9 +30,7 @@ let bucket_key ~tile (g : Layout.Chip.gate_ref) =
    centre, so each aerial image is shared by many measurements.
    Buckets come out sorted by key with gates in input order, so the
    record order is a canonical function of the gate set rather than of
-   hash-table internals: per-shard extractions concatenated in shard
-   order equal the unsharded extraction (Core.Shard partitions gates
-   on [bucket_key], never splitting a bucket). *)
+   hash-table internals. *)
 let bucket_gates ~tile gates =
   let table = Hashtbl.create 64 in
   List.iter

@@ -11,15 +11,6 @@ type mask_source = Geometry.Rect.t -> Geometry.Polygon.t list
 (** The drawn poly layer of a chip as a mask source. *)
 val drawn_source : Layout.Chip.t -> mask_source
 
-(** Canonical extraction-bucket key of a gate site: the [tile]-sized
-    cell containing the gate centre.  [extract] groups gates by this
-    key and measures buckets in ascending key order (gates within a
-    bucket in input order), so the record list depends only on the
-    gate set.  Core.Shard partitions gates on the x component of the
-    same key, which is what makes sharded extractions concatenate to
-    the unsharded result byte for byte. *)
-val bucket_key : tile:int -> Layout.Chip.gate_ref -> int * int
-
 (** [extract model condition ~mask ~gates ()] measures every gate.
     [slices] cutlines per gate (default 7); [tile] tile edge in nm
     (default 6000); [search] CD search reach in nm (default 220).

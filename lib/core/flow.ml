@@ -92,9 +92,10 @@ let supervised ~name config ?checkpoint f =
               Checkpoint.stage config.checkpoint ~name:cname ~key:(key ())
                 ~encode ~decode body))
 
-(* Worker pool for the extraction hot path; [None] when the config
-   asks for a single domain, keeping call sites on the sequential
-   code path.  Results are bit-identical either way (see Exec.Pool). *)
+(* Worker pool for the OPC and extraction hot paths; [None] when the
+   config asks for a single domain, keeping call sites on the
+   sequential code path.  Results are bit-identical either way (see
+   Exec.Pool). *)
 let with_flow_pool config f =
   if config.domains <= 1 then f None
   else Exec.Pool.with_pool ~name:"flow" ~domains:config.domains (fun p -> f (Some p))
@@ -193,55 +194,13 @@ let lengths_of_annotation annotation netlist =
     netlist.Circuit.Netlist.gates;
   fun name -> Hashtbl.find_opt table name
 
-(* --- sharding ---------------------------------------------------- *)
-
-let m_shards = Obs.Metrics.counter "flow.shards"
-
-let m_halo_gates = Obs.Metrics.counter "shard.halo_gates"
-
-(* Shard strips share the extraction bucket anchors (so gate ownership
-   never splits a bucket) and report the litho halo's reach in
-   [shard.halo_gates]. *)
-let shard_plan config litho chip =
-  Shard.plan ~tile:config.tile ~halo:litho.Litho.Model.halo ~count:config.shard
-    chip
-
-(* Dispatch one task per shard.  A single shard runs inline on the
-   caller with the pool handed down to its inner hot loops (model
-   OPC's sim tiles, extraction buckets) — literally the pre-shard code
-   path.  Several shards become independent pool tasks (sequential
-   inside; a nested pool would inline anyway), under the stage retry
-   policy.  Merging results in shard order is what keeps output
-   byte-identical for any shard count x domain count. *)
-let map_shards ?pool ~label config (f : ?pool:Exec.Pool.t -> Shard.t -> 'a) shards =
-  match (shards, pool) with
-  | [ s ], _ -> [ f ?pool s ]
-  | _, None -> List.map (fun s -> f s) shards
-  | _, Some p -> Exec.Pool.map_list ~label ~retry:config.retry p (fun s -> f s) shards
-
-let shard_span ~stage (s : Shard.t) f =
-  Obs.Span.with_ ~name:"flow.shard"
-    ~attrs:(fun () ->
-      [
-        ("stage", stage);
-        ("shard", Printf.sprintf "%d/%d" (s.Shard.index + 1) s.Shard.count);
-        ("gates", string_of_int (List.length s.Shard.gates));
-        ("halo_gates", string_of_int s.Shard.halo_gates);
-      ])
-    f
-
-(* Model-based OPC runs one correction batch per shard (the tile
-   columns the shard owns) against the shared read-only plan, then
-   concatenates the per-tile results in shard order — canonical tile
-   order overall, so the mask and merged stats are byte-identical to
-   the monolithic pass.  A single shard hands its pool to OPC, which
-   simulates each pass's stale sim tiles on it; several shards are
-   the pool's tasks themselves.  Each shard task sits behind the
-   [opc.correct] fault point, as monolithic [Chip_opc.correct] does.
-   The per-tile results come back with the mask ([] for rule and no
-   OPC); a tile whose content key [reuse] holds is not corrected
-   again. *)
-let opc_of_config ?pool ?reuse config litho chip ~shards =
+(* Model-based OPC corrects the plan's tiles (as pool tasks when the
+   flow has a pool) behind one [opc.correct] fault point, as
+   monolithic [Chip_opc.correct] does, and assembles the mask in
+   canonical tile order.  The per-tile results come back with the mask
+   ([] for rule and no OPC); a tile whose content key [reuse] holds is
+   not corrected again. *)
+let opc_of_config ?pool ?reuse config litho chip =
   let whole style =
     let mask, stats = Opc.Chip_opc.correct litho style chip ~tile:config.tile in
     (mask, stats, [])
@@ -251,15 +210,9 @@ let opc_of_config ?pool ?reuse config litho chip ~shards =
   | Rule_opc -> whole (Opc.Chip_opc.Rule (Opc.Rule_opc.default_recipe config.tech))
   | Model_opc ->
       let plan = Opc.Chip_opc.plan litho chip ~tile:config.tile in
-      let tiles = Opc.Chip_opc.tiles plan in
-      let correct ?pool (s : Shard.t) =
-        shard_span ~stage:"opc" s @@ fun () ->
+      let results =
         Fault.point "opc.correct" @@ fun () ->
         Opc.Chip_opc.correct_tiles ?pool ?reuse litho config.opc_config plan
-          (Shard.split_tiles s tiles)
-      in
-      let results =
-        List.concat (map_shards ?pool ~label:"flow.shards.opc" config correct shards)
       in
       let mask, stats = Opc.Chip_opc.assemble plan results in
       (mask, stats, results)
@@ -368,17 +321,14 @@ let decode_opc ~payload ~meta =
   Option.map (fun (mask, stats) -> (mask, stats, [])) (decode_mask ~payload ~meta)
 
 (* The CD checkpoint stores post-noise records, so a resumed run skips
-   both the extraction and the noise pass.  The mask and chip digests
-   are taken as arguments: sharded extraction hashes the shared stage
-   inputs once on the calling domain and per-shard keys add only the
-   shard spec. *)
-let cds_key config ~extra ~mask_digest ~chip_digest =
+   both the extraction and the noise pass. *)
+let cds_key config ~extra ~mask ~chip =
   Digest.to_hex
     (Digest.string
        (String.concat "|"
           [
-            mask_digest;
-            chip_digest;
+            Digest.to_hex (Digest.string (mask_text mask));
+            chip_digest chip;
             hex config.condition.Litho.Condition.dose;
             hex config.condition.Litho.Condition.defocus;
             string_of_int config.slices;
@@ -416,64 +366,29 @@ let add_silicon_noise config cds =
         { cd with Cdex.Gate_cd.cds = List.map bump cd.Cdex.Gate_cd.cds })
       cds
 
-(* Sharded extraction: each shard measures its owned gates against the
-   full merged mask (its simulation windows reach into neighbour
-   strips by the litho halo) and adds silicon noise — both depend only
-   on the gate set, so concatenating per-shard records in shard order
-   equals the unsharded extraction byte for byte (buckets are
-   canonically ordered, see Cdex.Extract.bucket_gates).
-
-   With checkpointing on, every non-empty shard saves its post-noise
-   records under its own stage name and content-hash key: "cds" when
-   the plan has one shard (backward compatible with pre-shard
-   checkpoints), "cds.sNofM" otherwise — so --resume is
-   shard-granular.  Keys are computed eagerly here, never via a shared
-   lazy, because they are evaluated from worker domains. *)
-let extract_cds ?pool config ~shards ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra =
-  let digests =
-    match config.checkpoint with
-    | None -> None
-    | Some _ ->
-        Some
-          ( Digest.to_hex (Digest.string (mask_text mask)),
-            chip_digest chip )
+(* Extraction measures every gate site against the merged mask and
+   adds silicon noise.  With checkpointing on, the post-noise records
+   are saved under [ckpt_stage] and a content-hash key; a chip without
+   gate sites has nothing to resume and writes no file. *)
+let extract_cds ?pool config ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra =
+  let gates = Layout.Chip.gates chip in
+  let compute () =
+    Cdex.Extract.extract ?pool ~retry:config.retry litho config.condition
+      ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices ~tile:config.tile ()
+    |> add_silicon_noise config
   in
-  let extract_one ?pool (s : Shard.t) =
-    shard_span ~stage:"cdex" s @@ fun () ->
-    Obs.Metrics.add m_halo_gates s.Shard.halo_gates;
-    let compute () =
-      Cdex.Extract.extract ?pool ~retry:config.retry litho config.condition
-        ~mask:(Opc.Mask.source mask) ~gates:s.Shard.gates ~slices:config.slices
-        ~tile:config.tile ()
-      |> add_silicon_noise config
-    in
-    match digests with
-    | None -> compute ()
-    | Some _ when s.Shard.gates = [] ->
-        (* An empty shard has nothing to resume; writing no file keeps
-           stage counts independent of degenerate partitions. *)
-        compute ()
-    | Some (mask_digest, chip_digest) ->
-        let name, extra =
-          if s.Shard.count = 1 then (ckpt_stage, ckpt_extra)
-          else
-            ( Printf.sprintf "%s.s%dof%d" ckpt_stage (s.Shard.index + 1)
-                s.Shard.count,
-              Printf.sprintf "shard=%d/%d@%d..%d|%s" s.Shard.index s.Shard.count
-                s.Shard.x_lo s.Shard.x_hi ckpt_extra )
-        in
-        Checkpoint.stage config.checkpoint ~name
-          ~key:(cds_key config ~extra ~mask_digest ~chip_digest)
-          ~encode:encode_cds ~decode:decode_cds compute
-  in
-  List.concat (map_shards ?pool ~label:"flow.shards.cdex" config extract_one shards)
+  match config.checkpoint with
+  | Some _ when gates <> [] ->
+      Checkpoint.stage config.checkpoint ~name:ckpt_stage
+        ~key:(cds_key config ~extra:ckpt_extra ~mask ~chip)
+        ~encode:encode_cds ~decode:decode_cds compute
+  | _ -> compute ()
 
 let extract_and_time ?pool ?(ckpt_stage = "cds") ?(ckpt_extra = "") config
-    ~shards ~litho ~netlist ~chip ~mask ~loads ~clock_period =
+    ~litho ~netlist ~chip ~mask ~loads ~clock_period =
   let cds =
     supervised ~name:"flow.cdex" config (fun () ->
-        extract_cds ?pool config ~shards ~litho ~chip ~mask ~ckpt_stage
-          ~ckpt_extra)
+        extract_cds ?pool config ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra)
   in
   let annotation =
     supervised ~name:"flow.annotate" config (fun () ->
@@ -494,16 +409,13 @@ let run config netlist =
   Obs.Span.with_ ~name:"flow.run"
     ~attrs:(fun () ->
       [ ("gates", string_of_int (Circuit.Netlist.num_gates netlist));
-        ("domains", string_of_int config.domains);
-        ("shards", string_of_int (max 1 config.shard)) ])
+        ("domains", string_of_int config.domains) ])
   @@ fun () ->
   Obs.Metrics.incr m_runs;
   let litho =
     supervised ~name:"flow.litho_model" config (fun () -> litho_model config)
   in
   let chip = place config netlist in
-  let shards = shard_plan config litho chip in
-  Obs.Metrics.add m_shards (List.length shards);
   let loads = Circuit.Loads.of_netlist config.env netlist in
   (* Sign-off view: characterised NLDM library at drawn CDs. *)
   let nldm =
@@ -521,8 +433,8 @@ let run config netlist =
         ( Sta.Timing.analyze netlist ~loads ~delay:drawn_delay ~clock_period (),
           clock_period ))
   in
-  (* One pool spans both shard-parallel phases; the merged mask is the
-     barrier between them. *)
+  (* One pool spans OPC and extraction; the merged mask is the barrier
+     between them. *)
   let mask, opc_stats, opc_tiles, cds, annotation, post_opc_sta =
     with_flow_pool config (fun pool ->
         let mask, opc_stats, opc_tiles =
@@ -532,11 +444,11 @@ let run config netlist =
                 (fun () -> opc_key config ~extra:"" chip),
                 encode_opc,
                 decode_opc )
-            (fun () -> opc_of_config ?pool config litho chip ~shards)
+            (fun () -> opc_of_config ?pool config litho chip)
         in
         let cds, annotation, post_opc_sta =
-          extract_and_time ?pool config ~shards ~litho ~netlist ~chip ~mask
-            ~loads ~clock_period
+          extract_and_time ?pool config ~litho ~netlist ~chip ~mask ~loads
+            ~clock_period
         in
         (mask, opc_stats, opc_tiles, cds, annotation, post_opc_sta))
   in
@@ -587,10 +499,6 @@ let run_selective r ~selected =
   @@ fun () ->
   let config = r.config in
   let litho = litho_model config in
-  (* Selective OPC itself stays monolithic (its cost is bounded by the
-     selected set); extraction reuses the sharded path. *)
-  let shards = shard_plan config litho r.chip in
-  Obs.Metrics.add m_shards (List.length shards);
   (* Selective runs checkpoint under their own stage names with the
      selected-gate set folded into the key, so a full-run checkpoint in
      the same directory is never mistaken for a selective one. *)
@@ -614,7 +522,7 @@ let run_selective r ~selected =
   let cds, annotation, post_opc_sta =
     with_flow_pool config (fun pool ->
         extract_and_time ?pool ~ckpt_stage:"cds_sel" ~ckpt_extra:sel_extra config
-          ~shards ~litho ~netlist:r.netlist ~chip:r.chip ~mask ~loads:r.loads
+          ~litho ~netlist:r.netlist ~chip:r.chip ~mask ~loads:r.loads
           ~clock_period:r.clock_period)
   in
   { r with mask; opc_stats; cds; annotation; post_opc_sta }
@@ -676,10 +584,9 @@ let reopc_chip ?pool r chip =
       ])
   @@ fun () ->
   let litho = litho_model config in
-  let shards = shard_plan config litho chip in
   with_pool_opt ?pool config (fun pool ->
       let mask, stats, tiles =
-        opc_of_config ?pool ~reuse:r.opc_tiles config litho chip ~shards
+        opc_of_config ?pool ~reuse:r.opc_tiles config litho chip
       in
       results := tiles;
       (mask, stats))

@@ -33,16 +33,9 @@ type config = {
           sequential); results are bit-identical for any value — see
           [Exec.Pool] *)
   shard : int;
-      (** spatial shards (vertical die strips, see {!Shard}; default
-          1).  Model OPC and CD extraction run one independent task per
-          shard — each a separate [Exec.Pool] task when [domains > 1] —
-          and merge by owner-shard rule, so the output is
-          {e byte-identical} to the unsharded run for any shard count x
-          domain count.  Shards
-          read shared context (drawn chip / merged mask) within the
-          optical halo, so values larger than the die just degenerate
-          to empty shards.  Checkpointing becomes shard-granular:
-          stage ["cds.sNofM"] per shard when [shard > 1] *)
+      (** ignored; no flow code reads it.  Kept only because the
+          benchmark's config literal ([perfbench/main.ml]) still sets
+          [shard = 1]; the field goes when that line does *)
   cache : bool;
       (** content-addressed litho tile cache ([Litho.Tile_cache]):
           repeated cell patterns and dose-sweep conditions reuse stored
@@ -77,19 +70,15 @@ type config = {
           the key.  Stages are keyed by a content hash of their
           inputs, and payloads use exact (hex-float) encodings, so a
           resumed run is byte-identical to a clean one and a stale or
-          tampered checkpoint is rejected and recomputed.  With
-          [shard > 1] the CD stage is checkpointed per shard
-          (["cds.sNofM"], each under its own content-hash key), so
-          [--resume] re-does only the shards that are missing or
-          stale *)
+          tampered checkpoint is rejected and recomputed *)
   dist : no_dist option;
       (** always [None]; no flow code reads it.  Kept only because
           the benchmark's config literal ([perfbench/main.ml]) still
           sets [dist = None]; the field goes when that line does *)
 }
 
-(** The default run: shard 1, cache on, engine [Direct], one domain,
-    no retries, no checkpoint.  Reads no environment. *)
+(** The default run: cache on, engine [Direct], one domain, no
+    retries, no checkpoint.  Reads no environment. *)
 val default_config : unit -> config
 
 (** Calibrated litho model for a config (memoised per technology and
@@ -104,15 +93,15 @@ type run = {
   mask : Opc.Mask.t;
   opc_stats : Opc.Model_opc.stats;
   opc_tiles : Opc.Chip_opc.tile_result list;
-      (** model OPC's per-correction-tile results, every shard's in
-          shard order (canonical tile order overall), as {!reopc_chip}
-          reuses them.  [[]] under rule or no OPC, and when the OPC
-          stage was loaded from a checkpoint: per-tile results are not
-          checkpointed, so the first re-OPC of a resumed run corrects
-          every tile (with byte-equal output).  Only this run's own
-          OPC stage fills it; no query adds to it.  {!run_selective}
-          keeps its base run's list, which still matches the full
-          model OPC that {!reopc_chip} runs *)
+      (** model OPC's per-correction-tile results in canonical tile
+          order, as {!reopc_chip} reuses them.  [[]] under rule or no
+          OPC, and when the OPC stage was loaded from a checkpoint:
+          per-tile results are not checkpointed, so the first re-OPC
+          of a resumed run corrects every tile (with byte-equal
+          output).  Only this run's own OPC stage fills it; no query
+          adds to it.  {!run_selective} keeps its base run's list,
+          which still matches the full model OPC that {!reopc_chip}
+          runs *)
   cds : Cdex.Gate_cd.t list;  (** extraction condition records *)
   annotation : Cdex.Annotate.t;
   loads : Circuit.Netlist.net -> float;
@@ -155,10 +144,10 @@ val leakage : run -> annotated:bool -> float
     re-queries compose public signatures instead of reaching through
     flow internals.  Shared contract: every function is a
     deterministic pure function of its arguments and the run's config,
-    so results are byte-identical regardless of worker-domain count,
-    shard count or tile-cache state (the [Exec.Pool] /
-    [Litho.Tile_cache] invariants), and a warm re-query equals the
-    same computation performed cold. *)
+    so results are byte-identical regardless of worker-domain count or
+    tile-cache state (the [Exec.Pool] / [Litho.Tile_cache]
+    invariants), and a warm re-query equals the same computation
+    performed cold. *)
 
 (** Per-instance effective lengths of the run's own annotation
     (memoised table over [run.annotation], same reduction as
@@ -208,8 +197,8 @@ val extract_at :
   run ->
   Cdex.Gate_cd.t list
 
-(** OPC of a replacement chip under the run's config (style, shard
-    plan, dirty-tile incremental simulation and tile cache all as in
+(** OPC of a replacement chip under the run's config (style,
+    dirty-tile incremental simulation and tile cache all as in
     {!run}) — the mask side of a geometric what-if.  Under model OPC,
     a correction tile whose inputs (targets and frozen context, see
     {!Opc.Chip_opc.tile_result}) equal a tile of the run's own
@@ -252,7 +241,7 @@ type ssta_view = {
     extra independent term) and propagates canonical delay forms over
     the run's own annotation — the statistical counterpart of
     {!corner_views}.  Deterministic: byte-identical output for any
-    pool/domain, shard or cache state, warm or cold.  Under the
+    pool/domain or cache state, warm or cold.  Under the
     [flow.ssta] span; counts [flow.ssta.conditions] and
     [flow.ssta.endpoints]. *)
 val ssta : ?pool:Exec.Pool.t -> ?window:window -> run -> ssta_view

@@ -16,24 +16,32 @@ type stage_handle = {
   wall0 : float;
 }
 
+(* One [map]: [n] tasks, claimed by fetch-and-add on [next], so a claim
+   takes no lock and every index is run by exactly one domain.
+   [parent] is the job whose task opened this one, which is how a
+   waiting caller recognises the work it waits on. *)
+type job = {
+  n : int;
+  body : int -> unit;
+  next : int Atomic.t;  (* >= n once every task is claimed *)
+  unfinished : int Atomic.t;
+  (* Lowest failing index; keeping the minimum makes the re-raised
+     exception independent of the domain count. *)
+  failure : (int * exn * Printexc.raw_backtrace) option Atomic.t;
+  parent : job option;
+}
+
 type t = {
   name : string;
   n_domains : int;
-  mutex : Mutex.t; (* guards all mutable fields below + stats *)
-  work : Condition.t; (* workers park here between jobs *)
-  finished : Condition.t; (* caller parks here until remaining = 0 *)
-  client : Mutex.t; (* serialises whole jobs from different clients *)
-  mutable generation : int;
-  mutable job : (int -> unit) option; (* slot -> run that slot's share *)
-  mutable remaining : int;
+  mutex : Mutex.t; (* guards [queue], [stop] and [stats] *)
+  changed : Condition.t; (* a job was queued or finished, or the pool stops *)
+  mutable queue : job list; (* jobs that may hold unclaimed tasks, newest first *)
   mutable stop : bool;
-  (* Lowest-index task failure of the current job; keeping the minimum
-     makes the re-raised exception independent of worker count. *)
-  mutable failure : (int * exn * Printexc.raw_backtrace) option;
   mutable workers : unit Domain.t list;
   stats : (string, stage_handle) Hashtbl.t;
   (* Occupancy accounting: busy worker-seconds accumulate into
-     [exec.pool.<name>.busy_s] while shares execute; uptime is
+     [exec.pool.<name>.busy_s] while tasks execute; uptime is
      published to [.up_s] at shutdown so occupancy can be derived
      offline as busy / (up * domains). *)
   created_s : float;
@@ -42,63 +50,138 @@ type t = {
   up_m : Obs.Metrics.gauge;
 }
 
-(* Set while a domain is executing pool tasks: a task that re-enters
-   the pool runs its nested job inline instead of deadlocking on the
-   busy workers. *)
-let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+(* What this domain is running: the innermost job whose task it is in,
+   and, while it is in one, when its outermost task started and how
+   long it has since blocked.  A domain that helps a nested job is
+   still inside its outermost task, so its busy time counts once. *)
+type domain_state = {
+  mutable current : job option;
+  mutable since : float;
+  mutable blocked : float;
+}
+
+let state : domain_state Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { current = None; since = 0.0; blocked = 0.0 })
 
 let domains t = t.n_domains
 
-let record_failure t i exn bt =
-  Mutex.lock t.mutex;
-  (match t.failure with
-  | Some (j, _, _) when j <= i -> ()
-  | _ -> t.failure <- Some (i, exn, bt));
-  Mutex.unlock t.mutex
+let rec record_failure j i e bt =
+  let seen = Atomic.get j.failure in
+  match seen with
+  | Some (k, _, _) when k <= i -> ()
+  | _ ->
+      if not (Atomic.compare_and_set j.failure seen (Some (i, e, bt))) then
+        record_failure j i e bt
 
-(* Slot [slot] of [stride] computes tasks slot, slot+stride, ... and
-   stops its stride at the first failing index.  Pure tasks therefore
-   surface the same (minimal) failing index for any worker count. *)
-let run_stride t ~n ~stride body slot =
-  let i = ref slot in
-  try
-    while !i < n do
-      body !i;
-      i := !i + stride
-    done
-  with e -> record_failure t !i e (Printexc.get_raw_backtrace ())
-
-(* Time one share's execution into the pool's busy gauge. *)
-let busy t f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () -> Obs.Metrics.add_gauge t.busy_m (Unix.gettimeofday () -. t0))
-    f
-
-let worker t slot () =
-  Domain.DLS.set in_task true;
-  let last = ref 0 in
-  let running = ref true in
-  while !running do
+(* Run task [i] of [j] on this domain.  A task above an index that has
+   already failed is skipped: the job raises anyway, and no index
+   below the lowest failure is ever skipped. *)
+let run_task t j i =
+  let st = Domain.DLS.get state in
+  let outer = st.current in
+  if Option.is_none outer then begin
+    st.since <- Unix.gettimeofday ();
+    st.blocked <- 0.0
+  end;
+  st.current <- Some j;
+  (match Atomic.get j.failure with
+  | Some (k, _, _) when k < i -> ()
+  | _ -> ( try j.body i with e -> record_failure j i e (Printexc.get_raw_backtrace ())));
+  st.current <- outer;
+  if Option.is_none outer then
+    Obs.Metrics.add_gauge t.busy_m (Unix.gettimeofday () -. st.since -. st.blocked);
+  if Atomic.fetch_and_add j.unfinished (-1) = 1 then begin
     Mutex.lock t.mutex;
-    while (not t.stop) && t.generation = !last do
-      Condition.wait t.work t.mutex
-    done;
-    if t.stop then begin
-      Mutex.unlock t.mutex;
-      running := false
-    end
-    else begin
-      last := t.generation;
-      let job = match t.job with Some j -> j | None -> assert false in
-      Mutex.unlock t.mutex;
-      busy t (fun () -> job slot);
-      Mutex.lock t.mutex;
-      t.remaining <- t.remaining - 1;
-      if t.remaining = 0 then Condition.signal t.finished;
-      Mutex.unlock t.mutex
-    end
+    Condition.broadcast t.changed;
+    Mutex.unlock t.mutex
+  end
+
+let claim t j =
+  let i = Atomic.fetch_and_add j.next 1 in
+  if i < j.n then run_task t j i
+
+(* Under [t.mutex]: drop the jobs whose tasks are all claimed, and
+   return the newest remaining one that satisfies [ok]. *)
+let find_locked t ok =
+  t.queue <- List.filter (fun j -> Atomic.get j.next < j.n) t.queue;
+  List.find_opt ok t.queue
+
+(* Under [t.mutex]: wait for a change.  Time blocked inside a task is
+   not busy time. *)
+let block t =
+  let st = Domain.DLS.get state in
+  let t0 = Unix.gettimeofday () in
+  Condition.wait t.changed t.mutex;
+  if Option.is_some st.current then
+    st.blocked <- st.blocked +. (Unix.gettimeofday () -. t0)
+
+let rec descends ~from j =
+  match j.parent with Some p -> p == from || descends ~from p | None -> false
+
+let worker t () =
+  let rec next () =
+    if t.stop then None
+    else
+      match find_locked t (fun _ -> true) with
+      | Some _ as j -> j
+      | None ->
+          block t;
+          next ()
+  in
+  let rec loop () =
+    Mutex.lock t.mutex;
+    let j = next () in
+    Mutex.unlock t.mutex;
+    match j with
+    | Some j ->
+        claim t j;
+        loop ()
+    | None -> ()
+  in
+  loop ()
+
+(* The caller of [j] claims its tasks until none is left, then helps
+   the jobs opened under [j] (newest first) until every task of [j]
+   has finished.  It blocks only when none of that work is queued. *)
+let await t j =
+  while Atomic.get j.next < j.n do
+    claim t j
+  done;
+  while Atomic.get j.unfinished > 0 do
+    Mutex.lock t.mutex;
+    let help =
+      if Atomic.get j.unfinished = 0 then None
+      else
+        match find_locked t (descends ~from:j) with
+        | Some _ as k -> k
+        | None ->
+            block t;
+            None
+    in
+    Mutex.unlock t.mutex;
+    Option.iter (claim t) help
   done
+
+(* A job of one task, or on a pool without workers, stays off the
+   queue: its caller runs every task itself. *)
+let open_job t ~n body =
+  let j =
+    {
+      n;
+      body;
+      next = Atomic.make 0;
+      unfinished = Atomic.make n;
+      failure = Atomic.make None;
+      parent = (Domain.DLS.get state).current;
+    }
+  in
+  if n > 1 && t.n_domains > 1 then begin
+    Mutex.lock t.mutex;
+    t.queue <- j :: t.queue;
+    Condition.broadcast t.changed;
+    Mutex.unlock t.mutex
+  end;
+  j
 
 let create ?(name = "pool") ~domains () =
   let n_domains = max 1 domains in
@@ -108,14 +191,9 @@ let create ?(name = "pool") ~domains () =
       name;
       n_domains;
       mutex = Mutex.create ();
-      work = Condition.create ();
-      finished = Condition.create ();
-      client = Mutex.create ();
-      generation = 0;
-      job = None;
-      remaining = 0;
+      changed = Condition.create ();
+      queue = [];
       stop = false;
-      failure = None;
       workers = [];
       stats = Hashtbl.create 8;
       created_s = Unix.gettimeofday ();
@@ -125,7 +203,7 @@ let create ?(name = "pool") ~domains () =
     }
   in
   Obs.Metrics.set_gauge (Obs.Metrics.gauge (metric "domains")) (float_of_int n_domains);
-  t.workers <- List.init (n_domains - 1) (fun i -> Domain.spawn (worker t (i + 1)));
+  t.workers <- List.init (n_domains - 1) (fun _ -> Domain.spawn (worker t));
   t
 
 let uptime t = Unix.gettimeofday () -. t.created_s
@@ -140,7 +218,7 @@ let occupancy t =
 let shutdown t =
   Mutex.lock t.mutex;
   t.stop <- true;
-  Condition.broadcast t.work;
+  Condition.broadcast t.changed;
   Mutex.unlock t.mutex;
   List.iter Domain.join t.workers;
   t.workers <- [];
@@ -185,12 +263,11 @@ let bump_stats t label ~n ~wall =
   Obs.Metrics.add h.tasks_m n;
   Obs.Metrics.add_gauge h.wall_m wall
 
-(* Run [body 0 .. body (n-1)]; parallel when the pool has spare
-   domains and we are not already inside a pool task.  With [retry], a
-   task that raises is retried in place on its worker (bounded
-   backoff, per-label retry counter); only exhausted retries surface
-   through the min-index failure protocol.  Pure tasks therefore
-   yield bit-identical results whether or not any retry fired. *)
+(* Run [body 0 .. body (n-1)] as one job.  With [retry], a task that
+   raises is retried in place on its domain (bounded backoff,
+   per-label retry counter); only exhausted retries surface through
+   the min-index failure protocol.  Pure tasks therefore yield
+   bit-identical results whether or not any retry fired. *)
 let dispatch t ~label ?(retry = Fault.no_retry) ~n body =
   if n > 0 then begin
     let body =
@@ -205,43 +282,11 @@ let dispatch t ~label ?(retry = Fault.no_retry) ~n body =
     Fun.protect
       ~finally:(fun () -> bump_stats t label ~n ~wall:(Unix.gettimeofday () -. t0))
       (fun () ->
-        let stride =
-          if t.n_domains = 1 || n = 1 || Domain.DLS.get in_task then 1
-          else t.n_domains
-        in
-        if stride = 1 then
-          busy t (fun () ->
-              for i = 0 to n - 1 do
-                body i
-              done)
-        else begin
-          Mutex.lock t.client;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock t.client)
-            (fun () ->
-              let share = run_stride t ~n ~stride body in
-              Mutex.lock t.mutex;
-              t.failure <- None;
-              t.job <- Some share;
-              t.remaining <- t.n_domains - 1;
-              t.generation <- t.generation + 1;
-              Condition.broadcast t.work;
-              Mutex.unlock t.mutex;
-              Domain.DLS.set in_task true;
-              busy t (fun () -> share 0);
-              Domain.DLS.set in_task false;
-              Mutex.lock t.mutex;
-              while t.remaining > 0 do
-                Condition.wait t.finished t.mutex
-              done;
-              t.job <- None;
-              let failure = t.failure in
-              t.failure <- None;
-              Mutex.unlock t.mutex;
-              match failure with
-              | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-              | None -> ())
-        end)
+        let j = open_job t ~n body in
+        await t j;
+        match Atomic.get j.failure with
+        | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> ())
   end
 
 let init ?(label = "init") ?retry t n f =

@@ -3,24 +3,32 @@
     The whole reproduction is seeded-deterministic, so the pool's
     contract is stronger than "parallel map": for a pure task function
     the result is {e bit-identical} for any worker count, including
-    the [domains = 1] sequential fallback.  This holds because
+    the [domains = 1] sequential case.  This holds because
 
-    - task [i] always computes [f input.(i)] into slot [i] (static
-      stride assignment: slot [s] of [w] workers takes [i = s, s+w,
-      s+2w, ...]), so scheduling never reorders element computations;
+    - task [i] always computes [f input.(i)] into slot [i], whichever
+      domain claims it, so scheduling never reorders element
+      computations;
     - reductions always combine the mapped values in index order on
       the calling domain, so floating-point association is fixed.
 
-    Worker domains are spawned once in {!create} and parked on a
-    condition variable between jobs.  A pool with [domains = 1] spawns
-    nothing and runs every job inline.  Task functions must not touch
-    shared mutable state; callers must warm any lazily-built cache the
-    tasks read (e.g. spatial indices) before dispatching.
+    A job is the [n] tasks of one call.  Domains claim its tasks from
+    an atomic next index, so a claim takes no lock.  Worker domains
+    are spawned once in {!create} and park on a condition variable
+    while no job has an unclaimed task; a pool with [domains = 1]
+    spawns nothing and runs every job on its caller.  Task functions
+    must not touch shared mutable state; callers must warm any
+    lazily-built cache the tasks read (e.g. spatial indices) before
+    dispatching.
 
-    The pool is not reentrant: a task that calls back into its own
-    pool runs the nested job sequentially on its own domain rather
-    than deadlocking.  Concurrent jobs from different client domains
-    are serialised by an internal lock. *)
+    {b Reentrancy.}  A task may call {!map} (or any other entry point)
+    on its own pool.  The nested job is queued for idle domains like
+    any other; an idle worker takes a task of the newest queued job.
+    The caller of a job runs that job's unclaimed tasks, then helps
+    the jobs opened under it, newest first, and blocks only while none
+    of the work it waits on is queued.  So a nested job runs on every
+    domain that has nothing else to do, and a lone outer task's inner
+    job is as parallel as a top-level one.  Several client domains may
+    map on one pool at once; each helps only its own job. *)
 
 type t
 
@@ -41,9 +49,10 @@ val shutdown : t -> unit
 val with_pool : ?name:string -> domains:int -> (t -> 'a) -> 'a
 
 (** [map t f xs] is [Array.map f xs], parallel across the pool.
-    If any task raises, the first exception (in task order it was
-    observed) is re-raised in the caller with its backtrace after all
-    workers have finished the job.
+    If any task raises, the exception of the lowest failing index is
+    re-raised in the caller with its backtrace, after every claimed
+    task of the job has finished; tasks above a failed index may be
+    skipped.  The index is the same for any domain count.
 
     With [retry], each task is supervised by {!Fault.with_retry}: a
     task that raises is re-run in place on its worker with bounded
@@ -110,11 +119,14 @@ val report : t -> (string * stage_stats) list
 
 val reset_stats : t -> unit
 
-(** Fraction of worker capacity spent executing shares since this
+(** Fraction of worker capacity spent executing tasks since this
     pool was created: busy worker-seconds / (uptime × domains), in
-    [0, 1] up to timer skew.  The underlying gauges are published as
-    [exec.pool.<pool>.busy_s] (accumulates while shares run, caller's
-    share included) and [exec.pool.<pool>.up_s] (uptime, written at
+    [0, 1] up to timer skew for one client domain.  A domain's busy
+    time runs from the start to the end of its outermost task, minus
+    the time it blocks inside it, so a domain that helps a nested job
+    counts once.  The underlying gauges are published as
+    [exec.pool.<pool>.busy_s] (accumulates while tasks run, caller's
+    tasks included) and [exec.pool.<pool>.up_s] (uptime, written at
     {!shutdown}) plus [exec.pool.<pool>.domains], so the same figure
     can be derived offline from a [--metrics] dump — that derivation
     is what [potx obs-report] prints. *)

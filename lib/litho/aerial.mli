@@ -58,6 +58,15 @@ val engine_to_string : engine -> string
     and benches can predict (and pin) the per-tile choice. *)
 val resolve_engine : engine -> Raster.t -> engine
 
+(** [cascade_sigma_px s] is the Gaussian sigma, in pixels, that the
+    direct engine's three integer-width box passes realise for a
+    requested sigma of [s] pixels: the square root of the summed box
+    variances [(w^2 - 1) / 12].  [0.0] below the cascade's no-op
+    threshold.  The FFT engine applies the analytic Gaussian at this
+    sigma, so both engines share it, and a closed-form oracle at this
+    sigma isolates each engine's shape error. *)
+val cascade_sigma_px : float -> float
+
 (** Caller-owned rasters for repeated simulations of one window. *)
 type buffers
 

@@ -23,8 +23,8 @@ let tiles_of die ~tile =
 
 (* A prepared full-chip model correction: the drawn poly items, a
    spatial index over them, and the die tiling.  Everything here is
-   read-only after construction, so disjoint tile subsets can be
-   corrected concurrently from several domains against one plan. *)
+   read-only after construction, so tiles can be corrected
+   concurrently from several domains against one plan. *)
 type plan = {
   items : G.Polygon.t array;
   index : int G.Spatial.t;
@@ -85,49 +85,66 @@ let tile_key targets context =
   List.iter add context;
   Digest.string (Buffer.contents b)
 
-(* Correct a subset of the plan's tiles against the frozen drawn
-   context, one result per non-empty tile in the order of [ts].  A
-   tile whose key [reuse] holds takes the stored polygons and stats,
-   paired with this plan's target ids by position; any other tile is
-   corrected.  A polygon whose centre sits on a shared tile edge is a
-   target of both tiles (Rect.contains_point is closed); applying
-   results in canonical tile order keeps the later tile's polygon,
-   exactly as the monolithic in-place pass did. *)
-let correct_tiles ?pool ?(reuse = []) litho_model config ?(want = fun _ -> true) p
-    ts =
+(* Correct the plan's tiles against the frozen drawn context, one
+   result per non-empty tile in canonical tile order.  Each tile's
+   targets, context and key are found on the caller in tile order, and
+   a tile whose key [reuse] holds takes the stored polygons and stats
+   there, paired with this plan's target ids by position.  Only the
+   corrections of the other tiles are pool tasks, and each hands the
+   same pool to its sim tiles.  A polygon whose centre sits on a shared
+   tile edge is a target of both tiles (Rect.contains_point is closed);
+   applying results in canonical tile order keeps the later tile's
+   polygon, exactly as the monolithic in-place pass did. *)
+let correct_tiles ?pool ?(reuse = []) litho_model config ?(want = fun _ -> true) p =
   let stored = Hashtbl.create (List.length reuse) in
   List.iter (fun r -> Hashtbl.replace stored r.key r) reuse;
-  List.filter_map
-    (fun t ->
-      let centre_in i =
-        G.Rect.contains_point t (G.Rect.center (G.Polygon.bbox p.items.(i)))
-      in
-      let ids =
-        G.Spatial.query p.index t |> List.map snd
-        |> List.filter (fun i -> centre_in i && want p.items.(i))
-        |> List.sort_uniq Int.compare
-      in
-      if ids = [] then None
-      else begin
-        let targets = List.map (fun i -> p.items.(i)) ids in
-        let in_targets i = List.mem i ids in
-        let context =
-          G.Spatial.query p.index (G.Rect.inflate t p.halo)
-          |> List.filter_map (fun (_, i) ->
-                 if in_targets i then None else Some p.items.(i))
+  let tiles =
+    List.filter_map
+      (fun t ->
+        let centre_in i =
+          G.Rect.contains_point t (G.Rect.center (G.Polygon.bbox p.items.(i)))
         in
-        let key = tile_key targets context in
-        match Hashtbl.find_opt stored key with
-        | Some r ->
-            Obs.Metrics.incr m_reused;
-            Some { r with ids; reused = true }
-        | None ->
-            let fixed, stats =
-              Model_opc.correct ?pool litho_model config ~targets ~context
-            in
-            Some { key; ids; fixed; stats; reused = false }
-      end)
-    ts
+        let ids =
+          G.Spatial.query p.index t |> List.map snd
+          |> List.filter (fun i -> centre_in i && want p.items.(i))
+          |> List.sort_uniq Int.compare
+        in
+        if ids = [] then None
+        else begin
+          let targets = List.map (fun i -> p.items.(i)) ids in
+          let in_targets i = List.mem i ids in
+          let context =
+            G.Spatial.query p.index (G.Rect.inflate t p.halo)
+            |> List.filter_map (fun (_, i) ->
+                   if in_targets i then None else Some p.items.(i))
+          in
+          let key = tile_key targets context in
+          match Hashtbl.find_opt stored key with
+          | Some r ->
+              Obs.Metrics.incr m_reused;
+              Some (Either.Left { r with ids; reused = true })
+          | None -> Some (Either.Right (key, ids, targets, context))
+        end)
+      p.tiles
+  in
+  let correct (key, ids, targets, context) =
+    let fixed, stats = Model_opc.correct ?pool litho_model config ~targets ~context in
+    { key; ids; fixed; stats; reused = false }
+  in
+  let todo = List.filter_map Either.find_right tiles in
+  let corrected =
+    match pool with
+    | None -> List.map correct todo
+    | Some pool -> Exec.Pool.map_list ~label:"opc.correct_tiles" pool correct todo
+  in
+  let rec merge tiles corrected =
+    match (tiles, corrected) with
+    | Either.Left r :: tiles, _ -> r :: merge tiles corrected
+    | Either.Right _ :: tiles, r :: corrected -> r :: merge tiles corrected
+    | [], [] -> []
+    | _ -> assert false
+  in
+  merge tiles corrected
 
 let apply_results p results =
   let corrected = Array.copy p.items in
@@ -152,7 +169,7 @@ let correct litho_model style chip ~tile =
       (Rule_opc.correct recipe ~neighbours polys, zero_stats)
   | Model config ->
       let p = plan litho_model chip ~tile in
-      assemble p (correct_tiles litho_model config p p.tiles)
+      assemble p (correct_tiles litho_model config p)
 
 let correct_selective litho_model config recipe chip ~tile ~selected =
   Fault.point "opc.correct" @@ fun () ->
@@ -168,7 +185,7 @@ let correct_selective litho_model config recipe chip ~tile ~selected =
     G.Spatial.query gate_index bb <> []
   in
   let p = plan litho_model chip ~tile in
-  let results = correct_tiles litho_model config ~want:touches_selected p p.tiles in
+  let results = correct_tiles litho_model config ~want:touches_selected p in
   (* Rule-bias the untouched shapes. *)
   let neighbours window = Layout.Chip.shapes_in chip Layout.Layer.Poly window in
   let final =

@@ -28,28 +28,27 @@ val correct_selective :
   selected:Layout.Chip.gate_ref list ->
   Mask.t * Model_opc.stats
 
-(** {1 Sharded model correction}
+(** {1 Tiled model correction}
 
     [plan] prepares the full-chip model correction once: the drawn
     poly items, a spatial index over them, and the die tiling
     ([tiles], in canonical x-major order).  The plan is read-only
-    after construction, so disjoint tile subsets can be corrected
-    concurrently from several domains.
+    after construction, so its tiles can be corrected concurrently
+    from several domains.
 
-    [correct_tiles] corrects any subset of the plan's tiles and returns
-    one {!tile_result} per tile that holds a target, in the subset's
-    (canonical) order; [assemble] applies results, in canonical tile
-    order overall, to a fresh copy of the drawn items and merges the
-    stats.  Correcting all tiles in one batch or in any ordered
-    partition of batches yields byte-identical masks and stats, which
-    is what Core.Flow's sharded OPC relies on.  [correct] with a
-    [Model] style is [plan] + one [correct_tiles] batch + [assemble].
+    [correct_tiles] corrects the plan's tiles and returns one
+    {!tile_result} per tile that holds a target, in canonical order;
+    [assemble] applies them, in that order, to a fresh copy of the
+    drawn items and merges the stats.  [correct] with a [Model] style
+    is [plan] + [correct_tiles] + [assemble].
 
-    [correct_tiles ?pool] hands [pool] to {!Model_opc.correct} for
-    every tile, which simulates each pass's stale sim tiles on it; the
-    correction tiles themselves still run in order on the caller.
+    [correct_tiles ?pool] finds every tile's targets, context and key
+    on the caller in tile order, then runs the corrections of the
+    tiles it does not reuse as pool tasks ([opc.correct_tiles] label).
+    Each task hands the same pool to {!Model_opc.correct}, which
+    simulates each pass's stale sim tiles on it as a nested job.
     Results are byte-identical with or without a pool and for any
-    worker count (see {!Model_opc.correct}). *)
+    worker count (see {!Model_opc.correct} and {!Exec.Pool}). *)
 
 type plan
 
@@ -91,7 +90,6 @@ val correct_tiles :
   Model_opc.config ->
   ?want:(Geometry.Polygon.t -> bool) ->
   plan ->
-  Geometry.Rect.t list ->
   tile_result list
 
 val assemble : plan -> tile_result list -> Mask.t * Model_opc.stats

@@ -12,9 +12,8 @@
     the warm state — what-if perturbations are computed against the
     base run and discarded — so for a given request script the
     response bytes are identical regardless of worker-domain count,
-    shard count, tile-cache state or how clients interleave, and each
-    reply equals the same computation performed as a cold one-shot
-    run.
+    tile-cache state or how clients interleave, and each reply equals
+    the same computation performed as a cold one-shot run.
 
     Observability: each request runs under an [serve.<verb>] span and
     bumps session-local counters ([serve.requests], [serve.errors],

@@ -22,7 +22,7 @@
     second-order effect on delay through the derate term).
 
     Everything here is closed-form arithmetic — no RNG — so the output
-    is bit-identical for any worker-domain, shard or cache setting. *)
+    is bit-identical for any worker-domain or cache setting. *)
 
 type config = {
   sigma_global : float;  (** nm, die-to-die channel-length sigma *)

@@ -1,23 +1,21 @@
-(* Byte-identity test kit shared by test_shard, test_serve and
+(* Byte-identity test kit shared by test_flow, test_serve and
    test_ssta: one reduced flow config cheap enough to run dozens of
    times, exact renderings of a run and of an ssta view, and the
-   monolithic-baseline digest comparison every scaling feature (shard,
-   domains, cache, checkpoint, faults) is measured against. *)
+   sequential-baseline digest comparison every scaling feature
+   (domains, cache, checkpoint, faults) is measured against. *)
 
 module F = Timing_opc.Flow
 
-(* tile=1500 splits the c17 die into ~5 bucket columns, so shard
-   counts up to 8 exercise real partitions (and empty strips) on a
+(* tile=1500 splits the c17 die into several correction tiles and
+   extraction buckets, so worker domains have tasks to share, on a
    netlist small enough to run dozens of times. *)
-let base_config ?(tile = 1500) ?(iterations = 2) ?(slices = 3) ?(shard = 1)
-    ?(domains = 1) () =
+let base_config ?(tile = 1500) ?(iterations = 2) ?(slices = 3) ?(domains = 1) () =
   let c = F.default_config () in
   {
     c with
     F.opc_config = { c.F.opc_config with Opc.Model_opc.iterations };
     slices;
     tile;
-    shard;
     domains;
     retry = Fault.no_retry;
     checkpoint = None;
@@ -59,7 +57,7 @@ let netlist_of = function
         (Stats.Rng.create (1000 + n))
         ~levels:3 ~width:3
 
-(* Monolithic baselines, one flow run per (netlist, tile). *)
+(* Sequential baselines, one flow run per (netlist, tile). *)
 let baselines : (int * int, string * Geometry.Polygon.t list) Hashtbl.t =
   Hashtbl.create 8
 

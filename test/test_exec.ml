@@ -1,7 +1,8 @@
 (* The Exec.Pool contract: parallel map/map_reduce agree with the
-   sequential oracle bit-for-bit at every worker count, exceptions
-   propagate deterministically, and the flow built on top produces
-   identical timing whether it runs on 1 or 4 domains. *)
+   sequential oracle bit-for-bit at every worker count, also when
+   tasks map on their own pool, exceptions propagate
+   deterministically, and the flow built on top produces identical
+   timing whether it runs on 1 or 4 domains. *)
 
 let checkb = Alcotest.(check bool)
 
@@ -94,18 +95,157 @@ let test_exception_propagates () =
             (Exec.Pool.map_reduce p ~map:Fun.id ~reduce:( + ) ~init:0 [| 1; 2; 3; 4 |])))
     [ 1; 2; 4 ]
 
-let test_nested_use_falls_back () =
-  let got =
-    with_domains 2 (fun p ->
-        Exec.Pool.map_list p
-          (fun i -> Exec.Pool.map_reduce p ~map:Fun.id ~reduce:( + ) ~init:i [| 1; 2 |])
-          [ 10; 20; 30 ])
-  in
-  checkb "nested maps run inline" true (got = [ 13; 23; 33 ])
+(* ---- reentrancy: tasks that map on their own pool ---- *)
+
+(* Non-associative fold, as in the map_reduce test. *)
+let fold acc x = (acc *. 0.99) +. x
+
+(* Three levels of nesting, each wider than four domains: floats whose
+   rounding exposes any reordering, and the index triples in order. *)
+let nested_values map map_reduce =
+  map
+    (fun a ->
+      map_reduce
+        (fun b ->
+          map_reduce (fun c -> heavy ((a * 100) + (b * 10) + c)) (Array.init 5 Fun.id))
+        (Array.init 6 Fun.id))
+    (Array.init 7 Fun.id)
+
+let nested_order concat_map =
+  concat_map
+    (fun a ->
+      concat_map
+        (fun b -> concat_map (fun c -> [ (a, b, c) ]) (List.init 5 Fun.id))
+        (List.init 6 Fun.id))
+    (List.init 7 Fun.id)
+
+let sequential_values () =
+  nested_values Array.map (fun f xs ->
+      Array.fold_left (fun acc x -> fold acc (f x)) 1.0 xs)
+
+let pool_values p =
+  nested_values (Exec.Pool.map p) (fun f xs ->
+      Exec.Pool.map_reduce p ~map:f ~reduce:fold ~init:1.0 xs)
+
+let test_nested_matches_oracle () =
+  let values = sequential_values () in
+  let order = nested_order List.concat_map in
+  List.iter
+    (fun domains ->
+      with_domains domains (fun p ->
+          checkb
+            (Printf.sprintf "nested values, %d domains" domains)
+            true
+            (pool_values p = values);
+          checkb
+            (Printf.sprintf "nested order, %d domains" domains)
+            true
+            (nested_order (Exec.Pool.concat_map_list p) = order)))
+    [ 1; 2; 4 ]
+
+(* Every index of every job, outer and nested, runs exactly once,
+   however many more tasks than domains there are. *)
+let test_more_tasks_than_domains () =
+  List.iter
+    (fun domains ->
+      let runs = Array.init 3 (fun _ -> Array.init 200 (fun _ -> Atomic.make 0)) in
+      with_domains domains (fun p ->
+          ignore
+            (Exec.Pool.map p
+               (fun a ->
+                 Exec.Pool.map p
+                   (fun i -> Atomic.incr runs.(a).(i))
+                   (Array.init 200 Fun.id))
+               [| 0; 1; 2 |]));
+      checkb
+        (Printf.sprintf "each task ran once, %d domains" domains)
+        true
+        (Array.for_all (Array.for_all (fun c -> Atomic.get c = 1)) runs))
+    [ 1; 2; 4 ]
+
+let test_nested_exception () =
+  List.iter
+    (fun domains ->
+      with_domains domains (fun p ->
+          Alcotest.check_raises
+            (Printf.sprintf "lowest failing index, %d domains" domains)
+            (Failure "2.3")
+            (fun () ->
+              ignore
+                (Exec.Pool.map p
+                   (fun a ->
+                     Exec.Pool.map p
+                       (fun i ->
+                         if a >= 2 && i >= 3 then failwith (Printf.sprintf "%d.%d" a i)
+                         else i)
+                       (Array.init 9 Fun.id))
+                   (Array.init 6 Fun.id)));
+          checki "pool usable after a nested failure" 10
+            (Exec.Pool.map_reduce p ~map:Fun.id ~reduce:( + ) ~init:0 [| 1; 2; 3; 4 |])))
+    [ 1; 2; 4 ]
+
+(* Two inner tasks that each wait (bounded) for the other to start:
+   both return true only if they ran at the same time on two
+   domains. *)
+let rendezvous () =
+  let arrived = Atomic.make 0 in
+  fun _ ->
+    Atomic.incr arrived;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get arrived < 2 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.0005
+    done;
+    Atomic.get arrived >= 2
+
+(* The only outer task still running opens a job of two tasks that
+   must meet: the idle domain has to take one of them.  Once with a
+   trivial sibling outer task, once with a lone outer task. *)
+let test_lone_task_nested_parallel () =
+  List.iter
+    (fun domains ->
+      with_domains domains (fun p ->
+          let inner () = Exec.Pool.map p (rendezvous ()) [| 0; 1 |] in
+          let got =
+            Exec.Pool.map p
+              (fun a -> if a = 0 then [| true; true |] else inner ())
+              [| 0; 1 |]
+          in
+          checkb
+            (Printf.sprintf "nested job met beside a finished task, %d domains" domains)
+            true
+            (Array.for_all (Array.for_all Fun.id) got);
+          let got = Exec.Pool.map p (fun _ -> inner ()) [| 0 |] in
+          checkb
+            (Printf.sprintf "nested job of a lone task met, %d domains" domains)
+            true
+            (Array.for_all (Array.for_all Fun.id) got)))
+    [ 2; 4 ]
+
+(* Two client domains map on one pool at once, each with nesting. *)
+let test_two_clients () =
+  let values = sequential_values () in
+  List.iter
+    (fun domains ->
+      with_domains domains (fun p ->
+          let client () = Domain.spawn (fun () -> pool_values p) in
+          let a = client () and b = client () in
+          let a = Domain.join a and b = Domain.join b in
+          checkb (Printf.sprintf "two clients, %d domains" domains) true
+            (a = values && b = values)))
+    [ 1; 2; 4 ]
+
+(* A domain that helps a nested job is still in its outermost task, so
+   its busy time counts once: occupancy stays within capacity. *)
+let test_occupancy_nested () =
+  with_domains 2 (fun p ->
+      ignore (pool_values p);
+      let occ = Exec.Pool.occupancy p in
+      checkb (Printf.sprintf "occupancy %.3f in (0, 1.02]" occ) true
+        (occ > 0.0 && occ <= 1.02))
 
 (* ---- retry supervision ---- *)
 
-(* A task set where the given indices fail exactly once (first attempt)
+(* A task set where the given keys fail exactly once (first attempt)
    and succeed on retry; the tracking table is shared across worker
    domains, hence the lock. *)
 let fail_once_tasks ~failing f =
@@ -169,6 +309,32 @@ let test_retry_stats () =
         (Printf.sprintf "global exec.retries delta, %d domains" domains)
         (before + 7)
         (Obs.Metrics.counter_value global))
+    [ 1; 2; 4 ]
+
+(* Transient failures of nested tasks are absorbed, and every domain
+   count fires the same retries under the nested job's label. *)
+let test_nested_retry () =
+  let oracle = Array.init 5 (fun a -> Array.init 9 (fun i -> (a * 9) + i)) in
+  List.iter
+    (fun domains ->
+      let flaky =
+        fail_once_tasks ~failing:(fun (_, i) -> i mod 3 = 0) (fun (a, i) -> (a * 9) + i)
+      in
+      with_domains domains (fun p ->
+          let got =
+            Exec.Pool.map ~label:"outer" p
+              (fun a ->
+                Exec.Pool.map ~label:"inner" ~retry:(Fault.retrying 1) p
+                  (fun i -> flaky (a, i))
+                  (Array.init 9 Fun.id))
+              (Array.init 5 Fun.id)
+          in
+          checkb (Printf.sprintf "nested retries invisible, %d domains" domains) true
+            (got = oracle);
+          checki
+            (Printf.sprintf "inner retries, %d domains" domains)
+            15
+            (List.assoc "inner" (Exec.Pool.report p)).Exec.Pool.retries))
     [ 1; 2; 4 ]
 
 let test_stats_counters () =
@@ -246,8 +412,6 @@ let () =
           Alcotest.test_case "empty and singleton inputs" `Quick test_empty_and_singleton;
           Alcotest.test_case "worker exception propagates" `Quick
             test_exception_propagates;
-          Alcotest.test_case "nested use falls back inline" `Quick
-            test_nested_use_falls_back;
           Alcotest.test_case "retry absorbs transient failures" `Quick
             test_retry_absorbs_transient_failures;
           Alcotest.test_case "exhausted retries raise at min index" `Quick
@@ -255,6 +419,20 @@ let () =
           Alcotest.test_case "retry counters per label and global" `Quick
             test_retry_stats;
           Alcotest.test_case "per-label stats counters" `Quick test_stats_counters;
+        ] );
+      ( "nesting",
+        [
+          Alcotest.test_case "three deep = sequential oracle" `Quick
+            test_nested_matches_oracle;
+          Alcotest.test_case "more tasks than domains" `Quick
+            test_more_tasks_than_domains;
+          Alcotest.test_case "exception at lowest index" `Quick test_nested_exception;
+          Alcotest.test_case "retries absorbed, same counts" `Quick test_nested_retry;
+          Alcotest.test_case "lone task's job runs in parallel" `Quick
+            test_lone_task_nested_parallel;
+          Alcotest.test_case "two client domains at once" `Quick test_two_clients;
+          Alcotest.test_case "occupancy counts a domain once" `Quick
+            test_occupancy_nested;
         ] );
       ( "integration",
         [

@@ -213,10 +213,9 @@ module R = Geometry.Rect
 
 let reused_tiles () = Obs.Metrics.counter_value (Obs.Metrics.counter "opc.reused_tiles")
 
-(* The base runs of a netlist that a move is re-OPC'd from: domains 1
-   and 2 at shard 1 and 3, then a run whose OPC stage was loaded from
-   a checkpoint (it carries no per-tile results, so its re-OPC
-   corrects every tile). *)
+(* The base runs of a netlist that a move is re-OPC'd from: domains 1,
+   2 and 4, then a run whose OPC stage was loaded from a checkpoint (it
+   carries no per-tile results, so its re-OPC corrects every tile). *)
 let reopc_bases =
   let memo = Hashtbl.create 2 in
   fun nl ->
@@ -225,9 +224,7 @@ let reopc_bases =
     | None ->
         let netlist = H.netlist_of nl in
         let plain =
-          List.map
-            (fun (domains, shard) -> F.run (H.base_config ~domains ~shard ()) netlist)
-            [ (1, 1); (2, 1); (1, 3); (2, 3) ]
+          List.map (fun domains -> F.run (H.base_config ~domains ()) netlist) [ 1; 2; 4 ]
         in
         let dir = Filename.temp_dir "potx_reopc_" "resume" in
         let with_ckpt resume =
@@ -310,6 +307,75 @@ let test_reopc_reuse () =
   property ();
   checkb "some drawn move reused a tile" true (reused_tiles () > before)
 
+(* ---- byte identity across domains and run features ---- *)
+
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
+(* Random layouts x domains: exact CSV records, OPC stats, both STA
+   summaries and the merged mask equal the sequential run's. *)
+let prop_domains_identical =
+  QCheck.Test.make ~name:"random netlists x domains = sequential" ~count:4
+    (QCheck.make ~print:(Printf.sprintf "netlist=%d") (QCheck.Gen.int_range 0 5))
+    (fun nl ->
+      let base_render, base_mask = H.baseline ~tile:1500 nl in
+      List.for_all
+        (fun domains ->
+          let r = F.run (H.base_config ~domains ()) (H.netlist_of nl) in
+          (H.render_run r = base_render && Opc.Mask.polygons r.F.mask = base_mask)
+          || QCheck.Test.fail_reportf "domains %d differs from the sequential run"
+               domains)
+        [ 1; 2; 4 ])
+
+(* Cross-feature identity matrix: {cache} x {checkpoint} x {absorbed
+   faults under retry} x {domains 1/4}, every cell hashing to the one
+   canonical output. *)
+let test_feature_matrix () =
+  let canonical = Digest.string (fst (H.baseline ~tile:1500 0)) in
+  let injected0 = counter "fault.injected" in
+  let plan =
+    match
+      Fault.parse "litho.simulate=fail1;opc.correct=fail1;cdex.measure=fail2;seed=11"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  Fun.protect ~finally:(fun () -> Fault.set_plan None) @@ fun () ->
+  List.iter
+    (fun cache ->
+      List.iter
+        (fun with_ckpt ->
+          List.iter
+            (fun faulty ->
+              List.iter
+                (fun domains ->
+                  let what =
+                    Printf.sprintf "cache=%b ckpt=%b faults=%b domains=%d" cache
+                      with_ckpt faulty domains
+                  in
+                  Fault.set_plan (if faulty then Some plan else None);
+                  let checkpoint =
+                    if with_ckpt then
+                      Some
+                        (Timing_opc.Checkpoint.create
+                           ~dir:(Filename.temp_dir "potx_flow_" "matrix")
+                           ~resume:false)
+                    else None
+                  in
+                  let config =
+                    { (H.base_config ~domains ()) with
+                      F.cache;
+                      checkpoint;
+                      retry = Fault.retrying 3 }
+                  in
+                  let r = F.run config (H.netlist_of 0) in
+                  checkb (what ^ ": canonical hash") true
+                    (Digest.string (H.render_run r) = canonical))
+                [ 1; 4 ])
+            [ false; true ])
+        [ false; true ])
+    [ false; true ];
+  checkb "matrix really injected faults" true (counter "fault.injected" - injected0 > 0)
+
 let () =
   Alcotest.run "flow"
     [
@@ -334,4 +400,10 @@ let () =
       ("report", [ Alcotest.test_case "table" `Quick test_report_table_renders ]);
       ( "reopc",
         [ Alcotest.test_case "reuse = full correction" `Slow test_reopc_reuse ] );
+      ("identity", [ QCheck_alcotest.to_alcotest prop_domains_identical ]);
+      ( "features",
+        [
+          Alcotest.test_case "cache x checkpoint x faults x domains" `Slow
+            test_feature_matrix;
+        ] );
     ]

@@ -396,9 +396,9 @@ let test_report_derived () =
 (* ---- topology independence of flow metrics ---- *)
 
 (* Deterministic counters and histogram buckets are equal across
-   domains {1,2} x shard {1,4}. *)
+   domains {1,2,4}. *)
 let test_flow_metrics_topology_independent () =
-  let config ~domains ~shard =
+  let config ~domains =
     let c = Timing_opc.Flow.default_config () in
     {
       c with
@@ -406,25 +406,22 @@ let test_flow_metrics_topology_independent () =
         { c.Timing_opc.Flow.opc_config with Opc.Model_opc.iterations = 2 };
       slices = 3;
       domains;
-      shard;
     }
   in
   (* Warm the global litho-model cache so every measured run sees the
      same call pattern (calibration simulates only on the first run). *)
-  ignore (Timing_opc.Flow.run (config ~domains:1 ~shard:1) (Circuit.Generator.c17 ()));
+  ignore (Timing_opc.Flow.run (config ~domains:1) (Circuit.Generator.c17 ()));
   (* Gauges carry wall time and exec.pool.* exists only when a pool is
      created; both are exempt from the contract, as are the
      litho.cache.* hit/miss counters, which depend on whatever earlier
-     runs left in the process-wide cache, and the two counters that
-     describe the shard plan itself. *)
+     runs left in the process-wide cache. *)
   let exempt name =
     String.starts_with ~prefix:"exec.pool." name
     || String.starts_with ~prefix:"litho.cache." name
-    || name = "flow.shards" || name = "shard.halo_gates"
   in
-  let deterministic_metrics (domains, shard) =
+  let deterministic_metrics domains =
     Obs.Metrics.reset Obs.Metrics.global;
-    ignore (Timing_opc.Flow.run (config ~domains ~shard) (Circuit.Generator.c17 ()));
+    ignore (Timing_opc.Flow.run (config ~domains) (Circuit.Generator.c17 ()));
     Obs.Metrics.snapshot Obs.Metrics.global
     |> List.filter_map (fun (name, v) ->
            if exempt name then None
@@ -435,17 +432,15 @@ let test_flow_metrics_topology_independent () =
              | Obs.Metrics.Histogram h ->
                  Some (name, `H (h.Obs.Metrics.edges, h.Obs.Metrics.counts, h.Obs.Metrics.count)))
   in
-  let reference = deterministic_metrics (1, 1) in
+  let reference = deterministic_metrics 1 in
   checkb "at least ten metric names" true (List.length reference >= 10);
   List.iter
-    (fun (domains, shard) ->
+    (fun domains ->
       checkb
-        (Printf.sprintf
-           "counters and buckets at domains %d shard %d equal domains 1 shard 1"
-           domains shard)
+        (Printf.sprintf "counters and buckets at domains %d equal domains 1" domains)
         true
-        (deterministic_metrics (domains, shard) = reference))
-    [ (2, 1); (1, 4); (2, 4) ]
+        (deterministic_metrics domains = reference))
+    [ 2; 4 ]
 
 let () =
   Alcotest.run "obs"

@@ -2,8 +2,8 @@
    reply identity, request-order byte determinism across worker-domain
    counts, and session survival of injected faults.
 
-   The warm sessions here run the same reduced config as test_shard
-   (tile=1500, 2 OPC iterations, 3 slices) so a full flow warm-up is
+   The warm sessions here run the same reduced config as test_flow's
+   identity cases (tile=1500, 2 OPC iterations, 3 slices) so a full flow warm-up is
    cheap enough to repeat per domain count. *)
 
 module F = Timing_opc.Flow
@@ -19,7 +19,8 @@ let checks = Alcotest.(check string)
 
 let check_ps what = Alcotest.(check (float 1e-6)) what
 
-(* The same reduced config as test_shard, via the shared kit. *)
+(* The same reduced config as test_flow's identity cases, via the
+   shared kit. *)
 let base_config ?domains () = Identity_helpers.base_config ?domains ()
 
 let session_for =

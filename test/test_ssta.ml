@@ -297,7 +297,7 @@ let criticality_sums_to_one =
            t.Sta.Ssta.endpoints
       && sorted t.Sta.Ssta.endpoints)
 
-(* ---- Closed-form determinism across domains / shard / cache ---- *)
+(* ---- Closed-form determinism across domains / cache ---- *)
 
 let cheap_config = Identity_helpers.cheap_config
 
@@ -323,15 +323,17 @@ let test_ssta_bytes_stable_across_domains () =
     && seq.Timing_opc.Flow.ssta = p4.Timing_opc.Flow.ssta);
   Alcotest.(check string) "rendered bytes" (render seq) (render p4)
 
-let test_ssta_bytes_stable_across_shard_and_cache () =
+(* A base run at 2 domains without the tile cache, swept without a
+   pool, serves the same ssta bytes as the sequential cached run. *)
+let test_ssta_bytes_stable_across_domains_and_cache () =
   let r = Lazy.force base_run in
   let alt_config =
-    { (cheap_config ()) with Timing_opc.Flow.shard = 2; cache = false }
+    { (cheap_config ()) with Timing_opc.Flow.domains = 2; cache = false }
   in
   let alt = Timing_opc.Flow.run alt_config (Circuit.Generator.c17 ()) in
   let a = Timing_opc.Flow.ssta ~window r in
   let b = Timing_opc.Flow.ssta ~window alt in
-  Alcotest.(check string) "shard/cache bytes" (render a) (render b);
+  Alcotest.(check string) "domains/cache bytes" (render a) (render b);
   checkb "fit bit-identical" true (a.Timing_opc.Flow.fit = b.Timing_opc.Flow.fit);
   checkb "ssta bit-identical" true
     (a.Timing_opc.Flow.ssta = b.Timing_opc.Flow.ssta)
@@ -371,7 +373,7 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "domains" `Slow test_ssta_bytes_stable_across_domains;
-          Alcotest.test_case "shard and cache" `Slow
-            test_ssta_bytes_stable_across_shard_and_cache;
+          Alcotest.test_case "domains and cache" `Slow
+            test_ssta_bytes_stable_across_domains_and_cache;
         ] );
     ]
