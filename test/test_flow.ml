@@ -326,6 +326,31 @@ let prop_domains_identical =
                domains)
         [ 1; 2; 4 ])
 
+(* [Flow.config.shard] is ignored (only the benchmark's config literal
+   still sets it): any value, at any domain count, gives the sequential
+   run's bytes.  These two cases go when the field does. *)
+let shard_config ~shard ~domains = { (H.base_config ~domains ()) with F.shard }
+
+let test_shard_domains () =
+  List.iter
+    (fun (shard, domains) ->
+      H.check_identical ~tile:1500
+        ~what:(Printf.sprintf "shard=%d domains=%d" shard domains)
+        0
+        (F.run (shard_config ~shard ~domains) (H.netlist_of 0)))
+    [ (2, 2); (4, 2); (4, 4); (8, 4) ]
+
+let prop_shard_ignored =
+  QCheck.Test.make ~name:"sharded run = monolithic run" ~count:6
+    (QCheck.make
+       ~print:(fun (nl, shard, domains) ->
+         Printf.sprintf "netlist=%d shard=%d domains=%d" nl shard domains)
+       QCheck.Gen.(triple (int_range 0 3) (int_range 1 8) (oneofl [ 1; 2; 4 ])))
+    (fun (nl, shard, domains) ->
+      let r = F.run (shard_config ~shard ~domains) (H.netlist_of nl) in
+      let base_render, base_mask = H.baseline ~tile:1500 nl in
+      H.render_run r = base_render && Opc.Mask.polygons r.F.mask = base_mask)
+
 (* Cross-feature identity matrix: {cache} x {checkpoint} x {absorbed
    faults under retry} x {domains 1/4}, every cell hashing to the one
    canonical output. *)
@@ -400,7 +425,12 @@ let () =
       ("report", [ Alcotest.test_case "table" `Quick test_report_table_renders ]);
       ( "reopc",
         [ Alcotest.test_case "reuse = full correction" `Slow test_reopc_reuse ] );
-      ("identity", [ QCheck_alcotest.to_alcotest prop_domains_identical ]);
+      ( "identity",
+        [
+          QCheck_alcotest.to_alcotest prop_domains_identical;
+          Alcotest.test_case "shard x domains" `Slow test_shard_domains;
+          QCheck_alcotest.to_alcotest prop_shard_ignored;
+        ] );
       ( "features",
         [
           Alcotest.test_case "cache x checkpoint x faults x domains" `Slow
