@@ -60,21 +60,6 @@ let with_obs ?(profile = "") ~trace ~metrics f =
           Format.eprintf "wrote metrics %s@." path)
     f
 
-(* Fault plan.  A bad spec is a usage error — a silently ignored fault
-   spec would make a chaos run indistinguishable from a clean one.  The
-   empty spec means no plan. *)
-let faults_conv =
-  let parse = function
-    | "" -> Ok None
-    | s ->
-        Result.map Option.some
-          (Result.map_error (Printf.sprintf "bad fault spec %S: %s" s) (Fault.parse s))
-  in
-  let print ppf plan =
-    Format.pp_print_string ppf (Option.fold ~none:"" ~some:Fault.to_string plan)
-  in
-  Arg.conv' ~docv:"SPEC" (parse, print)
-
 (* ---- run / serve ---- *)
 
 (* The flow config shared by the one-shot run and the resident
@@ -82,7 +67,7 @@ let faults_conv =
    flow once and keeps the result warm.  Domain counts <= 0 clamp to
    1. *)
 let flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
-    ~retries ~checkpoint_dir ~resume () =
+    ~checkpoint_dir ~resume () =
   let base = Timing_opc.Flow.default_config () in
   { base with
     Timing_opc.Flow.seed;
@@ -91,7 +76,6 @@ let flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
     domains = max 1 domains;
     cache = not no_cache;
     engine;
-    retry = Fault.retrying retries;
     checkpoint =
       (if checkpoint_dir = "" then None
        else Some (Timing_opc.Checkpoint.create ~dir:checkpoint_dir ~resume)) }
@@ -104,13 +88,11 @@ let with_session ~bench config f =
     (fun () -> f session)
 
 let run_flow bench opc seed dose defocus spread report selective ssta
-    domains no_cache engine faults retries checkpoint_dir resume trace metrics
-    profile =
+    domains no_cache engine checkpoint_dir resume trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
-  Fault.set_plan faults;
   let config =
     flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
-      ~retries ~checkpoint_dir ~resume ()
+      ~checkpoint_dir ~resume ()
   in
   Format.printf "flow: %s, OPC=%s, silicon %a, seed %d, domains %d@." bench opc
     Litho.Condition.pp config.Timing_opc.Flow.condition seed
@@ -119,13 +101,12 @@ let run_flow bench opc seed dose defocus spread report selective ssta
   Timing_opc_serve.Session.print_report Format.std_formatter session ~spread
     ~report ~selective ~ssta
 
-let serve_flow bench opc seed dose defocus domains no_cache engine
-    faults retries socket slowlog_ms slowlog_file trace metrics profile =
+let serve_flow bench opc seed dose defocus domains no_cache engine socket
+    slowlog_ms slowlog_file trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
-  Fault.set_plan faults;
   let config =
     flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
-      ~retries ~checkpoint_dir:"" ~resume:false ()
+      ~checkpoint_dir:"" ~resume:false ()
   in
   (* The slow-query log goes to stderr unless a file is named; it must
      never share the response channel (byte-determinism contract). *)
@@ -170,8 +151,28 @@ let dose_arg =
 let defocus_arg =
   Arg.(value & opt float 70.0 & info [ "defocus" ] ~doc:"Silicon defocus, nm.")
 
+(* The corner views move every gate to drawn +- spread, so a spread at
+   or beyond the drawn gate length leaves a non-positive channel. *)
 let spread_arg =
-  Arg.(value & opt float 8.0 & info [ "spread" ] ~doc:"Corner CD spread, nm.")
+  let gate_length =
+    float_of_int
+      (Timing_opc.Flow.default_config ()).Timing_opc.Flow.tech.Layout.Tech.gate_length
+  in
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when v >= 0.0 && v < gate_length -> Ok v
+    | Ok _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "spread %s nm is outside [0, %g), the drawn gate length" s
+               gate_length))
+    | Error _ as e -> e
+  in
+  Arg.(
+    value
+    & opt (conv (parse, conv_printer float)) 8.0
+    & info [ "spread" ]
+        ~doc:"Corner CD spread, nm; at least 0 and below the drawn gate length.")
 
 let report_arg =
   Arg.(value & opt int 0 & info [ "report" ] ~doc:"Print the top-N critical paths.")
@@ -226,7 +227,7 @@ let engine_arg =
         (enum
            (List.map
               (fun e -> (Litho.Aerial.engine_to_string e, e))
-              Litho.Aerial.[ Direct; Fft; Auto ]))
+              Litho.Aerial.[ Direct; Fft ]))
         Litho.Aerial.Direct
     & info [ "engine" ]
         ~doc:
@@ -234,26 +235,7 @@ let engine_arg =
            cascade — the oracle every golden is recorded against), $(b,fft) \
            (one mask spectrum shared by the whole kernel stack, applied in \
            the frequency domain — same images within the tolerance contract \
-           in DESIGN.md, about half the wall time of a whole flow) or \
-           $(b,auto) (per-tile choice by pixel count).")
-
-let faults_arg =
-  Arg.(
-    value & opt faults_conv None
-    & info [ "faults" ]
-        ~doc:
-          "Deterministic fault-injection plan, e.g. \
-           $(b,litho.simulate=fail2;sta.*=p0.1;seed=7) (see lib/fault for the \
-           grammar).  Empty = no faults are injected." ~docv:"SPEC")
-
-let retries_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "retries" ]
-        ~doc:
-          "Bounded-backoff retries per flow stage and extraction task (0 = \
-           none).  A run whose transient faults are all absorbed by retries \
-           is byte-identical to a fault-free run.")
+           in DESIGN.md, about half the wall time of a whole flow).")
 
 let checkpoint_arg =
   Arg.(
@@ -307,7 +289,7 @@ let run_cmd =
     Term.(
       const run_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg $ defocus_arg
       $ spread_arg $ report_arg $ selective_arg $ ssta_arg
-      $ domains_arg $ no_cache_arg $ engine_arg $ faults_arg $ retries_arg
+      $ domains_arg $ no_cache_arg $ engine_arg
       $ checkpoint_arg $ resume_arg $ trace_arg $ metrics_arg $ profile_arg)
 
 let socket_arg =
@@ -363,7 +345,7 @@ let serve_cmd =
     Term.(
       const serve_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg
       $ defocus_arg $ domains_arg $ no_cache_arg $ engine_arg
-      $ faults_arg $ retries_arg $ socket_arg $ slowlog_arg $ slowlog_file_arg
+      $ socket_arg $ slowlog_arg $ slowlog_file_arg
       $ trace_arg $ metrics_arg $ profile_arg)
 
 (* ---- cells ---- *)
@@ -589,11 +571,10 @@ let accel_metrics =
   [ "litho.cache.hits"; "litho.cache.misses"; "litho.cache.evictions";
     "litho.cache.bytes"; "opc.dirty_tiles"; "opc.clean_tiles" ]
 
-(* Likewise the robustness layer: fault points, retry supervision and
-   the checkpoint store all register their counters at module load. *)
+(* Likewise the checkpoint store registers its counters at module
+   load. *)
 let robust_metrics =
-  [ "fault.injected"; "exec.retries"; "flow.degraded_gates";
-    "flow.checkpoint.saved"; "flow.checkpoint.loaded";
+  [ "flow.checkpoint.saved"; "flow.checkpoint.loaded";
     "flow.checkpoint.rejected" ]
 
 let obs_check trace metrics min_metrics require_nonzero serve =

@@ -71,18 +71,6 @@ case_cache() {
       --require-nonzero opc.dirty_tiles
 }
 
-# Injected transient faults absorbed by retries, output byte-identical.
-case_fault_retry() {
-  "$POTX" run --bench c17 \
-    --faults 'litho.simulate=fail2;sta.analyze=fail1;cdex.annotate=fail1' \
-    --retries 3 --metrics "$work/fault_metrics.jsonl" \
-    > "$work/faulted.out" 2> /dev/null &&
-    cmp "$work/base.out" "$work/faulted.out" &&
-    "$POTX" obs-check --metrics "$work/fault_metrics.jsonl" \
-      --require-nonzero fault.injected \
-      --require-nonzero exec.retries
-}
-
 case_checkpoint_resume() {
   "$POTX" run --bench c17 --checkpoint "$work/ckpt" \
     > "$work/ckpt1.out" 2> /dev/null &&
@@ -232,14 +220,17 @@ expect_usage_error() {
 }
 
 # Bad flag values and missing or malformed input files are usage
-# errors, never uncaught exceptions.
+# errors, never uncaught exceptions.  A --spread at or beyond the drawn
+# gate length is a bad value: it would leave the corner views a
+# non-positive channel.
 case_bad_input() {
   ok=0
   printf 'g1,NAND2,1.0,70.0,90.0\n' > "$work/noheader.csv"
   expect_usage_error run --engine bogus
+  expect_usage_error run --engine auto
   expect_usage_error run --opc bogus
   expect_usage_error run --bench nosuch
-  expect_usage_error run --faults 'litho.simulate=bogus'
+  expect_usage_error run --spread 200
   expect_usage_error export --bench nosuch -o "$work/layout.txt"
   expect_usage_error cdcmp /nonexistent.csv "$work/noheader.csv"
   expect_usage_error cdcmp "$work/noheader.csv" "$work/noheader.csv"
@@ -251,7 +242,6 @@ run_case baseline case_baseline
 run_case multicore-bench case_multicore_bench
 run_case obs case_obs
 run_case cache case_cache
-run_case fault-retry case_fault_retry
 run_case checkpoint-resume case_checkpoint_resume
 run_case domains-identity case_domains_identity
 run_case ssta case_ssta

@@ -15,13 +15,10 @@ let m_entries = Obs.Metrics.counter "annotate.entries"
 
 let m_unprinted = Obs.Metrics.counter "annotate.unprinted"
 
-let () = Fault.declare "cdex.annotate"
-
 let build ~nmos ~pmos gate_cds : t =
   Obs.Span.with_ ~name:"annotate.build"
     ~attrs:(fun () -> [ ("records", string_of_int (List.length gate_cds)) ])
   @@ fun () ->
-  Fault.point "cdex.annotate" @@ fun () ->
   let table = Hashtbl.create (List.length gate_cds) in
   List.iter
     (fun (cd : Gate_cd.t) ->

@@ -6,14 +6,6 @@ let m_tiles = Obs.Metrics.counter "cdex.tiles"
 
 let m_gates = Obs.Metrics.counter "cdex.gates"
 
-(* Gates whose measurement permanently failed and fell back to the
-   drawn CD instead of aborting the run (see [measure_or_degrade]). *)
-let m_degraded = Obs.Metrics.counter "flow.degraded_gates"
-
-let () =
-  Fault.declare "cdex.extract";
-  Fault.declare "cdex.measure"
-
 (* Measured slice CDs in nm; the 90 nm drawn gate sits mid-range. *)
 let m_cd =
   Obs.Metrics.histogram
@@ -61,28 +53,11 @@ let measure_gate intensity ~threshold ~slices ~search (g : Layout.Chip.gate_ref)
   in
   (cds, List.length cds = slices)
 
-(* Measure one gate behind the [cdex.measure] fault point.  Transient
-   injected faults are absorbed by [retry]; a permanent failure does
-   not abort the extraction — the gate degrades to its drawn CD (one
-   measurement per requested slice) and is counted in
-   [flow.degraded_gates].  Only {!Fault.Injected} degrades; genuine
-   exceptions still propagate. *)
-let measure_or_degrade ~retry intensity ~threshold ~slices ~search
-    (g : Layout.Chip.gate_ref) =
-  try
-    Fault.with_retry retry (fun () ->
-        Fault.point "cdex.measure" (fun () ->
-            measure_gate intensity ~threshold ~slices ~search g))
-  with Fault.Injected _ ->
-    Obs.Metrics.incr m_degraded;
-    (List.init slices (fun _ -> float_of_int g.Layout.Chip.drawn_l), true)
-
-let extract ?pool ?(retry = Fault.no_retry) model condition ~mask ~gates ?(slices = 7)
+let extract ?pool model condition ~mask ~gates ?(slices = 7)
     ?(tile = 6000) ?(search = 220.0) () =
   Obs.Span.with_ ~name:"cdex.extract"
     ~attrs:(fun () -> [ ("gates", string_of_int (List.length gates)) ])
   @@ fun () ->
-  Fault.point "cdex.extract" @@ fun () ->
   let halo = model.Litho.Model.halo in
   let threshold = Litho.Model.printed_threshold model condition in
   let buckets = bucket_gates ~tile gates in
@@ -98,9 +73,7 @@ let extract ?pool ?(retry = Fault.no_retry) model condition ~mask ~gates ?(slice
     let intensity = Litho.Aerial.simulate model condition ~window polygons in
     List.map
       (fun g ->
-        let cds, printed =
-          measure_or_degrade ~retry intensity ~threshold ~slices ~search g
-        in
+        let cds, printed = measure_gate intensity ~threshold ~slices ~search g in
         List.iter (Obs.Metrics.observe m_cd) cds;
         { Gate_cd.gate = g; condition; cds; slices_requested = slices; printed })
       bucket
@@ -120,16 +93,16 @@ let extract ?pool ?(retry = Fault.no_retry) model condition ~mask ~gates ?(slice
                      (List.map (fun (g : Layout.Chip.gate_ref) -> g.Layout.Chip.gate) b))
                   halo))
       | [] -> ());
-      Exec.Pool.concat_map_list ~label:"cdex.tiles" ~retry p measure_bucket buckets
+      Exec.Pool.concat_map_list ~label:"cdex.tiles" p measure_bucket buckets
 
 let in_region ~region (g : Layout.Chip.gate_ref) =
   G.Rect.touches region g.Layout.Chip.gate
 
 let gates_in ~region gates = List.filter (in_region ~region) gates
 
-let extract_conditions ?pool ?retry model conditions ~mask ~gates ?(slices = 7)
+let extract_conditions ?pool model conditions ~mask ~gates ?(slices = 7)
     ?(tile = 6000) ?(search = 220.0) () =
   List.concat_map
     (fun condition ->
-      extract ?pool ?retry model condition ~mask ~gates ~slices ~tile ~search ())
+      extract ?pool model condition ~mask ~gates ~slices ~tile ~search ())
     conditions

@@ -17,19 +17,9 @@ val drawn_source : Layout.Chip.t -> mask_source
     With [pool], tiles are simulated and measured in parallel (the
     mask source must tolerate concurrent window queries; its lazy
     index, if any, is warmed on the calling domain first).  The record
-    list and its order are bit-identical for any worker count.
-
-    Fault handling: the stage is guarded by the [cdex.extract] fault
-    point and each gate measurement by [cdex.measure].  [retry]
-    (default {!Fault.no_retry}) supervises both the pool tasks and the
-    per-gate measurement; a gate whose measurement {e permanently}
-    fails (injected fault surviving all attempts) falls back to its
-    drawn CD — [slices] copies of [drawn_l], [printed = true] — and
-    increments the [flow.degraded_gates] counter instead of aborting
-    the extraction. *)
+    list and its order are bit-identical for any worker count. *)
 val extract :
   ?pool:Exec.Pool.t ->
-  ?retry:Fault.retry ->
   Litho.Model.t ->
   Litho.Condition.t ->
   mask:mask_source ->
@@ -62,7 +52,6 @@ val gates_in :
 (** Run [extract] for several conditions (sharing the tiling). *)
 val extract_conditions :
   ?pool:Exec.Pool.t ->
-  ?retry:Fault.retry ->
   Litho.Model.t ->
   Litho.Condition.t list ->
   mask:mask_source ->

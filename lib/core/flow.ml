@@ -69,28 +69,20 @@ let staged ~name f =
         (Float.max 0.0 (words s1 -. words s0) /. 1e6))
     f
 
-(* Span + bounded-retry supervision for one flow stage.  The span's
-   [retries] attribute reads the counter when the span closes, so it
-   reports the attempts actually taken.  An optional [checkpoint]
-   (stage name, input key, codec) is consulted outside the retry loop:
-   a loaded stage takes no attempts, a computed one is saved once. *)
-let supervised ~name config ?checkpoint f =
-  let retries = ref 0 in
-  let body () =
-    Fault.with_retry ~on_retry:(fun _ -> incr retries) config.retry f
-  in
-  Obs.Span.with_ ~name
-    ~attrs:(fun () -> [ ("retries", string_of_int !retries) ])
-    (fun () ->
+(* One flow stage: its span and stage gauges, and an optional
+   [checkpoint] (stage name, input key, codec) that loads the stage
+   instead of computing it, or saves what it computed. *)
+let stage ~name config ?checkpoint f =
+  Obs.Span.with_ ~name (fun () ->
       staged ~name (fun () ->
           match (checkpoint, config.checkpoint) with
-          | None, _ | _, None -> body ()
+          | None, _ | _, None -> f ()
           | Some (cname, key, encode, decode), Some _ ->
               (* [key] is a thunk: content-hashing the stage inputs means
                  serialising the chip and mask, which plain runs must not
                  pay for. *)
               Checkpoint.stage config.checkpoint ~name:cname ~key:(key ())
-                ~encode ~decode body))
+                ~encode ~decode f))
 
 (* Worker pool for the OPC and extraction hot paths; [None] when the
    config asks for a single domain, keeping call sites on the
@@ -195,11 +187,10 @@ let lengths_of_annotation annotation netlist =
   fun name -> Hashtbl.find_opt table name
 
 (* Model-based OPC corrects the plan's tiles (as pool tasks when the
-   flow has a pool) behind one [opc.correct] fault point, as
-   monolithic [Chip_opc.correct] does, and assembles the mask in
-   canonical tile order.  The per-tile results come back with the mask
-   ([] for rule and no OPC); a tile whose content key [reuse] holds is
-   not corrected again. *)
+   flow has a pool) and assembles the mask in canonical tile order.
+   The per-tile results come back with the mask ([] for rule and no
+   OPC); a tile whose content key [reuse] holds is not corrected
+   again. *)
 let opc_of_config ?pool ?reuse config litho chip =
   let whole style =
     let mask, stats = Opc.Chip_opc.correct litho style chip ~tile:config.tile in
@@ -211,7 +202,6 @@ let opc_of_config ?pool ?reuse config litho chip =
   | Model_opc ->
       let plan = Opc.Chip_opc.plan litho chip ~tile:config.tile in
       let results =
-        Fault.point "opc.correct" @@ fun () ->
         Opc.Chip_opc.correct_tiles ?pool ?reuse litho config.opc_config plan
       in
       let mask, stats = Opc.Chip_opc.assemble plan results in
@@ -373,7 +363,7 @@ let add_silicon_noise config cds =
 let extract_cds ?pool config ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra =
   let gates = Layout.Chip.gates chip in
   let compute () =
-    Cdex.Extract.extract ?pool ~retry:config.retry litho config.condition
+    Cdex.Extract.extract ?pool litho config.condition
       ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices ~tile:config.tile ()
     |> add_silicon_noise config
   in
@@ -387,11 +377,11 @@ let extract_cds ?pool config ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra =
 let extract_and_time ?pool ?(ckpt_stage = "cds") ?(ckpt_extra = "") config
     ~litho ~netlist ~chip ~mask ~loads ~clock_period =
   let cds =
-    supervised ~name:"flow.cdex" config (fun () ->
+    stage ~name:"flow.cdex" config (fun () ->
         extract_cds ?pool config ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra)
   in
   let annotation =
-    supervised ~name:"flow.annotate" config (fun () ->
+    stage ~name:"flow.annotate" config (fun () ->
         Cdex.Annotate.build ~nmos:config.env.Circuit.Delay_model.nmos
           ~pmos:config.env.Circuit.Delay_model.pmos cds)
   in
@@ -400,7 +390,7 @@ let extract_and_time ?pool ?(ckpt_stage = "cds") ?(ckpt_extra = "") config
       ~lengths_of:(lengths_of_annotation annotation netlist)
   in
   let sta =
-    supervised ~name:"flow.sta.post_opc" config (fun () ->
+    stage ~name:"flow.sta.post_opc" config (fun () ->
         Sta.Timing.analyze netlist ~loads ~delay ~clock_period ())
   in
   (cds, annotation, sta)
@@ -413,7 +403,7 @@ let run config netlist =
   @@ fun () ->
   Obs.Metrics.incr m_runs;
   let litho =
-    supervised ~name:"flow.litho_model" config (fun () -> litho_model config)
+    stage ~name:"flow.litho_model" config (fun () -> litho_model config)
   in
   let chip = place config netlist in
   let loads = Circuit.Loads.of_netlist config.env netlist in
@@ -423,7 +413,7 @@ let run config netlist =
   in
   let drawn_delay = Sta.Timing.nldm_delay nldm in
   let drawn_sta, clock_period =
-    supervised ~name:"flow.sta.drawn" config (fun () ->
+    stage ~name:"flow.sta.drawn" config (fun () ->
         let pre =
           Sta.Timing.analyze netlist ~loads ~delay:drawn_delay ~clock_period:1.0 ()
         in
@@ -438,7 +428,7 @@ let run config netlist =
   let mask, opc_stats, opc_tiles, cds, annotation, post_opc_sta =
     with_flow_pool config (fun pool ->
         let mask, opc_stats, opc_tiles =
-          supervised ~name:"flow.opc" config
+          stage ~name:"flow.opc" config
             ~checkpoint:
               ( "opc",
                 (fun () -> opc_key config ~extra:"" chip),
@@ -507,23 +497,27 @@ let run_selective r ~selected =
     |> List.sort_uniq String.compare
     |> String.concat ","
   in
-  let mask, opc_stats =
-    supervised ~name:"flow.opc" config
-      ~checkpoint:
-        ( "opc_sel",
-          (fun () -> opc_key config ~extra:sel_extra r.chip),
-          encode_mask,
-          decode_mask )
-      (fun () ->
-        Opc.Chip_opc.correct_selective litho config.opc_config
-          (Opc.Rule_opc.default_recipe config.tech)
-          r.chip ~tile:config.tile ~selected)
-  in
-  let cds, annotation, post_opc_sta =
+  (* One pool spans OPC and extraction, as in [run]. *)
+  let mask, opc_stats, cds, annotation, post_opc_sta =
     with_flow_pool config (fun pool ->
-        extract_and_time ?pool ~ckpt_stage:"cds_sel" ~ckpt_extra:sel_extra config
-          ~litho ~netlist:r.netlist ~chip:r.chip ~mask ~loads:r.loads
-          ~clock_period:r.clock_period)
+        let mask, opc_stats =
+          stage ~name:"flow.opc" config
+            ~checkpoint:
+              ( "opc_sel",
+                (fun () -> opc_key config ~extra:sel_extra r.chip),
+                encode_mask,
+                decode_mask )
+            (fun () ->
+              Opc.Chip_opc.correct_selective ?pool litho config.opc_config
+                (Opc.Rule_opc.default_recipe config.tech)
+                r.chip ~tile:config.tile ~selected)
+        in
+        let cds, annotation, post_opc_sta =
+          extract_and_time ?pool ~ckpt_stage:"cds_sel" ~ckpt_extra:sel_extra
+            config ~litho ~netlist:r.netlist ~chip:r.chip ~mask ~loads:r.loads
+            ~clock_period:r.clock_period
+        in
+        (mask, opc_stats, cds, annotation, post_opc_sta))
   in
   { r with mask; opc_stats; cds; annotation; post_opc_sta }
 
@@ -564,7 +558,7 @@ let extract_at ?pool ?gates ?condition ?chip ?mask r =
   @@ fun () ->
   let litho = litho_model config in
   with_pool_opt ?pool config (fun pool ->
-      Cdex.Extract.extract ?pool ~retry:config.retry litho condition
+      Cdex.Extract.extract ?pool litho condition
         ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices
         ~tile:config.tile ()
       |> add_silicon_noise config)

@@ -48,20 +48,16 @@ type config = {
           against; [Fft] computes the mask spectrum once and applies
           the whole kernel stack in the frequency domain — same images
           within the documented tolerance contract (DESIGN.md), several
-          times faster on OPC-sized tiles; [Auto] picks per tile by
-          pixel count.  It reaches the simulator as the [engine] field
-          of {!litho_model}'s model; it is part of the litho model
-          calibration key, the tile-cache key and every checkpoint key,
-          so engines never share cached or checkpointed state.  Default
-          [Direct] *)
+          times faster on OPC-sized tiles.  It reaches the simulator as
+          the [engine] field of {!litho_model}'s model; it is part of
+          the litho model calibration key, the tile-cache key and every
+          checkpoint key, so engines never share cached or checkpointed
+          state.  Default [Direct] *)
   retry : Fault.retry;
-      (** bounded-backoff supervision applied to every flow stage, to
-          extraction pool tasks and to per-gate CD measurement (default
-          {!Fault.no_retry}).  Stages are pure, so a run whose
-          transient injected faults are all absorbed by retries is
-          bit-identical to a fault-free run.  A gate whose measurement
-          permanently fails degrades to its drawn CD and is counted in
-          [flow.degraded_gates] rather than aborting the run *)
+      (** ignored; no flow code reads it.  Kept only because the
+          benchmark's config literal ([perfbench/main.ml]) still sets
+          [retry = Fault.no_retry]; the field goes when that line
+          does *)
   checkpoint : Checkpoint.t option;
       (** stage-level checkpoint/resume (default [None]).  [run]
           checkpoints the post-OPC mask (stage ["opc"]) and the
@@ -78,7 +74,7 @@ type config = {
 }
 
 (** The default run: cache on, engine [Direct], one domain, no
-    retries, no checkpoint.  Reads no environment. *)
+    checkpoint.  Reads no environment. *)
 val default_config : unit -> config
 
 (** Calibrated litho model for a config (memoised per technology and
@@ -130,7 +126,9 @@ val corner_views : run -> spread:float -> (Sta.Corners.corner * Sta.Timing.t) li
 val critical_gates : run -> view:Sta.Timing.t -> margin:float -> Layout.Chip.gate_ref list
 
 (** Re-run extraction and timing with model OPC applied only to
-    [selected] gates and rule OPC elsewhere (the DFM feedback loop). *)
+    [selected] gates and rule OPC elsewhere (the DFM feedback loop).
+    Like {!run}, it opens one pool of [config.domains] for its OPC
+    and extraction stages. *)
 val run_selective : run -> selected:Layout.Chip.gate_ref list -> run
 
 (** Total netlist leakage in uA.  [annotated] uses each device's

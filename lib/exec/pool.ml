@@ -1,4 +1,4 @@
-type stage_stats = { calls : int; tasks : int; retries : int; wall_s : float }
+type stage_stats = { calls : int; tasks : int; wall_s : float }
 
 (* Per-label instruments live in the global Obs.Metrics registry under
    [exec.pool.<pool>.<label>.*]; the pool-local entry only remembers
@@ -8,11 +8,9 @@ type stage_stats = { calls : int; tasks : int; retries : int; wall_s : float }
 type stage_handle = {
   calls_m : Obs.Metrics.counter;
   tasks_m : Obs.Metrics.counter;
-  retries_m : Obs.Metrics.counter;
   wall_m : Obs.Metrics.gauge;
   calls0 : int;
   tasks0 : int;
-  retries0 : int;
   wall0 : float;
 }
 
@@ -237,17 +235,14 @@ let stage_handle t label =
         let metric suffix = Printf.sprintf "exec.pool.%s.%s.%s" t.name label suffix in
         let calls_m = Obs.Metrics.counter (metric "calls") in
         let tasks_m = Obs.Metrics.counter (metric "tasks") in
-        let retries_m = Obs.Metrics.counter (metric "retries") in
         let wall_m = Obs.Metrics.gauge (metric "wall_s") in
         let h =
           {
             calls_m;
             tasks_m;
-            retries_m;
             wall_m;
             calls0 = Obs.Metrics.counter_value calls_m;
             tasks0 = Obs.Metrics.counter_value tasks_m;
-            retries0 = Obs.Metrics.counter_value retries_m;
             wall0 = Obs.Metrics.gauge_value wall_m;
           }
         in
@@ -263,21 +258,9 @@ let bump_stats t label ~n ~wall =
   Obs.Metrics.add h.tasks_m n;
   Obs.Metrics.add_gauge h.wall_m wall
 
-(* Run [body 0 .. body (n-1)] as one job.  With [retry], a task that
-   raises is retried in place on its domain (bounded backoff,
-   per-label retry counter); only exhausted retries surface through
-   the min-index failure protocol.  Pure tasks therefore yield
-   bit-identical results whether or not any retry fired. *)
-let dispatch t ~label ?(retry = Fault.no_retry) ~n body =
+(* Run [body 0 .. body (n-1)] as one job. *)
+let dispatch t ~label ~n body =
   if n > 0 then begin
-    let body =
-      if retry.Fault.attempts <= 1 then body
-      else
-        let h = stage_handle t label in
-        fun i ->
-          Fault.with_retry ~on_retry:(fun _ -> Obs.Metrics.incr h.retries_m) retry
-            (fun () -> body i)
-    in
     let t0 = Unix.gettimeofday () in
     Fun.protect
       ~finally:(fun () -> bump_stats t label ~n ~wall:(Unix.gettimeofday () -. t0))
@@ -289,25 +272,25 @@ let dispatch t ~label ?(retry = Fault.no_retry) ~n body =
         | None -> ())
   end
 
-let init ?(label = "init") ?retry t n f =
+let init ?(label = "init") t n f =
   if n = 0 then [||]
   else begin
     let res = Array.make n None in
-    dispatch t ~label ?retry ~n (fun i -> res.(i) <- Some (f i));
+    dispatch t ~label ~n (fun i -> res.(i) <- Some (f i));
     Array.map (function Some v -> v | None -> assert false) res
   end
 
-let map ?(label = "map") ?retry t f xs =
-  init ~label ?retry t (Array.length xs) (fun i -> f xs.(i))
+let map ?(label = "map") t f xs =
+  init ~label t (Array.length xs) (fun i -> f xs.(i))
 
-let map_list ?(label = "map") ?retry t f xs =
-  Array.to_list (map ~label ?retry t f (Array.of_list xs))
+let map_list ?(label = "map") t f xs =
+  Array.to_list (map ~label t f (Array.of_list xs))
 
-let concat_map_list ?(label = "concat_map") ?retry t f xs =
-  List.concat (map_list ~label ?retry t f xs)
+let concat_map_list ?(label = "concat_map") t f xs =
+  List.concat (map_list ~label t f xs)
 
-let map_reduce ?(label = "map_reduce") ?retry t ~map:f ~reduce ~init:acc0 xs =
-  Array.fold_left reduce acc0 (map ~label ?retry t f xs)
+let map_reduce ?(label = "map_reduce") t ~map:f ~reduce ~init:acc0 xs =
+  Array.fold_left reduce acc0 (map ~label t f xs)
 
 let report t =
   Mutex.lock t.mutex;
@@ -319,7 +302,6 @@ let report t =
            {
              calls = Obs.Metrics.counter_value h.calls_m - h.calls0;
              tasks = Obs.Metrics.counter_value h.tasks_m - h.tasks0;
-             retries = Obs.Metrics.counter_value h.retries_m - h.retries0;
              wall_s = Obs.Metrics.gauge_value h.wall_m -. h.wall0;
            } ))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -330,14 +312,5 @@ let reset_stats t =
   Mutex.lock t.mutex;
   Hashtbl.reset t.stats;
   Mutex.unlock t.mutex
-
-let pp_report ppf t =
-  Format.fprintf ppf "@[<v>pool %s (%d domains)" t.name t.n_domains;
-  List.iter
-    (fun (label, s) ->
-      Format.fprintf ppf "@,  %-16s calls=%d tasks=%d retries=%d wall=%.3fs" label
-        s.calls s.tasks s.retries s.wall_s)
-    (report t);
-  Format.fprintf ppf "@]"
 
 let recommended ?(cap = 4) () = max 1 (min cap (Domain.recommended_domain_count ()))

@@ -52,30 +52,21 @@ val with_pool : ?name:string -> domains:int -> (t -> 'a) -> 'a
     If any task raises, the exception of the lowest failing index is
     re-raised in the caller with its backtrace, after every claimed
     task of the job has finished; tasks above a failed index may be
-    skipped.  The index is the same for any domain count.
-
-    With [retry], each task is supervised by {!Fault.with_retry}: a
-    task that raises is re-run in place on its worker with bounded
-    backoff, and only exhausted retries enter the min-index failure
-    protocol.  Retries are counted per label
-    ([exec.pool.<pool>.<label>.retries]) and globally
-    ([exec.retries]).  For pure tasks the result is bit-identical
-    whether or not any retry fired. *)
-val map : ?label:string -> ?retry:Fault.retry -> t -> ('a -> 'b) -> 'a array -> 'b array
+    skipped.  The index is the same for any domain count. *)
+val map : ?label:string -> t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** List version of {!map}; element order is preserved. *)
-val map_list : ?label:string -> ?retry:Fault.retry -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : ?label:string -> t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [concat_map_list t f xs] is [List.concat_map f xs] with the [f]
     applications run on the pool and the concatenation done in input
     order. *)
-val concat_map_list :
-  ?label:string -> ?retry:Fault.retry -> t -> ('a -> 'b list) -> 'a list -> 'b list
+val concat_map_list : ?label:string -> t -> ('a -> 'b list) -> 'a list -> 'b list
 
 (** [init t n f] is [Array.init n f] with a guaranteed 0..n-1
     evaluation order semantics (each [f i] independent), parallel
     across the pool. *)
-val init : ?label:string -> ?retry:Fault.retry -> t -> int -> (int -> 'b) -> 'b array
+val init : ?label:string -> t -> int -> (int -> 'b) -> 'b array
 
 (** [map_reduce t ~map ~reduce ~init xs] folds the mapped values in
     index order: [reduce (... (reduce init (map xs.(0))) ...) (map
@@ -84,7 +75,6 @@ val init : ?label:string -> ?retry:Fault.retry -> t -> int -> (int -> 'b) -> 'b 
     identical to the sequential fold. *)
 val map_reduce :
   ?label:string ->
-  ?retry:Fault.retry ->
   t ->
   map:('a -> 'b) ->
   reduce:('c -> 'b -> 'c) ->
@@ -102,15 +92,14 @@ val map_reduce :
     [exec.pool.<pool>.<label>.calls], [....tasks] (counters) and
     [....wall_s] (gauge), so a [--metrics] dump carries them; pools
     sharing a name share the registry metrics, which accumulate
-    across pool instances.  {!report} and {!pp_report} are per-pool
-    views: they subtract the registry values seen when this pool
-    first used the label, and {!reset_stats} re-baselines that view
-    without touching the registry. *)
+    across pool instances.  {!report} is a per-pool view: it
+    subtracts the registry values seen when this pool first used the
+    label, and {!reset_stats} re-baselines that view without touching
+    the registry. *)
 
 type stage_stats = {
   calls : int;  (** jobs dispatched under this label *)
   tasks : int;  (** total elements processed *)
-  retries : int;  (** task retries fired under this label *)
   wall_s : float;  (** caller-observed wall seconds *)
 }
 
@@ -131,9 +120,6 @@ val reset_stats : t -> unit
     can be derived offline from a [--metrics] dump — that derivation
     is what [potx obs-report] prints. *)
 val occupancy : t -> float
-
-(** One line per label: [label: calls=.. tasks=.. wall=..s]. *)
-val pp_report : Format.formatter -> t -> unit
 
 (** [Domain.recommended_domain_count] capped at [cap] (default 4) —
     the conventional worker count for benches. *)

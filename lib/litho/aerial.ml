@@ -2,8 +2,6 @@ module G = Geometry
 
 let m_simulations = Obs.Metrics.counter "litho.simulations"
 
-let () = Fault.declare "litho.simulate"
-
 let m_engine_direct = Obs.Metrics.counter "litho.engine.direct"
 
 let m_engine_fft = Obs.Metrics.counter "litho.engine.fft"
@@ -15,36 +13,18 @@ let m_engine_fft = Obs.Metrics.counter "litho.engine.fft"
    every golden is recorded against) and [Fft] computes the mask
    spectrum once and applies the whole kernel stack as a single
    frequency-domain multiply with the analytic Gaussian transfer
-   function (see {!Fft.convolve_gaussians}).  [Auto] resolves per
-   tile: the transform pays for itself on large tiles, while small
-   tiles stay on the direct path.  The resolved engine is part of the
-   tile-cache key, so the engines never share cache entries. *)
+   function (see {!Fft.convolve_gaussians}).  The engine is part of
+   the tile-cache key, so the engines never share cache entries. *)
 
-type engine = Model.engine = Direct | Fft | Auto
+type engine = Model.engine = Direct | Fft
 
-let engine_to_string = function Direct -> "direct" | Fft -> "fft" | Auto -> "auto"
-
-(* Auto crossover: below this pixel count the box cascade wins on raw
-   constant factors; above it the shared-spectrum transform does.  The
-   padded-area guard keeps Auto off the FFT when power-of-two rounding
-   would almost quadruple the grid (worst case is 4x just above a
-   power of two in both axes). *)
-let fft_threshold_px = 65536
-
-let resolve_engine e shape =
-  match e with
-  | (Direct | Fft) as e -> e
-  | Auto ->
-      let nx = Raster.nx shape and ny = Raster.ny shape in
-      let n = nx * ny in
-      let padded = Fft.next_pow2 nx * Fft.next_pow2 ny in
-      if n >= fft_threshold_px && padded <= 3 * n then Fft else Direct
+let engine_to_string = function Direct -> "direct" | Fft -> "fft"
 
 (* ---- content-addressed simulation keys ---------------------------
 
    A simulated tile is a pure function of (mask content inside the
    raster extent, raster geometry, defocus-adjusted kernel stack,
-   resolved engine).  Expressing the mask content as the ordered list
+   engine).  Expressing the mask content as the ordered list
    of polygon decomposition rectangles clipped to the extent and
    *translated to the raster origin* makes the key
    translation-invariant, so repeated cell rows hit anywhere on the
@@ -79,7 +59,7 @@ let cache_key eng (model : Model.t) (condition : Condition.t) raster rects =
   let o = Raster.origin raster in
   Buffer.add_string b
     (Printf.sprintf "v2|%s|%dx%d|%h|"
-       (match eng with Direct -> "d" | Fft -> "f" | Auto -> "a")
+       (match eng with Direct -> "d" | Fft -> "f")
        (Raster.nx raster) (Raster.ny raster) (Raster.step raster));
   List.iter
     (fun (k : Model.kernel) ->
@@ -175,10 +155,6 @@ let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
   Obs.Span.with_ ~name:"litho.simulate"
     ~attrs:(fun () -> [ ("polygons", string_of_int (List.length polygons)) ])
   @@ fun () ->
-  (* The fault point fires before the cache lookup, so an injected
-     plan sees the same hit sequence whether or not the tile cache is
-     warm. *)
-  Fault.point "litho.simulate" @@ fun () ->
   Obs.Metrics.incr m_simulations;
   (* Geometry only until we know it's a miss: the nx*ny zero-fill is
      the dominant allocation here and a cache hit never paints. *)
@@ -195,8 +171,8 @@ let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
         || not (G.Point.equal (Raster.origin r) (Raster.origin shape))
       then invalid_arg "Aerial.simulate: buffers made for another window")
     into;
-  let eng = resolve_engine (Option.value e ~default:model.Model.engine) shape in
-  Obs.Metrics.incr (match eng with Fft -> m_engine_fft | _ -> m_engine_direct);
+  let eng = Option.value e ~default:model.Model.engine in
+  Obs.Metrics.incr (match eng with Fft -> m_engine_fft | Direct -> m_engine_direct);
   let rects = clipped_rects shape polygons in
   let key =
     if model.Model.cache then Some (cache_key eng model condition shape rects)
@@ -221,7 +197,7 @@ let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
             paint_mask r rects;
             convolve_fft model condition r;
             r
-        | Direct | Auto ->
+        | Direct ->
             let b =
               match into with
               | Some b ->
@@ -248,10 +224,10 @@ let calibrate ?engine (model : Model.t) (tech : Layout.Tech.t) =
      length and contacted pitch.  The printed edge sits where the
      intensity equals the threshold, so the intensity at the drawn edge
      position is exactly the threshold that pins printed CD = drawn.
-     Calibration runs on the engine that will simulate (resolved like
-     any tile), so each engine is a centred process on the reference
-     pattern and cross-engine CD deltas measure only the
-     pattern-dependent part of the approximation difference. *)
+     Calibration runs on the engine that will simulate, so each engine
+     is a centred process on the reference pattern and cross-engine CD
+     deltas measure only the pattern-dependent part of the
+     approximation difference. *)
   let l = tech.Layout.Tech.gate_length in
   let pitch = tech.Layout.Tech.poly_pitch in
   let nlines = 9 in

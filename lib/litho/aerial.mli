@@ -13,9 +13,8 @@
     multiply with the analytic Gaussian transfer function
     [Σ wₖ·exp(-2π²σₖ²|f|²)] ({!Fft.convolve_gaussians}); its output
     agrees with the direct engine within the documented tolerance
-    contract (see DESIGN.md) but is not bit-equal.  [Auto] resolves
-    per tile by pixel count.  A simulation uses the model's
-    {!Model.t.engine} unless it is given [?engine].  The resolved
+    contract (see DESIGN.md) but is not bit-equal.  A simulation uses
+    the model's {!Model.t.engine} unless it is given [?engine].  The
     engine is part of the tile cache key, so engines never share cache
     entries.
 
@@ -32,10 +31,10 @@
     When the model's {!Model.t.cache} is set, every simulation first
     consults the content-addressed {!Tile_cache.global}: the key is the
     clipped mask geometry relative to the raster origin plus the raster
-    geometry, the defocus-adjusted kernel stack, and the resolved
-    engine, so repeated cell patterns hit at any placement and a dose
-    sweep at fixed defocus hits after its first condition (dose scales
-    the threshold, not the intensity).  Hits are bit-identical to a
+    geometry, the defocus-adjusted kernel stack, and the engine, so
+    repeated cell patterns hit at any placement and a dose sweep at
+    fixed defocus hits after its first condition (dose scales the
+    threshold, not the intensity).  Hits are bit-identical to a
     fresh simulation by construction, so enabling the cache never
     changes results — only wall time.
 
@@ -48,15 +47,11 @@
     {!calibrate}, model OPC ([Opc.Model_opc]), ORC ([Opc.Orc]), SRAF
     placement ([Opc.Sraf]), the bench harness and the examples. *)
 
-type engine = Model.engine = Direct | Fft | Auto
+type engine = Model.engine = Direct | Fft
 
+(** ["direct"] or ["fft"]: the [--engine] spelling, also part of the
+    litho model calibration key and of every checkpoint key. *)
 val engine_to_string : engine -> string
-
-(** [resolve_engine e shape] is the concrete engine ([Direct] or
-    [Fft]) that [e] selects for a tile of [shape]'s geometry; [Auto]
-    picks by pixel count with a padded-area guard.  Exposed so tests
-    and benches can predict (and pin) the per-tile choice. *)
-val resolve_engine : engine -> Raster.t -> engine
 
 (** [cascade_sigma_px s] is the Gaussian sigma, in pixels, that the
     direct engine's three integer-width box passes realise for a

@@ -1,6 +1,6 @@
 type kernel = { sigma : float; weight : float }
 
-type engine = Direct | Fft | Auto
+type engine = Direct | Fft
 
 type t = {
   kernels : kernel list;

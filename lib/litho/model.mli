@@ -19,7 +19,7 @@
 type kernel = { sigma : float;  (** nm *) weight : float }
 
 (** Aerial convolution engine (see {!Aerial}). *)
-type engine = Direct | Fft | Auto
+type engine = Direct | Fft
 
 type t = {
   kernels : kernel list;  (** weights normalised to sum to 1 *)

@@ -2,8 +2,6 @@ module G = Geometry
 
 type style = None_ | Rule of Rule_opc.recipe | Model of Model_opc.config
 
-let () = Fault.declare "opc.correct"
-
 let zero_stats =
   { Model_opc.iterations_run = 0; max_epe = 0.0; rms_epe = 0.0; sites = 0; unresolved = 0 }
 
@@ -160,7 +158,6 @@ let assemble p results =
     merged_stats results )
 
 let correct litho_model style chip ~tile =
-  Fault.point "opc.correct" @@ fun () ->
   let polys = Layout.Chip.flatten_layer chip Layout.Layer.Poly in
   match style with
   | None_ -> (Mask.of_polygons polys, zero_stats)
@@ -171,8 +168,7 @@ let correct litho_model style chip ~tile =
       let p = plan litho_model chip ~tile in
       assemble p (correct_tiles litho_model config p)
 
-let correct_selective litho_model config recipe chip ~tile ~selected =
-  Fault.point "opc.correct" @@ fun () ->
+let correct_selective ?pool litho_model config recipe chip ~tile ~selected =
   (* Gate-touching test: a polygon is "selected" when it intersects the
      drawn gate region of any selected transistor. *)
   let gate_index = G.Spatial.create ~bucket:4000 in
@@ -185,7 +181,7 @@ let correct_selective litho_model config recipe chip ~tile ~selected =
     G.Spatial.query gate_index bb <> []
   in
   let p = plan litho_model chip ~tile in
-  let results = correct_tiles litho_model config ~want:touches_selected p in
+  let results = correct_tiles ?pool litho_model config ~want:touches_selected p in
   (* Rule-bias the untouched shapes. *)
   let neighbours window = Layout.Chip.shapes_in chip Layout.Layer.Poly window in
   let final =

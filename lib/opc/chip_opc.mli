@@ -18,8 +18,10 @@ val correct :
 (** [correct_selective litho_model config chip ~tile ~selected] runs
     model-based OPC only on poly shapes that intersect a gate in
     [selected] (rule-based bias elsewhere) — the paper's DFM feedback
-    experiment. *)
+    experiment.  [pool] is handed to {!correct_tiles}; the result is
+    byte-identical with or without it. *)
 val correct_selective :
+  ?pool:Exec.Pool.t ->
   Litho.Model.t ->
   Model_opc.config ->
   Rule_opc.recipe ->

@@ -252,18 +252,26 @@ let correct_untraced ?pool (model : Litho.Model.t) config ~targets ~context =
          two displacement states; keep the best-RMS state seen. *)
       let best = ref (snapshot ()) in
       let best_rms = ref infinity in
+      let best_epes = ref [] in
       let final = ref [] in
+      (* Each pass's EPEs are kept with the state they measured, so the
+         best state's residual needs no second simulation. *)
+      let measure () =
+        let epes = measure_pass () in
+        final := epes;
+        let rms = rms_of epes in
+        if rms < !best_rms then begin
+          best_rms := rms;
+          best := snapshot ();
+          best_epes := epes
+        end;
+        epes
+      in
       let iterations_run = ref 0 in
       (try
          for it = 1 to config.iterations do
            iterations_run := it;
-           let epes = measure_pass () in
-           final := epes;
-           let rms = rms_of epes in
-           if rms < !best_rms then begin
-             best_rms := rms;
-             best := snapshot ()
-           end;
+           let epes = measure () in
            let worst =
              List.fold_left
                (fun acc (_, e) -> match e with Some e -> Float.max acc (Float.abs e) | None -> acc)
@@ -302,18 +310,13 @@ let correct_untraced ?pool (model : Litho.Model.t) config ~targets ~context =
              epes
          done;
          (* Measure the residual after the last move. *)
-         let epes = measure_pass () in
-         final := epes;
-         let rms = rms_of epes in
-         if rms < !best_rms then begin
-           best_rms := rms;
-           best := snapshot ()
-         end
+         ignore (measure ())
        with Exit ->
-         best := snapshot ());
+         best := snapshot ();
+         best_epes := !final);
       (* Ship the best state seen, and report its residual. *)
       restore !best;
-      let epes = if !best_rms = infinity then !final else measure_pass () in
+      let epes = if !best_rms = infinity then !final else !best_epes in
       let resolved = List.filter_map (fun (_, e) -> e) epes in
       let unresolved = List.length epes - List.length resolved in
       let max_epe = List.fold_left (fun acc e -> Float.max acc (Float.abs e)) 0.0 resolved in

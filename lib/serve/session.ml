@@ -428,12 +428,9 @@ let handle_line t line =
       bump t ("serve.verb." ^ verb);
       let reply =
         match
-          Obs.Span.with_ ~name:("serve." ^ verb) (fun () ->
-              Fault.point "serve.handle" (fun () -> handle t request))
+          Obs.Span.with_ ~name:("serve." ^ verb) (fun () -> handle t request)
         with
         | reply -> reply
-        | exception Fault.Injected point ->
-            Error (Printf.sprintf "fault injected at %s" point)
         | exception Failure msg -> Error msg
         | exception Invalid_argument msg -> Error msg
       in

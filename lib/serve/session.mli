@@ -44,16 +44,18 @@ val run : t -> Timing_opc.Flow.run
 
 (** Execute one parsed request against the warm state.  [Error] is a
     protocol-level error message (unknown gate, unknown endpoint,
-    ...); exceptions escaping the underlying flow (including injected
-    faults) are caught by {!handle_line}, not here. *)
+    ...); exceptions escaping the underlying flow are caught by
+    {!handle_line}, not here. *)
 val handle : t -> Protocol.request -> (Protocol.reply, string) result
 
 (** Handle one raw request line: assign the response id (explicit
     ["id"] field, else the 1-based request sequence number — every
     line consumes a slot, parsable or not), run {!handle} under the
-    request span and the ["serve.handle"] fault point, and turn
-    parse errors, protocol errors and escaped exceptions into error
-    replies.  The session survives any failing request. *)
+    request span, and turn parse errors, protocol errors and the
+    [Failure] or [Invalid_argument] of a request the flow cannot
+    answer (say, a [corner] whose [spread] reaches the drawn gate
+    length) into error replies.  The session survives any such
+    request. *)
 val handle_line : t -> string -> Protocol.response
 
 (** Session-local counters, sorted by name (what the [metrics] verb

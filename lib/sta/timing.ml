@@ -38,15 +38,12 @@ type t = {
 
 let m_analyses = Obs.Metrics.counter "sta.analyses"
 
-let () = Fault.declare "sta.analyze"
-
 let m_paths = Obs.Metrics.counter "sta.paths"
 
 let analyze (netlist : N.t) ~loads ~delay ?(input_slew = 20.0) ~clock_period () =
   Obs.Span.with_ ~name:"sta.analyze"
     ~attrs:(fun () -> [ ("nets", string_of_int netlist.N.num_nets) ])
   @@ fun () ->
-  Fault.point "sta.analyze" @@ fun () ->
   let n = netlist.N.num_nets in
   let arrival = Array.make n neg_infinity in
   let slew = Array.make n input_slew in

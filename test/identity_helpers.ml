@@ -2,7 +2,7 @@
    test_ssta: one reduced flow config cheap enough to run dozens of
    times, exact renderings of a run and of an ssta view, and the
    sequential-baseline digest comparison every scaling feature
-   (domains, cache, checkpoint, faults) is measured against. *)
+   (domains, cache, checkpoint) is measured against. *)
 
 module F = Timing_opc.Flow
 
@@ -17,7 +17,6 @@ let base_config ?(tile = 1500) ?(iterations = 2) ?(slices = 3) ?(domains = 1) ()
     slices;
     tile;
     domains;
-    retry = Fault.no_retry;
     checkpoint = None;
   }
 

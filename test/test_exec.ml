@@ -243,100 +243,6 @@ let test_occupancy_nested () =
       checkb (Printf.sprintf "occupancy %.3f in (0, 1.02]" occ) true
         (occ > 0.0 && occ <= 1.02))
 
-(* ---- retry supervision ---- *)
-
-(* A task set where the given keys fail exactly once (first attempt)
-   and succeed on retry; the tracking table is shared across worker
-   domains, hence the lock. *)
-let fail_once_tasks ~failing f =
-  let seen = Hashtbl.create 97 in
-  let lock = Mutex.create () in
-  fun i ->
-    let first_attempt =
-      Mutex.protect lock (fun () ->
-          if Hashtbl.mem seen i then false
-          else begin
-            Hashtbl.add seen i ();
-            true
-          end)
-    in
-    if first_attempt && failing i then failwith "transient" else f i
-
-let test_retry_absorbs_transient_failures () =
-  let oracle = Array.map (fun i -> i * 3) inputs in
-  List.iter
-    (fun domains ->
-      let flaky = fail_once_tasks ~failing:(fun i -> i mod 3 = 0) (fun i -> i * 3) in
-      let got =
-        with_domains domains (fun p ->
-            Exec.Pool.map ~retry:(Fault.retrying 1) p flaky inputs)
-      in
-      checkb
-        (Printf.sprintf "transient failures invisible, %d domains" domains)
-        true (got = oracle))
-    [ 1; 2; 4 ]
-
-let test_retry_exhausted_reraises_min_index () =
-  List.iter
-    (fun domains ->
-      with_domains domains (fun p ->
-          Alcotest.check_raises
-            (Printf.sprintf "min failing index after retries, %d domains" domains)
-            (Failure "task 5")
-            (fun () ->
-              ignore
-                (Exec.Pool.map ~retry:(Fault.retrying 2) p
-                   (fun i ->
-                     if i >= 5 then failwith (Printf.sprintf "task %d" i) else i)
-                   inputs));
-          checki "pool usable after exhausted retries" 6
-            (Exec.Pool.map_reduce p ~map:Fun.id ~reduce:( + ) ~init:0 [| 1; 2; 3 |])))
-    [ 1; 2; 4 ]
-
-let test_retry_stats () =
-  let global = Obs.Metrics.counter "exec.retries" in
-  List.iter
-    (fun domains ->
-      let before = Obs.Metrics.counter_value global in
-      let flaky = fail_once_tasks ~failing:(fun i -> i < 7) Fun.id in
-      with_domains domains (fun p ->
-          ignore (Exec.Pool.map ~label:"flaky" ~retry:(Fault.retrying 2) p flaky inputs);
-          let st = List.assoc "flaky" (Exec.Pool.report p) in
-          checki
-            (Printf.sprintf "per-label retries, %d domains" domains)
-            7 st.Exec.Pool.retries);
-      checki
-        (Printf.sprintf "global exec.retries delta, %d domains" domains)
-        (before + 7)
-        (Obs.Metrics.counter_value global))
-    [ 1; 2; 4 ]
-
-(* Transient failures of nested tasks are absorbed, and every domain
-   count fires the same retries under the nested job's label. *)
-let test_nested_retry () =
-  let oracle = Array.init 5 (fun a -> Array.init 9 (fun i -> (a * 9) + i)) in
-  List.iter
-    (fun domains ->
-      let flaky =
-        fail_once_tasks ~failing:(fun (_, i) -> i mod 3 = 0) (fun (a, i) -> (a * 9) + i)
-      in
-      with_domains domains (fun p ->
-          let got =
-            Exec.Pool.map ~label:"outer" p
-              (fun a ->
-                Exec.Pool.map ~label:"inner" ~retry:(Fault.retrying 1) p
-                  (fun i -> flaky (a, i))
-                  (Array.init 9 Fun.id))
-              (Array.init 5 Fun.id)
-          in
-          checkb (Printf.sprintf "nested retries invisible, %d domains" domains) true
-            (got = oracle);
-          checki
-            (Printf.sprintf "inner retries, %d domains" domains)
-            15
-            (List.assoc "inner" (Exec.Pool.report p)).Exec.Pool.retries))
-    [ 1; 2; 4 ]
-
 let test_stats_counters () =
   with_domains 2 (fun p ->
       ignore (Exec.Pool.map ~label:"stage_a" p heavy inputs);
@@ -412,12 +318,6 @@ let () =
           Alcotest.test_case "empty and singleton inputs" `Quick test_empty_and_singleton;
           Alcotest.test_case "worker exception propagates" `Quick
             test_exception_propagates;
-          Alcotest.test_case "retry absorbs transient failures" `Quick
-            test_retry_absorbs_transient_failures;
-          Alcotest.test_case "exhausted retries raise at min index" `Quick
-            test_retry_exhausted_reraises_min_index;
-          Alcotest.test_case "retry counters per label and global" `Quick
-            test_retry_stats;
           Alcotest.test_case "per-label stats counters" `Quick test_stats_counters;
         ] );
       ( "nesting",
@@ -427,7 +327,6 @@ let () =
           Alcotest.test_case "more tasks than domains" `Quick
             test_more_tasks_than_domains;
           Alcotest.test_case "exception at lowest index" `Quick test_nested_exception;
-          Alcotest.test_case "retries absorbed, same counts" `Quick test_nested_retry;
           Alcotest.test_case "lone task's job runs in parallel" `Quick
             test_lone_task_nested_parallel;
           Alcotest.test_case "two client domains at once" `Quick test_two_clients;

@@ -17,6 +17,8 @@ let cheap_config () =
 
 let run = lazy (Timing_opc.Flow.run (cheap_config ()) (Circuit.Generator.c17 ()))
 
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
 let test_placement_matches_netlist () =
   let r = Lazy.force run in
   Array.iter
@@ -140,7 +142,22 @@ let test_selective_run () =
     (r2.Timing_opc.Flow.opc_stats.Opc.Model_opc.sites
     <= r.Timing_opc.Flow.opc_stats.Opc.Model_opc.sites);
   checkb "timing computed" true
-    (Sta.Timing.critical_delay r2.Timing_opc.Flow.post_opc_sta > 0.0)
+    (Sta.Timing.critical_delay r2.Timing_opc.Flow.post_opc_sta > 0.0);
+  (* At 2 domains the selective OPC corrects its tiles on the flow pool
+     and renders as the sequential run does. *)
+  let tasks () = counter "exec.pool.flow.opc.correct_tiles.tasks" in
+  let before = tasks () in
+  let r2_d2 =
+    Timing_opc.Flow.run_selective
+      { r with
+        Timing_opc.Flow.config = { r.Timing_opc.Flow.config with domains = 2 } }
+      ~selected
+  in
+  checkb "selective OPC tiles ran on the flow pool" true (tasks () > before);
+  checkb "selective run at 2 domains = 1 domain" true
+    (Identity_helpers.render_run r2_d2 = Identity_helpers.render_run r2
+    && Opc.Mask.polygons r2_d2.Timing_opc.Flow.mask
+       = Opc.Mask.polygons r2.Timing_opc.Flow.mask)
 
 let test_csv_roundtrip_through_flow () =
   let r = Lazy.force run in
@@ -309,8 +326,6 @@ let test_reopc_reuse () =
 
 (* ---- byte identity across domains and run features ---- *)
 
-let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
-
 (* Random layouts x domains: exact CSV records, OPC stats, both STA
    summaries and the merged mask equal the sequential run's. *)
 let prop_domains_identical =
@@ -351,55 +366,34 @@ let prop_shard_ignored =
       let base_render, base_mask = H.baseline ~tile:1500 nl in
       H.render_run r = base_render && Opc.Mask.polygons r.F.mask = base_mask)
 
-(* Cross-feature identity matrix: {cache} x {checkpoint} x {absorbed
-   faults under retry} x {domains 1/4}, every cell hashing to the one
-   canonical output. *)
+(* Cross-feature identity matrix: {cache} x {checkpoint} x {domains
+   1/4}, every cell hashing to the one canonical output. *)
 let test_feature_matrix () =
   let canonical = Digest.string (fst (H.baseline ~tile:1500 0)) in
-  let injected0 = counter "fault.injected" in
-  let plan =
-    match
-      Fault.parse "litho.simulate=fail1;opc.correct=fail1;cdex.measure=fail2;seed=11"
-    with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
-  Fun.protect ~finally:(fun () -> Fault.set_plan None) @@ fun () ->
   List.iter
     (fun cache ->
       List.iter
         (fun with_ckpt ->
           List.iter
-            (fun faulty ->
-              List.iter
-                (fun domains ->
-                  let what =
-                    Printf.sprintf "cache=%b ckpt=%b faults=%b domains=%d" cache
-                      with_ckpt faulty domains
-                  in
-                  Fault.set_plan (if faulty then Some plan else None);
-                  let checkpoint =
-                    if with_ckpt then
-                      Some
-                        (Timing_opc.Checkpoint.create
-                           ~dir:(Filename.temp_dir "potx_flow_" "matrix")
-                           ~resume:false)
-                    else None
-                  in
-                  let config =
-                    { (H.base_config ~domains ()) with
-                      F.cache;
-                      checkpoint;
-                      retry = Fault.retrying 3 }
-                  in
-                  let r = F.run config (H.netlist_of 0) in
-                  checkb (what ^ ": canonical hash") true
-                    (Digest.string (H.render_run r) = canonical))
-                [ 1; 4 ])
-            [ false; true ])
+            (fun domains ->
+              let what =
+                Printf.sprintf "cache=%b ckpt=%b domains=%d" cache with_ckpt domains
+              in
+              let checkpoint =
+                if with_ckpt then
+                  Some
+                    (Timing_opc.Checkpoint.create
+                       ~dir:(Filename.temp_dir "potx_flow_" "matrix")
+                       ~resume:false)
+                else None
+              in
+              let config = { (H.base_config ~domains ()) with F.cache; checkpoint } in
+              let r = F.run config (H.netlist_of 0) in
+              checkb (what ^ ": canonical hash") true
+                (Digest.string (H.render_run r) = canonical))
+            [ 1; 4 ])
         [ false; true ])
-    [ false; true ];
-  checkb "matrix really injected faults" true (counter "fault.injected" - injected0 > 0)
+    [ false; true ]
 
 let () =
   Alcotest.run "flow"
@@ -433,7 +427,7 @@ let () =
         ] );
       ( "features",
         [
-          Alcotest.test_case "cache x checkpoint x faults x domains" `Slow
+          Alcotest.test_case "cache x checkpoint x domains" `Slow
             test_feature_matrix;
         ] );
     ]

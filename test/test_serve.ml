@@ -1,6 +1,6 @@
 (* The resident timing service: protocol round-trips, warm-vs-cold
    reply identity, request-order byte determinism across worker-domain
-   counts, and session survival of injected faults.
+   counts, and session survival of requests that fail.
 
    The warm sessions here run the same reduced config as test_flow's
    identity cases (tile=1500, 2 OPC iterations, 3 slices) so a full flow warm-up is
@@ -710,23 +710,21 @@ let test_random_queries_deterministic =
 
 (* ---- fault tolerance ---- *)
 
+(* A corner whose spread reaches the 90 nm drawn gate length leaves a
+   non-positive channel: the target raises [Invalid_argument] from the
+   device model. *)
+let failing_corner = {|{"verb":"corner","dose":1.03,"defocus":90,"spread":200}|}
+
 let test_session_survives_fault () =
   let s = session_for 1 in
-  let plan =
-    match Fault.parse "serve.handle=fail1;seed=3" with
-    | Ok p -> p
-    | Error e -> Alcotest.failf "bad plan: %s" e
-  in
-  Fault.set_plan (Some plan);
-  Fun.protect ~finally:(fun () -> Fault.set_plan None) @@ fun () ->
-  let first = Session.handle_line s {|{"verb":"status"}|} in
+  let first = Session.handle_line s failing_corner in
   (match first.P.reply with
-  | Error e -> checkb "fault surfaced" true (e <> "")
-  | Ok _ -> Alcotest.fail "first request should absorb the injected fault");
+  | Error e -> checks "failure surfaced" "Mosfet.ion: non-positive geometry" e
+  | Ok _ -> Alcotest.fail "a corner past the gate length should fail");
   let second = Session.handle_line s {|{"verb":"status"}|} in
   (match second.P.reply with
   | Ok (P.Status_r st) -> checks "session still answers" "c17" st.bench
-  | _ -> Alcotest.fail "session did not survive the injected fault");
+  | _ -> Alcotest.fail "session did not survive the failing request");
   (* Requests the physics cannot answer get an error reply; none of
      them ends the session. *)
   List.iter
@@ -749,20 +747,13 @@ let test_session_survives_fault () =
    back off, so the failure leaves no tracing on for later requests. *)
 let test_failed_profile_restores_tracing () =
   let s = session_for 1 in
-  let plan =
-    match Fault.parse "cdex.extract=fail1" with
-    | Ok p -> p
-    | Error e -> Alcotest.failf "bad plan: %s" e
-  in
-  Fault.set_plan (Some plan);
-  Fun.protect ~finally:(fun () -> Fault.set_plan None) @@ fun () ->
   let r =
     Session.handle_line s
-      {|{"verb":"profile","of":{"verb":"corner","dose":1.03,"defocus":90}}|}
+      (Printf.sprintf {|{"verb":"profile","of":%s}|} failing_corner)
   in
   (match r.P.reply with
-  | Error e -> checkb "fault surfaced" true (e <> "")
-  | Ok _ -> Alcotest.fail "the injected fault should fail the profiled request");
+  | Error e -> checks "failure surfaced" "Mosfet.ion: non-positive geometry" e
+  | Ok _ -> Alcotest.fail "the failing target should fail the profiled request");
   checkb "tracing off again" false (Obs.Span.enabled ())
 
 let () =
