@@ -145,8 +145,24 @@ let opc_arg =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Placement/noise seed.")
 
+(* A float flag value that must satisfy [ok]; any other is a usage
+   error with the message [error s]. *)
+let checked_float ~ok ~error =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (error s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let dose_arg =
-  Arg.(value & opt float 1.02 & info [ "dose" ] ~doc:"Silicon exposure dose (1.0 nominal).")
+  Arg.(
+    value
+    & opt
+        (checked_float ~ok:(fun v -> v > 0.0) ~error:(Printf.sprintf "dose %s is not positive"))
+        1.02
+    & info [ "dose" ] ~doc:"Silicon exposure dose (1.0 nominal); positive.")
 
 let defocus_arg =
   Arg.(value & opt float 70.0 & info [ "defocus" ] ~doc:"Silicon defocus, nm.")
@@ -158,19 +174,15 @@ let spread_arg =
     float_of_int
       (Timing_opc.Flow.default_config ()).Timing_opc.Flow.tech.Layout.Tech.gate_length
   in
-  let parse s =
-    match Arg.conv_parser Arg.float s with
-    | Ok v when v >= 0.0 && v < gate_length -> Ok v
-    | Ok _ ->
-        Error
-          (`Msg
-            (Printf.sprintf "spread %s nm is outside [0, %g), the drawn gate length" s
-               gate_length))
-    | Error _ as e -> e
+  let spread =
+    checked_float
+      ~ok:(fun v -> v >= 0.0 && v < gate_length)
+      ~error:(fun s ->
+        Printf.sprintf "spread %s nm is outside [0, %g), the drawn gate length" s gate_length)
   in
   Arg.(
     value
-    & opt (conv (parse, conv_printer float)) 8.0
+    & opt spread 8.0
     & info [ "spread" ]
         ~doc:"Corner CD spread, nm; at least 0 and below the drawn gate length.")
 
@@ -569,7 +581,7 @@ let contains ~needle hay =
    flow binary that fails to surface them has lost its wiring. *)
 let accel_metrics =
   [ "litho.cache.hits"; "litho.cache.misses"; "litho.cache.evictions";
-    "litho.cache.bytes"; "opc.dirty_tiles"; "opc.clean_tiles" ]
+    "litho.cache.bytes"; "opc.dirty_tiles" ]
 
 (* Likewise the checkpoint store registers its counters at module
    load. *)

@@ -59,7 +59,10 @@ case_obs() {
       --metrics "$work/metrics.jsonl"
 }
 
-# Cached and uncached runs byte-identical, and the cache actually hit.
+# Cached and uncached runs byte-identical, model OPC simulated its sim
+# tiles, and the cache actually hit where it has repeats to serve: the
+# SSTA process window re-measures each window at several doses of one
+# defocus (model OPC's sim tiles bypass the cache).
 case_cache() {
   "$POTX" run --bench c17 --metrics "$work/cache_metrics.jsonl" \
     > "$work/cached.out" 2> /dev/null &&
@@ -67,8 +70,11 @@ case_cache() {
     cmp "$work/base.out" "$work/cached.out" &&
     cmp "$work/base.out" "$work/uncached.out" &&
     "$POTX" obs-check --metrics "$work/cache_metrics.jsonl" \
-      --require-nonzero litho.cache.hits \
-      --require-nonzero opc.dirty_tiles
+      --require-nonzero opc.dirty_tiles &&
+    "$POTX" run --bench c17 --ssta --metrics "$work/cache_ssta_metrics.jsonl" \
+      > /dev/null 2>&1 &&
+    "$POTX" obs-check --metrics "$work/cache_ssta_metrics.jsonl" \
+      --require-nonzero litho.cache.hits
 }
 
 case_checkpoint_resume() {
@@ -222,7 +228,7 @@ expect_usage_error() {
 # Bad flag values and missing or malformed input files are usage
 # errors, never uncaught exceptions.  A --spread at or beyond the drawn
 # gate length is a bad value: it would leave the corner views a
-# non-positive channel.
+# non-positive channel; so is a dose that is not positive.
 case_bad_input() {
   ok=0
   printf 'g1,NAND2,1.0,70.0,90.0\n' > "$work/noheader.csv"
@@ -231,6 +237,8 @@ case_bad_input() {
   expect_usage_error run --opc bogus
   expect_usage_error run --bench nosuch
   expect_usage_error run --spread 200
+  expect_usage_error run --dose 0
+  expect_usage_error run --dose=-1
   expect_usage_error export --bench nosuch -o "$work/layout.txt"
   expect_usage_error cdcmp /nonexistent.csv "$work/noheader.csv"
   expect_usage_error cdcmp "$work/noheader.csv" "$work/noheader.csv"

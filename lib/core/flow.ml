@@ -261,7 +261,6 @@ let opc_key config ~extra chip =
             hex oc.Opc.Model_opc.search;
             string_of_int oc.Opc.Model_opc.mask_grid;
             string_of_int oc.Opc.Model_opc.min_mask_space;
-            string_of_bool oc.Opc.Model_opc.incremental;
             string_of_int oc.Opc.Model_opc.sim_tile;
             string_of_int config.tile;
             Litho.Aerial.engine_to_string config.engine;

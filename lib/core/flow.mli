@@ -38,10 +38,13 @@ type config = {
           [shard = 1]; the field goes when that line does *)
   cache : bool;
       (** content-addressed litho tile cache ([Litho.Tile_cache]):
-          repeated cell patterns and dose-sweep conditions reuse stored
-          aerial images.  Hits are bit-identical to fresh simulations,
-          so this changes wall time only.  It reaches the simulator as
-          the [cache] field of {!litho_model}'s model.  Default on *)
+          repeated cell patterns in extraction windows and dose-sweep
+          conditions ({!extract_at} at a new dose, {!ssta}'s process
+          window) reuse stored aerial images.  Model OPC's sim tiles
+          never use it.  Hits are bit-identical to fresh simulations,
+          so this changes wall time and memory only.  It reaches the
+          simulator as the [cache] field of {!litho_model}'s model.
+          Default on *)
   engine : Litho.Aerial.engine;
       (** aerial-image convolution engine ([Litho.Aerial]): [Direct] is
           the per-kernel box-blur cascade every golden is recorded
@@ -195,9 +198,9 @@ val extract_at :
   run ->
   Cdex.Gate_cd.t list
 
-(** OPC of a replacement chip under the run's config (style,
-    dirty-tile incremental simulation and tile cache all as in
-    {!run}) — the mask side of a geometric what-if.  Under model OPC,
+(** OPC of a replacement chip under the run's config (style, OPC
+    config and engine as in {!run}) — the mask side of a geometric
+    what-if.  Under model OPC,
     a correction tile whose inputs (targets and frozen context, see
     {!Opc.Chip_opc.tile_result}) equal a tile of the run's own
     [opc_tiles] takes that tile's result; only the tiles the

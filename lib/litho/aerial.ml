@@ -174,50 +174,42 @@ let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
   let eng = Option.value e ~default:model.Model.engine in
   Obs.Metrics.incr (match eng with Fft -> m_engine_fft | Direct -> m_engine_direct);
   let rects = clipped_rects shape polygons in
-  let key =
-    if model.Model.cache then Some (cache_key eng model condition shape rects)
-    else None
+  let compute () =
+    match eng with
+    | Fft ->
+        let r =
+          match into with
+          | Some b ->
+              Raster.fill b.intensity 0.0;
+              b.intensity
+          | None -> Raster.like shape
+        in
+        paint_mask r rects;
+        convolve_fft model condition r;
+        r
+    | Direct ->
+        let b =
+          match into with
+          | Some b ->
+              Raster.fill b.mask 0.0;
+              b
+          | None -> buffers_like shape
+        in
+        paint_mask b.mask rects;
+        convolve_direct model condition b;
+        b.intensity
   in
-  let hit =
-    Option.bind key (Tile_cache.find Tile_cache.global ~origin:(Raster.origin shape))
-  in
-  match hit with
-  | Some intensity -> intensity
-  | None ->
-      let intensity =
-        match eng with
-        | Fft ->
-            let r =
-              match into with
-              | Some b ->
-                  Raster.fill b.intensity 0.0;
-                  b.intensity
-              | None -> Raster.like shape
-            in
-            paint_mask r rects;
-            convolve_fft model condition r;
-            r
-        | Direct ->
-            let b =
-              match into with
-              | Some b ->
-                  Raster.fill b.mask 0.0;
-                  b
-              | None -> buffers_like shape
-            in
-            paint_mask b.mask rects;
-            convolve_direct model condition b;
-            b.intensity
-      in
-      (* The cache keeps what it is given.  An image in the caller's
-         [into] buffers is overwritten by the next simulation into
-         them, so only that one is copied first. *)
-      Option.iter
-        (fun k ->
-          Tile_cache.store Tile_cache.global k
-            (if Option.is_some into then Raster.copy intensity else intensity))
-        key;
-      intensity
+  (* An image in the caller's [into] buffers is overwritten by the next
+     simulation into them, so it never enters the cache. *)
+  if Option.is_some into || not model.Model.cache then compute ()
+  else
+    let key = cache_key eng model condition shape rects in
+    match Tile_cache.find Tile_cache.global ~origin:(Raster.origin shape) key with
+    | Some intensity -> intensity
+    | None ->
+        let intensity = compute () in
+        Tile_cache.store Tile_cache.global key intensity;
+        intensity
 
 let calibrate ?engine (model : Model.t) (tech : Layout.Tech.t) =
   (* Reference pattern: a dense array of vertical lines at drawn gate

@@ -28,23 +28,25 @@
     on one domain: parallelism is across tiles (model OPC's sim
     tiles), never across the kernels of one image.
 
-    When the model's {!Model.t.cache} is set, every simulation first
-    consults the content-addressed {!Tile_cache.global}: the key is the
-    clipped mask geometry relative to the raster origin plus the raster
-    geometry, the defocus-adjusted kernel stack, and the engine, so
-    repeated cell patterns hit at any placement and a dose sweep at
-    fixed defocus hits after its first condition (dose scales the
-    threshold, not the intensity).  Hits are bit-identical to a
-    fresh simulation by construction, so enabling the cache never
-    changes results — only wall time.
+    When the model's {!Model.t.cache} is set, a simulation without
+    [into] first consults the content-addressed {!Tile_cache.global}:
+    the key is the clipped mask geometry relative to the raster origin
+    plus the raster geometry, the defocus-adjusted kernel stack, and
+    the engine, so repeated cell patterns hit at any placement and a
+    dose sweep at fixed defocus hits after its first condition (dose
+    scales the threshold, not the intensity).  Hits are bit-identical
+    to a fresh simulation by construction, so enabling the cache never
+    changes results — only wall time and memory.  A simulation into
+    [into] bypasses the cache: it neither looks up nor stores, and
+    counts no hit or miss, because its image is overwritten by the
+    next simulation into the same buffers.
 
-    The returned raster is read-only.  A hit returns the stored image
-    itself, relocated to the window's origin ({!Tile_cache.find}),
-    even when [into] is given; a miss stores the image it computed,
-    copying it first only when it was computed in [into]'s buffers.
-    Only [into] buffers are the caller's to write.  Every caller only
-    reads the image: CD extraction ([Cdex.Extract]), {!Pvband},
-    {!calibrate}, model OPC ([Opc.Model_opc]), ORC ([Opc.Orc]), SRAF
+    The returned raster is read-only, except that [into]'s buffers are
+    the caller's to write.  A hit returns the stored image itself,
+    relocated to the window's origin ({!Tile_cache.find}); a miss
+    stores the image it computed.  Every caller only reads the image:
+    CD extraction ([Cdex.Extract]), {!Pvband}, {!calibrate}, model OPC
+    ([Opc.Model_opc], always with [into]), ORC ([Opc.Orc]), SRAF
     placement ([Opc.Sraf]), the bench harness and the examples. *)
 
 type engine = Model.engine = Direct | Fft
@@ -69,7 +71,8 @@ type buffers
     rasters for simulating [window] under [model]'s step and halo. *)
 val buffers : Model.t -> window:Geometry.Rect.t -> buffers
 
-(** Raises [Invalid_argument] when [into] was made for another window. *)
+(** Raises [Invalid_argument] when [into] was made for another window.
+    With [into], the tile cache is not consulted. *)
 val simulate :
   ?engine:engine ->
   ?into:buffers ->

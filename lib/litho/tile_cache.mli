@@ -1,8 +1,12 @@
 (** Content-addressed cache of simulated aerial-image tiles.
 
-    Repeated standard-cell rows, dose sweeps that share a defocus, and
-    OPC iterations that revisit a mask state all ask the simulator for
-    images it has already computed.  This cache keys each simulated
+    Repeated standard-cell rows in CD extraction, dose sweeps that
+    share a defocus (serve [corner] and dose re-queries, the SSTA
+    process window, PV bands) and a calibration repeated in one
+    process all ask the simulator for images it has already computed.
+    Model OPC is not a user: its sim tiles simulate into their own
+    buffers, which bypass the cache ({!Aerial.simulate}), because its
+    images almost never repeat.  This cache keys each simulated
     raster by a canonical string of its *content* — the clipped mask
     rectangles relative to the raster origin, the raster geometry, and
     the defocus-adjusted kernel stack (see {!Aerial}) — so any window
@@ -47,8 +51,9 @@ val find : t -> origin:Geometry.Point.t -> string -> Raster.t option
 
 (** [store t key raster] inserts [raster] itself, not a copy, then
     evicts LRU entries until the budget holds.  The caller hands the
-    raster over: it must not write to it afterwards (a caller that
-    reuses a buffer stores a copy).  Re-storing an existing key is a
+    raster over: it must not write to it afterwards (so
+    {!Aerial.simulate} never stores an image computed in reused
+    buffers).  Re-storing an existing key is a
     no-op: contents are equal by construction, so first-write-wins
     keeps hits stable under concurrent stores. *)
 val store : t -> string -> Raster.t -> unit

@@ -10,7 +10,6 @@ type config = {
   search : float;
   mask_grid : int;
   min_mask_space : int;
-  incremental : bool;
   sim_tile : int;
 }
 
@@ -25,7 +24,6 @@ let default_config (tech : Layout.Tech.t) =
     search = 120.0;
     mask_grid = 1;
     min_mask_space = 140;
-    incremental = true;
     sim_tile = 3000;
   }
 
@@ -51,9 +49,9 @@ let m_epe =
     ~edges:[| 0.1; 0.2; 0.5; 1.0; 2.0; 5.0; 10.0; 20.0 |]
     "opc.max_epe_nm"
 
-let m_dirty = Obs.Metrics.counter "opc.dirty_tiles"
-
-let m_clean = Obs.Metrics.counter "opc.clean_tiles"
+(* One count per sim-tile simulation.  The benchmark's per-layer table
+   reads it under this name. *)
+let m_sim_tiles = Obs.Metrics.counter "opc.dirty_tiles"
 
 let correct_untraced ?pool (model : Litho.Model.t) config ~targets ~context =
   match targets with
@@ -123,15 +121,9 @@ let correct_untraced ?pool (model : Litho.Model.t) config ~targets ~context =
         G.Rect.hull_of_list (List.map G.Polygon.bbox targets)
       in
       let threshold = model.Litho.Model.threshold in
-      (* Dirty-tile incremental re-simulation: the correction window is
-         split into a fixed grid of [sim_tile] tiles, each simulated
-         independently over its window inflated by the model halo.
-         Between passes only a handful of fragments move,
-         so a tile is re-simulated only when a changed mask polygon can
-         reach its raster extent; clean tiles keep their raster, which
-         deterministic recomputation would reproduce bit-for-bit.  With
-         [incremental = false] every tile is recomputed every pass over
-         the *same* grid, so the two modes are byte-identical. *)
+      (* The correction window is split into a fixed grid of [sim_tile]
+         tiles, each simulated independently over its window inflated
+         by the model halo; every pass re-simulates every tile. *)
       let tw, th =
         if config.sim_tile <= 0 then
           (max 1 (G.Rect.width window), max 1 (G.Rect.height window))
@@ -155,87 +147,43 @@ let correct_untraced ?pool (model : Litho.Model.t) config ~targets ~context =
         let iy = min (nty - 1) (max 0 ((c.G.Point.y - window.G.Rect.ly) / th)) in
         (iy * ntx) + ix
       in
-      (* A change is visible to a tile iff it overlaps the tile's raster
-         extent: tile + halo, rounded out to whole pixels (the raster
-         rounds its span up, so err outward — an over-approximation
-         costs a recompute, an under-approximation would corrupt). *)
-      let reach =
-        model.Litho.Model.halo
-        + (2 * int_of_float (Float.ceil model.Litho.Model.step)) + 2
-      in
       (* Each sim tile owns its rasters for the whole correction: every
          pass simulates into them, so a pass allocates no image. *)
       let buffers =
         Array.map (fun w -> Litho.Aerial.buffers model ~window:w) tiles
       in
-      let rasters = Array.make (ntx * nty) None in
-      let prev_masks = Array.make (List.length fragmented) None in
       let measure_pass () =
-        let masks = List.map Fragment.to_mask fragmented in
-        let mask_polys = masks @ context in
-        let moved =
-          List.concat
-            (List.mapi
-               (fun i m ->
-                 match prev_masks.(i) with
-                 | Some old when G.Polygon.equal old m -> []
-                 | Some old ->
-                     prev_masks.(i) <- Some m;
-                     [ G.Rect.hull (G.Polygon.bbox old) (G.Polygon.bbox m) ]
-                 | None ->
-                     prev_masks.(i) <- Some m;
-                     [ G.Polygon.bbox m ])
-               masks)
-        in
-        (* Staleness is decided (and counted) on the calling domain in
-           tile order; only the simulations of the stale tiles fan out.
-           Each task writes its own tile's buffers, so the images do not
+        let mask_polys = List.map Fragment.to_mask fragmented @ context in
+        Obs.Metrics.add m_sim_tiles (Array.length tiles);
+        (* Each task writes its own tile's buffers, so the images do not
            depend on the worker count. *)
-        let stale =
-          List.filter
-            (fun idx ->
-              rasters.(idx) = None || (not config.incremental)
-              || List.exists (G.Rect.touches (G.Rect.inflate tiles.(idx) reach)) moved)
-            (List.init (Array.length tiles) Fun.id)
-        in
-        Obs.Metrics.add m_dirty (List.length stale);
-        Obs.Metrics.add m_clean (Array.length tiles - List.length stale);
         let simulate idx =
           Litho.Aerial.simulate ~into:buffers.(idx) model Litho.Condition.nominal
             ~window:tiles.(idx) mask_polys
         in
-        let images =
+        let rasters =
           match pool with
-          | None -> List.map simulate stale
-          | Some p -> Exec.Pool.map_list ~label:"opc.tiles" p simulate stale
+          | None -> Array.init (Array.length tiles) simulate
+          | Some p -> Exec.Pool.init ~label:"opc.tiles" p (Array.length tiles) simulate
         in
-        List.iter2 (fun idx r -> rasters.(idx) <- Some r) stale images;
-        let intensity_at c =
-          match rasters.(tile_of c) with
-          | Some r -> r
-          | None -> assert false
-        in
+        let intensity_at c = rasters.(tile_of c) in
         (* EPE of the printed contour against the *drawn* control site,
            sampled from the stitched tile set. *)
-        let epes =
-          List.map
-            (fun f ->
-              List.filter_map
-                (fun (frag : Fragment.t) ->
-                  if is_covered frag then None
-                  else
-                    let c = frag.Fragment.control and n = frag.Fragment.normal in
-                    Some
-                      ( frag,
-                        Litho.Metrology.epe (intensity_at c) ~threshold
-                          ~x:(float_of_int c.G.Point.x) ~y:(float_of_int c.G.Point.y)
-                          ~nx:(float_of_int n.G.Point.x) ~ny:(float_of_int n.G.Point.y)
-                          ~search:config.search ))
-                f.Fragment.fragments)
-            fragmented
-          |> List.concat
-        in
-        epes
+        List.concat_map
+          (fun f ->
+            List.filter_map
+              (fun (frag : Fragment.t) ->
+                if is_covered frag then None
+                else
+                  let c = frag.Fragment.control and n = frag.Fragment.normal in
+                  Some
+                    ( frag,
+                      Litho.Metrology.epe (intensity_at c) ~threshold
+                        ~x:(float_of_int c.G.Point.x) ~y:(float_of_int c.G.Point.y)
+                        ~nx:(float_of_int n.G.Point.x) ~ny:(float_of_int n.G.Point.y)
+                        ~search:config.search ))
+              f.Fragment.fragments)
+          fragmented
       in
       let all_fragments = List.concat_map (fun f -> f.Fragment.fragments) fragmented in
       let snapshot () = List.map (fun (f : Fragment.t) -> f.Fragment.displacement) all_fragments in

@@ -18,18 +18,12 @@ type config = {
   min_mask_space : int;  (** mask-rule constraint: outward moves stop
                              when the gap to a neighbour shape would
                              drop below this, nm *)
-  incremental : bool;
-      (** dirty-tile incremental re-simulation: between EPE passes,
-          re-simulate only the tiles whose halo'd raster extent a moved
-          mask polygon can reach.  Clean tiles keep rasters that a
-          recompute would reproduce bit-for-bit, so results are
-          byte-identical with this off (default on) *)
   sim_tile : int;
       (** simulation tile edge for the EPE measurement grid, nm; [<= 0]
-          simulates the whole correction window as one tile.  The tile
-          grid (not this flag) defines the sampled intensity, so
-          changing it perturbs EPE at the sub-0.1 nm level of the tile
-          halo truncation *)
+          simulates the whole correction window as one tile.  Every
+          pass re-simulates every tile.  The tile grid defines the
+          sampled intensity, so changing it perturbs EPE at the
+          sub-0.1 nm level of the tile halo truncation *)
 }
 
 val default_config : Layout.Tech.t -> config
@@ -50,13 +44,14 @@ type stats = {
 
     Each sim tile owns its mask, scratch and intensity rasters for the
     whole correction ({!Litho.Aerial.buffers}), so a pass allocates no
-    image.  When [pool] is given, each pass simulates its stale tiles
-    on the pool ([opc.tiles] label).  Which tiles are stale is decided
-    on the calling domain in tile order, and every task writes only
-    its own tile's buffers; the EPE measurement and fragment moves
-    then run on the calling domain.  The polygons, stats and
-    [opc.*_tiles] counts are therefore identical for any worker
-    count, and to a call without a pool. *)
+    image, and its simulations never touch the tile cache
+    ([Litho.Aerial.simulate ~into]).  Every pass simulates every sim
+    tile, counting each in [opc.dirty_tiles]; when [pool] is given, it
+    does so on the pool ([opc.tiles] label).  Every task writes only
+    its own tile's buffers, and the EPE measurement and fragment moves
+    run on the calling domain.  The polygons, stats and
+    [opc.dirty_tiles] count are therefore identical for any worker
+    count and cache setting, and to a call without a pool. *)
 val correct :
   ?pool:Exec.Pool.t ->
   Litho.Model.t ->

@@ -510,8 +510,13 @@ let print_report ppf t ~spread ~report ~selective ~ssta =
   let printed =
     List.filter (fun c -> c.Cdex.Gate_cd.printed) r.Flow.cds
   in
-  Format.fprintf ppf "gate dCD: %a@." Stats.Summary.pp
-    (Stats.Summary.of_list (List.map Cdex.Gate_cd.delta_cd printed));
+  (match printed with
+  | [] ->
+      let sites = List.length r.Flow.cds in
+      Format.fprintf ppf "gate dCD: no gate printed (%d of %d sites)@." sites sites
+  | _ ->
+      Format.fprintf ppf "gate dCD: %a@." Stats.Summary.pp
+        (Stats.Summary.of_list (List.map Cdex.Gate_cd.delta_cd printed)));
   Format.fprintf ppf "drawn   : %a@." Sta.Timing.pp_summary r.Flow.drawn_sta;
   Format.fprintf ppf "post-OPC: %a@." Sta.Timing.pp_summary r.Flow.post_opc_sta;
   Format.fprintf ppf "delta   : %a@." Compare.pp_slack_delta

@@ -1,8 +1,9 @@
 (* The litho tile cache's one hard promise: a hit is bit-identical to
    the simulation it replaces.  These tests exercise that promise at
    every consumer (Aerial.simulate per tile, Pvband.compute, Flow.run),
-   the byte-budget eviction, the incremental OPC dirty-tile path, and
-   the observability counters. *)
+   the byte-budget eviction and the observability counters, and check
+   that simulations into caller-owned buffers (model OPC's) bypass the
+   cache. *)
 
 module G = Geometry
 
@@ -165,51 +166,6 @@ let test_hit_shares_stored_raster () =
         && G.Point.equal (Litho.Raster.origin home) G.Point.origin)
   | _ -> Alcotest.fail "miss"
 
-(* ---- incremental OPC: dirty-tile on/off identity ---- *)
-
-let opc_config ~incremental =
-  {
-    (Opc.Model_opc.default_config tech) with
-    Opc.Model_opc.iterations = 3;
-    incremental;
-    (* Small enough that a 3-line cluster spans several tiles, so the
-       dirty/clean classification actually has work to do. *)
-    sim_tile = 700;
-  }
-
-let arb_cluster =
-  (* 1-3 vertical lines at random pitches/heights: enough variety to
-     move different fragment subsets on different iterations. *)
-  QCheck.make
-    ~print:(fun ps ->
-      String.concat ";" (List.map (Format.asprintf "%a" G.Polygon.pp) ps))
-    QCheck.Gen.(
-      let* n = int_range 1 3 in
-      let* xs = list_repeat n (int_range 0 8) in
-      let* hs = list_repeat n (int_range 4 14) in
-      return
-        (List.mapi
-           (fun i (x, h) ->
-             G.Polygon.of_rect
-               (G.Rect.make ~lx:(i * 300 + x * 10) ~ly:0
-                  ~hx:((i * 300) + (x * 10) + 90)
-                  ~hy:(h * 100)))
-           (List.combine xs hs)))
-
-let prop_incremental_identical =
-  QCheck.Test.make ~name:"incremental OPC = full re-simulation" ~count:8 arb_cluster
-    (fun targets ->
-      (* Cache off: the property must hold from the dirty-tile logic
-         alone, not from cache hits hiding a stale raster. *)
-      with_cache false @@ fun m ->
-      let on, s_on =
-        Opc.Model_opc.correct m (opc_config ~incremental:true) ~targets ~context:[]
-      in
-      let off, s_off =
-        Opc.Model_opc.correct m (opc_config ~incremental:false) ~targets ~context:[]
-      in
-      List.for_all2 G.Polygon.equal on off && s_on = s_off)
-
 (* ---- metrics ---- *)
 
 let counter_value name =
@@ -249,7 +205,11 @@ let test_metrics_monotone_and_hit () =
 
 (* ---- caller-owned simulation buffers ---- *)
 
-let test_buffers_identical () =
+let lookups () = (counter_value "litho.cache.hits", counter_value "litho.cache.misses")
+
+(* A simulation into caller-owned buffers neither looks up nor stores:
+   the next simulation into the same buffers overwrites its image. *)
+let test_into_bypasses_cache () =
   let m = Lazy.force model in
   let chip = Lazy.force small_chip in
   let window = G.Rect.make ~lx:0 ~ly:0 ~hx:1000 ~hy:1000 in
@@ -264,23 +224,40 @@ let test_buffers_identical () =
   let fresh_other = with_cache false (fun m -> data (sim m other)) in
   let b = Litho.Aerial.buffers m ~window in
   with_cache true @@ fun m ->
-  let h0 = counter_value "litho.cache.hits" in
-  let miss = sim ~into:b m shapes in
-  checki "first simulation into buffers misses" h0 (counter_value "litho.cache.hits");
-  checkb "miss into buffers = fresh simulation" true (data miss = fresh);
-  (* Scribble over the intensity so a hit must overwrite every pixel. *)
-  Litho.Raster.fill miss 7.0;
-  let hit = sim ~into:b m shapes in
-  checkb "repeat hits" true (counter_value "litho.cache.hits" > h0);
-  checkb "hit into buffers = fresh simulation" true (data hit = fresh);
-  (* A miss on reused buffers starts from a clean mask. *)
-  checkb "reused buffers = fresh simulation" true (data (sim ~into:b m other) = fresh_other);
+  let before = lookups () in
+  let first = sim ~into:b m shapes in
+  checkb "simulation into buffers = fresh simulation" true (data first = fresh);
+  (* Scribble over the intensity so a repeat must rewrite every pixel. *)
+  Litho.Raster.fill first 7.0;
+  checkb "repeat = fresh simulation" true (data (sim ~into:b m shapes) = fresh);
+  (* Reused buffers start from a clean mask. *)
+  checkb "other content = fresh simulation" true (data (sim ~into:b m other) = fresh_other);
+  checkb "no hit or miss counted" true (lookups () = before);
+  checki "nothing stored" 0 (Litho.Tile_cache.entries Litho.Tile_cache.global);
   Alcotest.check_raises "buffers of another window"
     (Invalid_argument "Aerial.simulate: buffers made for another window") (fun () ->
       ignore
         (Litho.Aerial.simulate ~into:b m Litho.Condition.nominal
            ~window:(G.Rect.translate window (G.Point.make 5 0))
            shapes))
+
+(* Model OPC simulates only into its sim tiles' buffers, so a
+   correction with the cache on neither consults nor fills it. *)
+let test_model_opc_stores_nothing () =
+  let targets =
+    List.map
+      (fun (x, h) -> G.Polygon.of_rect (G.Rect.make ~lx:x ~ly:0 ~hx:(x + 90) ~hy:h))
+      [ (0, 1400); (400, 900); (800, 1300) ]
+  in
+  let config =
+    { (Opc.Model_opc.default_config tech) with Opc.Model_opc.iterations = 3; sim_tile = 700 }
+  in
+  with_cache true @@ fun m ->
+  let before = lookups () and tiles0 = counter_value "opc.dirty_tiles" in
+  ignore (Opc.Model_opc.correct m config ~targets ~context:[]);
+  checkb "sim tiles simulated" true (counter_value "opc.dirty_tiles" > tiles0);
+  checkb "no hit or miss counted" true (lookups () = before);
+  checki "nothing stored" 0 (Litho.Tile_cache.entries Litho.Tile_cache.global)
 
 (* ---- engine key separation ---- *)
 
@@ -329,12 +306,13 @@ let () =
           Alcotest.test_case "hit shares the stored raster" `Quick
             test_hit_shares_stored_raster;
         ] );
-      ( "incremental",
-        [ QCheck_alcotest.to_alcotest prop_incremental_identical ] );
       ( "metrics",
         [ Alcotest.test_case "monotone + hit" `Slow test_metrics_monotone_and_hit ] );
       ( "engines",
         [ Alcotest.test_case "keys disjoint" `Slow test_engine_keys_disjoint ] );
       ( "buffers",
-        [ Alcotest.test_case "miss and hit = fresh" `Slow test_buffers_identical ] );
+        [
+          Alcotest.test_case "into bypasses the cache" `Slow test_into_bypasses_cache;
+          Alcotest.test_case "model OPC stores nothing" `Slow test_model_opc_stores_nothing;
+        ] );
     ]

@@ -146,7 +146,7 @@ let test_model_opc_empty_targets () =
   checki "no sites" 0 stats.Opc.Model_opc.sites
 
 (* Three lines over a 2 x 2 grid of small sim tiles, so each pass has
-   several stale tiles to spread over the pool. *)
+   several tiles to spread over the pool. *)
 let test_model_opc_pool_identical () =
   let m = Lazy.force model in
   let targets =
@@ -158,11 +158,9 @@ let test_model_opc_pool_identical () =
     Litho.Tile_cache.clear Litho.Tile_cache.global;
     f { m with Litho.Model.cache = enabled }
   in
+  let config = { opc_config with Opc.Model_opc.iterations = 3; sim_tile = 700 } in
   List.iter
-    (fun (incremental, cache) ->
-      let config =
-        { opc_config with Opc.Model_opc.iterations = 3; incremental; sim_tile = 700 }
-      in
+    (fun cache ->
       with_cache cache @@ fun m ->
       let correct ?pool () = Opc.Model_opc.correct ?pool m config ~targets ~context:[] in
       let polys, stats = correct () in
@@ -171,14 +169,11 @@ let test_model_opc_pool_identical () =
           let polys', stats' =
             Exec.Pool.with_pool ~domains (fun pool -> correct ~pool ())
           in
-          let label =
-            Printf.sprintf "incremental %b, cache %b, %d domains" incremental cache
-              domains
-          in
+          let label = Printf.sprintf "cache %b, %d domains" cache domains in
           checkb (label ^ ": polygons") true (List.for_all2 G.Polygon.equal polys polys');
           checkb (label ^ ": stats") true (stats = stats'))
         [ 1; 2; 4 ])
-    [ (true, true); (true, false); (false, true); (false, false) ]
+    [ true; false ]
 
 let test_merge_stats () =
   let s1 =

@@ -713,6 +713,31 @@ let test_random_queries_deterministic =
 (* A corner whose spread reaches the 90 nm drawn gate length leaves a
    non-positive channel: the target raises [Invalid_argument] from the
    device model. *)
+(* ---- report ---- *)
+
+(* At a defocus where no gate prints, the report says so and goes on
+   to the timing lines, instead of failing on an empty CD summary. *)
+let test_report_no_gate_printed () =
+  let condition = Litho.Condition.make ~dose:1.02 ~defocus:5000.0 in
+  let s =
+    Session.create ~bench:"c17" { (base_config ()) with F.condition }
+      (Circuit.Generator.c17 ())
+  in
+  Fun.protect ~finally:(fun () -> Session.close s) @@ fun () ->
+  let sites = List.length (Session.run s).F.cds in
+  let lines =
+    Format.asprintf "%a"
+      (fun ppf () ->
+        Session.print_report ppf s ~spread:8.0 ~report:0 ~selective:false ~ssta:false)
+      ()
+    |> String.split_on_char '\n'
+  in
+  checkb "gate sites measured" true (sites > 0);
+  checkb "no gate printed, counted" true
+    (List.mem (Printf.sprintf "gate dCD: no gate printed (%d of %d sites)" sites sites) lines);
+  checkb "report goes on to leakage" true
+    (List.exists (String.starts_with ~prefix:"leakage : ") lines)
+
 let failing_corner = {|{"verb":"corner","dose":1.03,"defocus":90,"spread":200}|}
 
 let test_session_survives_fault () =
@@ -794,6 +819,8 @@ let () =
             test_script_determinism;
           qt test_random_queries_deterministic;
         ] );
+      ( "report",
+        [ Alcotest.test_case "no gate printed" `Quick test_report_no_gate_printed ] );
       ( "faults",
         [
           Alcotest.test_case "session survives injected fault" `Quick
