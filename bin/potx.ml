@@ -145,11 +145,13 @@ let opc_arg =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Placement/noise seed.")
 
-(* A float flag value that must satisfy [ok]; any other is a usage
-   error with the message [error s]. *)
-let checked_float ~ok ~error =
+(* A finite float flag value that must satisfy [ok]; any other is a
+   usage error, with the message [error s] when it is finite. *)
+let checked_float ?(ok = fun _ -> true) ?(error = fun _ -> "") () =
   let parse s =
     match Arg.conv_parser Arg.float s with
+    | Ok v when not (Float.is_finite v) ->
+        Error (`Msg (Printf.sprintf "%s is not a finite number" s))
     | Ok v when ok v -> Ok v
     | Ok _ -> Error (`Msg (error s))
     | Error _ as e -> e
@@ -160,12 +162,15 @@ let dose_arg =
   Arg.(
     value
     & opt
-        (checked_float ~ok:(fun v -> v > 0.0) ~error:(Printf.sprintf "dose %s is not positive"))
+        (checked_float ~ok:(fun v -> v > 0.0)
+           ~error:(Printf.sprintf "dose %s is not positive") ())
         1.02
-    & info [ "dose" ] ~doc:"Silicon exposure dose (1.0 nominal); positive.")
+    & info [ "dose" ] ~doc:"Silicon exposure dose (1.0 nominal); positive and finite.")
 
 let defocus_arg =
-  Arg.(value & opt float 70.0 & info [ "defocus" ] ~doc:"Silicon defocus, nm.")
+  Arg.(
+    value & opt (checked_float ()) 70.0
+    & info [ "defocus" ] ~doc:"Silicon defocus, nm; finite.")
 
 (* The corner views move every gate to drawn +- spread, so a spread at
    or beyond the drawn gate length leaves a non-positive channel. *)
@@ -179,6 +184,7 @@ let spread_arg =
       ~ok:(fun v -> v >= 0.0 && v < gate_length)
       ~error:(fun s ->
         Printf.sprintf "spread %s nm is outside [0, %g), the drawn gate length" s gate_length)
+      ()
   in
   Arg.(
     value
@@ -456,9 +462,9 @@ let export_cds bench seed path domains no_cache engine trace metrics =
       engine }
   in
   let r = Timing_opc.Flow.run config (netlist_of_name seed bench) in
-  (* Exact (hex-float) CDs: cdcmp deltas must reflect the engines, not
-     a decimal-printing round trip. *)
-  Cdex.Csv.save_file ~exact:true path r.Timing_opc.Flow.cds;
+  (* Hex-float CDs: cdcmp deltas reflect the engines, not a
+     decimal-printing round trip. *)
+  Cdex.Csv.save_file path r.Timing_opc.Flow.cds;
   Format.printf "wrote %s (%d gate-CD records)@." path (List.length r.Timing_opc.Flow.cds)
 
 let cds_cmd =
@@ -562,175 +568,17 @@ let cdcmp_cmd =
       $ file 1 "Candidate CD export to compare."
       $ budget)
 
-(* ---- obs-check ---- *)
+(* ---- obs-check / obs-report ---- *)
 
-(* Validate trace/metrics JSONL written by [--trace]/[--metrics]: every
-   line parses, spans cover every flow stage, and the metrics carry a
-   healthy spread of distinct names.  The CI smoke run in bin/check.sh
-   gates on this. *)
-
-let flow_stages = [ "place"; "opc"; "litho"; "cdex"; "annotate"; "sta" ]
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-(* The litho acceleration layer must be visible in any captured
-   metrics file: the instruments are registered at module load, so a
-   flow binary that fails to surface them has lost its wiring. *)
-let accel_metrics =
-  [ "litho.cache.hits"; "litho.cache.misses"; "litho.cache.evictions";
-    "litho.cache.bytes"; "opc.dirty_tiles" ]
-
-(* Likewise the checkpoint store registers its counters at module
-   load. *)
-let robust_metrics =
-  [ "flow.checkpoint.saved"; "flow.checkpoint.loaded";
-    "flow.checkpoint.rejected" ]
-
-let obs_check trace metrics min_metrics require_nonzero serve =
-  let problems = ref [] in
-  let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let parse_lines what path =
-    if not (Sys.file_exists path) then begin
-      problem "%s: %s file does not exist" path what;
-      []
-    end
-    else begin
-      let ic = open_in path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let lines =
-        String.split_on_char '\n' text
-        |> List.map String.trim
-        |> List.filter (fun l -> l <> "")
-      in
-      if lines = [] then problem "%s: %s file is empty" path what;
-      List.filter_map
-        (fun line ->
-          match Obs.Json.parse line with
-          | Ok j -> Some j
-          | Error e ->
-              problem "%s: unparsable JSONL line (%s)" path e;
-              None)
-        lines
-    end
+let obs_check trace metrics require_nonzero =
+  let v =
+    Obs.Report.check ?trace:(sink trace) ?metrics:(sink metrics) ~require_nonzero ()
   in
-  if trace = "" && metrics = "" then
-    problem "nothing to check: pass --trace and/or --metrics";
-  if trace <> "" then begin
-    let spans = parse_lines "trace" trace in
-    let names =
-      List.filter_map
-        (fun j ->
-          match (Obs.Json.member "type" j, Obs.Json.member "name" j) with
-          | Some (Obs.Json.Str "span"), Some (Obs.Json.Str n) -> Some n
-          | _ ->
-              problem "%s: line is not a span event" trace;
-              None)
-        spans
-    in
-    List.iter
-      (fun stage ->
-        if not (List.exists (contains ~needle:stage) names) then
-          problem "%s: no span covers flow stage %S" trace stage)
-      flow_stages;
-    if
-      not
-        (List.for_all
-           (fun j ->
-             match Obs.Json.member "wall_s" j with
-             | Some (Obs.Json.Num w) -> w >= 0.0
-             | _ -> false)
-           spans)
-    then problem "%s: span without a non-negative wall_s timing" trace;
-    Format.printf "obs-check: %s: %d spans, %d distinct names@." trace
-      (List.length spans)
-      (List.length (List.sort_uniq String.compare names))
-  end;
-  if metrics <> "" then begin
-    let ms = parse_lines "metrics" metrics in
-    let names =
-      List.filter_map
-        (fun j ->
-          match (Obs.Json.member "type" j, Obs.Json.member "name" j) with
-          | Some (Obs.Json.Str ("counter" | "gauge" | "histogram")), Some (Obs.Json.Str n)
-            -> Some n
-          | _ ->
-              problem "%s: line is not a counter/gauge/histogram" metrics;
-              None)
-        ms
-      |> List.sort_uniq String.compare
-    in
-    if List.length names < min_metrics then
-      problem "%s: only %d distinct metric names (want >= %d)" metrics
-        (List.length names) min_metrics;
-    List.iter
-      (fun required ->
-        if not (List.mem required names) then
-          problem "%s: missing metric %S" metrics required)
-      (accel_metrics @ robust_metrics);
-    let value_of name =
-      List.find_map
-        (fun j ->
-          match (Obs.Json.member "name" j, Obs.Json.member "value" j) with
-          | Some (Obs.Json.Str n), Some (Obs.Json.Num v) when n = name -> Some v
-          | _ -> None)
-        ms
-    in
-    List.iter
-      (fun name ->
-        match value_of name with
-        | Some v when v > 0.0 -> ()
-        | Some v -> problem "%s: metric %S is %g, want > 0" metrics name v
-        | None -> problem "%s: metric %S has no value to test" metrics name)
-      require_nonzero;
-    (* --serve: the latency-histogram contract of the timing service —
-       histograms are present at all, and every verb the session
-       counted also observed into its serve.latency.<verb> histogram. *)
-    if serve then begin
-      let typed = List.filter_map Obs.Report.metric_of_json ms in
-      let hists =
-        List.filter_map
-          (fun (n, v) ->
-            match v with Obs.Metrics.Histogram h -> Some (n, h) | _ -> None)
-          typed
-      in
-      if hists = [] then problem "%s: no histograms at all (want serve.latency.*)" metrics
-      else if
-        not
-          (List.exists
-             (fun (n, _) -> String.starts_with ~prefix:"serve.latency." n)
-             hists)
-      then problem "%s: no serve.latency.* histogram" metrics;
-      List.iter
-        (fun (n, v) ->
-          match v with
-          | Obs.Metrics.Counter c
-            when c > 0 && String.starts_with ~prefix:"serve.verb." n ->
-              let verb = String.sub n 11 (String.length n - 11) in
-              (match List.assoc_opt ("serve.latency." ^ verb) hists with
-              | Some h when h.Obs.Metrics.count > 0 -> ()
-              | Some _ ->
-                  problem "%s: serve.latency.%s histogram is empty" metrics verb
-              | None ->
-                  problem "%s: verb %S was counted but has no serve.latency.%s histogram"
-                    metrics verb verb)
-          | _ -> ())
-        typed
-    end;
-    Format.printf "obs-check: %s: %d metrics, %d distinct names@." metrics
-      (List.length ms) (List.length names)
-  end
-  else begin
-    if require_nonzero <> [] then problem "--require-nonzero needs --metrics";
-    if serve then problem "--serve needs --metrics"
-  end;
-  match List.rev !problems with
+  List.iter (Format.printf "obs-check: %s@.") v.Obs.Report.summary;
+  match v.Obs.Report.problems with
   | [] -> Format.printf "obs-check: OK@."
   | ps ->
-      List.iter (fun p -> Format.eprintf "obs-check: %s@." p) ps;
+      List.iter (Format.eprintf "obs-check: %s@.") ps;
       exit 1
 
 let obs_check_cmd =
@@ -742,146 +590,37 @@ let obs_check_cmd =
       value & opt string ""
       & info [ "metrics" ] ~doc:"Metrics JSONL to validate." ~docv:"FILE")
   in
-  let min_metrics =
-    Arg.(
-      value & opt int 10
-      & info [ "min-metrics" ] ~doc:"Minimum distinct metric names required.")
-  in
   let require_nonzero =
     Arg.(
       value & opt_all string []
       & info [ "require-nonzero" ]
           ~doc:
             "Fail unless the named counter/gauge has a value > 0 in the \
-             metrics file (repeatable).  bin/check.sh uses this to assert the \
-             tile cache actually hit." ~docv:"NAME")
-  in
-  let serve =
-    Arg.(
-      value & flag
-      & info [ "serve" ]
-          ~doc:
-            "Check the timing-service latency contract: the metrics file \
-             must contain at least one histogram, and every \
-             $(i,serve.verb.<v>) counter > 0 must have a populated \
-             $(i,serve.latency.<v>) histogram beside it.")
+             metrics file (repeatable).  bin/smoke.sh uses this to assert, \
+             for one, that the tile cache actually hit." ~docv:"NAME")
   in
   Cmd.v
     (Cmd.info "obs-check"
-       ~doc:"validate trace/metrics JSONL produced by --trace/--metrics")
-    Term.(const obs_check $ trace $ metrics $ min_metrics $ require_nonzero $ serve)
-
-(* ---- obs-report ---- *)
-
-(* Human summary over captured observability files: per-verb latency
-   quantiles, worker-pool occupancy, litho-cache hit rate and the
-   per-stage wall/allocation table out of a --metrics dump, plus the
-   span self-time table out of a --trace dump. *)
+       ~doc:
+         "validate trace/metrics JSONL produced by --trace/--metrics against \
+          the capture schema: every flow-stage span, the required metrics \
+          with their kinds, and a serve.latency.<verb> histogram for every \
+          counted serve verb")
+    Term.(const obs_check $ trace $ metrics $ require_nonzero)
 
 let obs_report metrics trace =
   if metrics = "" && trace = "" then begin
     Format.eprintf "obs-report: pass --metrics and/or --trace@.";
     exit 2
   end;
-  if metrics <> "" then begin
-    let ms = Obs.Report.read_jsonl_file metrics in
-    if ms = [] then begin
-      Format.eprintf "obs-report: %s: no parsable metrics@." metrics;
+  match
+    Obs.Report.summarise ?metrics:(sink metrics) ?trace:(sink trace)
+      Format.std_formatter
+  with
+  | Ok () -> ()
+  | Error e ->
+      Format.eprintf "obs-report: %s@." e;
       exit 1
-    end;
-    Format.printf "obs-report: %s (%d metrics)@." metrics (List.length ms);
-    let latency =
-      List.filter_map
-        (fun (name, v) ->
-          match v with
-          | Obs.Metrics.Histogram h
-            when String.starts_with ~prefix:"serve.latency." name ->
-              Some (String.sub name 14 (String.length name - 14), h)
-          | _ -> None)
-        ms
-    in
-    if latency <> [] then begin
-      Format.printf "@.service latency (ms):@.";
-      Format.printf "  %-12s %8s %9s %9s %9s %9s@." "verb" "count" "p50" "p95"
-        "p99" "mean";
-      List.iter
-        (fun (verb, (h : Obs.Metrics.histogram_snapshot)) ->
-          let q p = Obs.Report.quantile h p in
-          let mean =
-            if h.Obs.Metrics.count = 0 then 0.0
-            else h.Obs.Metrics.sum /. float_of_int h.Obs.Metrics.count
-          in
-          Format.printf "  %-12s %8d %9.3f %9.3f %9.3f %9.3f@." verb
-            h.Obs.Metrics.count (q 0.5) (q 0.95) (q 0.99) mean)
-        latency
-    end;
-    (match Obs.Report.pool_names ms with
-    | [] -> ()
-    | pools ->
-        Format.printf "@.worker pools:@.";
-        List.iter
-          (fun pool ->
-            let g suffix =
-              Option.value ~default:0.0
-                (Obs.Report.gauge_of
-                   (Printf.sprintf "exec.pool.%s.%s" pool suffix) ms)
-            in
-            match Obs.Report.pool_occupancy ~pool ms with
-            | Some occ ->
-                Format.printf
-                  "  %-12s domains=%.0f up=%.3fs busy=%.3fs occupancy=%.1f%%@."
-                  pool (g "domains") (g "up_s") (g "busy_s") (occ *. 100.0)
-            | None ->
-                Format.printf "  %-12s (no up_s gauge: pool was not shut down)@."
-                  pool)
-          pools);
-    (match Obs.Report.cache_hit_rate ms with
-    | None -> ()
-    | Some rate ->
-        let c name = Option.value ~default:0 (Obs.Report.counter_of name ms) in
-        Format.printf
-          "@.litho tile cache: hit rate %.1f%% (%d hits / %d misses, %d \
-           evictions, %.1f MB resident)@."
-          (rate *. 100.0) (c "litho.cache.hits") (c "litho.cache.misses")
-          (c "litho.cache.evictions")
-          (Option.value ~default:0.0 (Obs.Report.gauge_of "litho.cache.bytes" ms)
-          /. 1e6));
-    let stages =
-      List.filter_map
-        (fun (name, v) ->
-          match v with
-          | Obs.Metrics.Gauge w
-            when String.ends_with ~suffix:".wall_s" name
-                 && not (String.starts_with ~prefix:"exec.pool." name) ->
-              let stage =
-                String.sub name 0 (String.length name - String.length ".wall_s")
-              in
-              Some (stage, w, Obs.Report.gauge_of (stage ^ ".alloc_mw") ms)
-          | _ -> None)
-        ms
-      |> List.sort (fun (_, a, _) (_, b, _) -> Float.compare b a)
-    in
-    if stages <> [] then begin
-      Format.printf "@.stages:@.";
-      Format.printf "  %-36s %10s %12s@." "stage" "wall_s" "alloc_Mw";
-      List.iter
-        (fun (stage, w, alloc) ->
-          Format.printf "  %-36s %10.3f %12s@." stage w
-            (match alloc with
-            | Some a -> Printf.sprintf "%.1f" a
-            | None -> "-"))
-        stages
-    end
-  end;
-  if trace <> "" then begin
-    let evs = Obs.Profile.read_jsonl_file trace in
-    if evs = [] then begin
-      Format.eprintf "obs-report: %s: no parsable span events@." trace;
-      exit 1
-    end;
-    Format.printf "@.span profile: %s (%d spans)@.%a@." trace (List.length evs)
-      Obs.Profile.pp_table evs
-  end
 
 let obs_report_cmd =
   let metrics =
@@ -901,7 +640,7 @@ let obs_report_cmd =
     (Cmd.info "obs-report"
        ~doc:
          "summarise captured observability files: latency quantiles, pool \
-          occupancy, cache hit rate, per-stage wall/alloc, span self-time")
+          occupancy, cache hit rate, span self-time (stage time included)")
     Term.(const obs_report $ metrics $ trace)
 
 let () =

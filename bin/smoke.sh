@@ -52,11 +52,17 @@ case_multicore_bench() {
   "$BENCH" --quick --domains=2 t3 > /dev/null
 }
 
+# A traced run's capture passes the obs-check schema, and the same
+# dump without one of its required metrics fails it (exit 1).
 case_obs() {
   "$POTX" run --bench c17 --trace "$work/trace.jsonl" \
     --metrics "$work/metrics.jsonl" > /dev/null 2>&1 &&
     "$POTX" obs-check --trace "$work/trace.jsonl" \
-      --metrics "$work/metrics.jsonl"
+      --metrics "$work/metrics.jsonl" &&
+    grep -v '"name":"litho.cache.hits"' "$work/metrics.jsonl" \
+      > "$work/metrics_missing.jsonl" &&
+    { "$POTX" obs-check --metrics "$work/metrics_missing.jsonl" \
+        > /dev/null 2>&1; test $? -eq 1; }
 }
 
 # Cached and uncached runs byte-identical, model OPC simulated its sim
@@ -116,7 +122,8 @@ case_domains_identity() {
 # The resident timing service: pipe the canonical request script into
 # a warm `potx serve` session, hold the response stream to the golden
 # capture at 1 and 4 worker domains (the byte-determinism contract),
-# and check the session actually counted its requests.
+# and check the session actually counted its requests (obs-check also
+# holds every counted verb to its serve.latency.<verb> histogram).
 case_serve() {
   "$POTX" serve --bench c17 --metrics "$work/serve_metrics.jsonl" \
     < "$SERVE_SCRIPT" > "$work/serve.out" 2> /dev/null &&
@@ -125,7 +132,7 @@ case_serve() {
       > "$work/serve_d4.out" 2> /dev/null &&
     cmp "$SERVE_GOLDEN" "$work/serve_d4.out" &&
     "$POTX" obs-check --metrics "$work/serve_metrics.jsonl" \
-      --require-nonzero serve.requests --serve
+      --require-nonzero serve.requests
 }
 
 # Serve with profiling on (and the slow-query log pointed at a file):
@@ -228,7 +235,8 @@ expect_usage_error() {
 # Bad flag values and missing or malformed input files are usage
 # errors, never uncaught exceptions.  A --spread at or beyond the drawn
 # gate length is a bad value: it would leave the corner views a
-# non-positive channel; so is a dose that is not positive.
+# non-positive channel; so is a dose that is not positive, and a dose
+# or defocus that is not finite.
 case_bad_input() {
   ok=0
   printf 'g1,NAND2,1.0,70.0,90.0\n' > "$work/noheader.csv"
@@ -239,6 +247,8 @@ case_bad_input() {
   expect_usage_error run --spread 200
   expect_usage_error run --dose 0
   expect_usage_error run --dose=-1
+  expect_usage_error run --dose inf
+  expect_usage_error run --defocus nan
   expect_usage_error export --bench nosuch -o "$work/layout.txt"
   expect_usage_error cdcmp /nonexistent.csv "$work/noheader.csv"
   expect_usage_error cdcmp "$work/noheader.csv" "$work/noheader.csv"

@@ -10,13 +10,10 @@ let kind_of_name = function
   | "p" -> Layout.Cell.Pmos
   | s -> failwith ("bad device kind " ^ s)
 
-let write ?(exact = false) ppf cds =
+let write ppf cds =
   Format.fprintf ppf "%s@." header;
-  (* [%h] hex floats round-trip bit-for-bit through [float_of_string];
-     the decimal forms are lossy and only for human consumption. *)
-  let cd_s = if exact then Printf.sprintf "%h" else Printf.sprintf "%.4f" in
-  let dose_s = if exact then Printf.sprintf "%h" else Printf.sprintf "%.4f" in
-  let defocus_s = if exact then Printf.sprintf "%h" else Printf.sprintf "%.1f" in
+  (* [%h] hex floats round-trip bit-for-bit through [float_of_string]. *)
+  let hex = Printf.sprintf "%h" in
   List.iter
     (fun (cd : Gate_cd.t) ->
       let g = cd.Gate_cd.gate in
@@ -26,10 +23,10 @@ let write ?(exact = false) ppf cds =
         (kind_name g.Layout.Chip.kind)
         r.G.Rect.lx r.G.Rect.ly r.G.Rect.hx r.G.Rect.hy g.Layout.Chip.drawn_l
         g.Layout.Chip.drawn_w g.Layout.Chip.bent
-        (dose_s cd.Gate_cd.condition.Litho.Condition.dose)
-        (defocus_s cd.Gate_cd.condition.Litho.Condition.defocus)
+        (hex cd.Gate_cd.condition.Litho.Condition.dose)
+        (hex cd.Gate_cd.condition.Litho.Condition.defocus)
         cd.Gate_cd.slices_requested cd.Gate_cd.printed
-        (String.concat ";" (List.map cd_s cd.Gate_cd.cds)))
+        (String.concat ";" (List.map hex cd.Gate_cd.cds)))
     cds
 
 let parse_row ~src lineno line =
@@ -78,10 +75,10 @@ let read ?(src = "csv") text =
       |> List.filter (fun (_, row) -> row <> "")
       |> List.map (fun (lineno, row) -> parse_row ~src lineno row)
 
-let save_file ?exact path cds =
+let save_file path cds =
   let oc = open_out path in
   let ppf = Format.formatter_of_out_channel oc in
-  (try write ?exact ppf cds with e -> close_out oc; raise e);
+  (try write ppf cds with e -> close_out oc; raise e);
   Format.pp_print_flush ppf ();
   close_out oc
 

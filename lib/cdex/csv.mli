@@ -4,19 +4,19 @@
 val header : string
 
 (** One row per gate-CD record; slice CDs are semicolon-separated in
-    the last field.  [exact] (default false) writes dose, defocus and
-    the CDs as ["%h"] hex floats so {!read} round-trips every float
-    bit-for-bit — the checkpoint layer depends on this; the default
-    decimal form is for human consumption and plotting. *)
-val write : ?exact:bool -> Format.formatter -> Gate_cd.t list -> unit
+    the last field.  Dose, defocus and the CDs are written as ["%h"]
+    hex floats, so {!read} round-trips every float bit-for-bit — the
+    checkpoint layer and [potx cdcmp] depend on this. *)
+val write : Format.formatter -> Gate_cd.t list -> unit
 
-(** Parse what [write] produced (the header line is required).
+(** Parse what [write] produced (the header line is required); a
+    float field may also be written in decimal.
     @raise Failure on malformed input, naming the source and line:
     ["<src>, line <n>: <cause>"].  [src] describes where the text
     came from (default ["csv"]); {!load_file} passes its path. *)
 val read : ?src:string -> string -> Gate_cd.t list
 
-val save_file : ?exact:bool -> string -> Gate_cd.t list -> unit
+val save_file : string -> Gate_cd.t list -> unit
 
 (** {!read} on the file contents, with [~src] set to the path. *)
 val load_file : string -> Gate_cd.t list

@@ -49,40 +49,19 @@ let default_config () =
     dist = None;
   }
 
-(* Per-stage wall/alloc gauges ([<stage>.wall_s], [<stage>.alloc_mw])
-   accumulate into the registry on every run, traced or not, so a
-   plain [--metrics] dump carries the stage table [potx obs-report]
-   renders.  Alloc deltas are caller-domain words (Gc.quick_stat);
-   work fanned out to pool workers allocates on their domains and is
-   attributed by span profiling instead.  Gauges carry wall-clock
-   data and are exempt from the determinism contract. *)
-let staged ~name f =
-  let g suffix = Obs.Metrics.gauge (name ^ suffix) in
-  let t0 = Unix.gettimeofday () in
-  let s0 = Gc.quick_stat () in
-  let words (s : Gc.stat) = s.minor_words +. s.major_words -. s.promoted_words in
-  Fun.protect
-    ~finally:(fun () ->
-      let s1 = Gc.quick_stat () in
-      Obs.Metrics.add_gauge (g ".wall_s") (Unix.gettimeofday () -. t0);
-      Obs.Metrics.add_gauge (g ".alloc_mw")
-        (Float.max 0.0 (words s1 -. words s0) /. 1e6))
-    f
-
-(* One flow stage: its span and stage gauges, and an optional
-   [checkpoint] (stage name, input key, codec) that loads the stage
-   instead of computing it, or saves what it computed. *)
+(* One flow stage: its span, and an optional [checkpoint] (stage
+   name, input key, codec) that loads the stage instead of computing
+   it, or saves what it computed. *)
 let stage ~name config ?checkpoint f =
   Obs.Span.with_ ~name (fun () ->
-      staged ~name (fun () ->
-          match (checkpoint, config.checkpoint) with
-          | None, _ | _, None -> f ()
-          | Some (cname, key, encode, decode), Some _ ->
-              (* [key] is a thunk: content-hashing the stage inputs means
-                 serialising the chip and mask, which plain runs must not
-                 pay for. *)
-              Checkpoint.stage config.checkpoint ~name:cname ~key:(key ())
-                ~encode ~decode f))
+      match (checkpoint, config.checkpoint) with
+      | None, _ | _, None -> f ()
+      | Some (cname, key, encode, decode), Some _ ->
+          (* [key] is a thunk: content-hashing the stage inputs means
+             serialising the chip and mask, which plain runs must not
+             pay for. *)
+          Checkpoint.stage config.checkpoint ~name:cname ~key:(key ())
+            ~encode ~decode f)
 
 (* Worker pool for the OPC and extraction hot paths; [None] when the
    config asks for a single domain, keeping call sites on the
@@ -144,8 +123,6 @@ let place config netlist =
   Obs.Span.with_ ~name:"flow.place"
     ~attrs:(fun () ->
       [ ("cells", string_of_int (Circuit.Netlist.num_gates netlist)) ])
-  @@ fun () ->
-  staged ~name:"flow.place"
   @@ fun () ->
   Obs.Metrics.add m_place_cells (Circuit.Netlist.num_gates netlist);
   let rng = Stats.Rng.create config.seed in
@@ -330,7 +307,7 @@ let cds_key config ~extra ~mask ~chip =
           ]))
 
 let encode_cds cds =
-  (with_buffer (fun ppf -> Cdex.Csv.write ~exact:true ppf cds), [])
+  (with_buffer (fun ppf -> Cdex.Csv.write ppf cds), [])
 
 let decode_cds ~payload ~meta:_ = Some (Cdex.Csv.read ~src:"checkpoint" payload)
 
@@ -633,8 +610,6 @@ let ssta ?pool ?(window = default_window) r =
         ("steps", string_of_int window.window_steps);
         ("gates", string_of_int (Circuit.Netlist.num_gates r.netlist));
       ])
-  @@ fun () ->
-  staged ~name:"flow.ssta"
   @@ fun () ->
   let config = r.config in
   let base = lengths_of r in

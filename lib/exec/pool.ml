@@ -1,19 +1,3 @@
-type stage_stats = { calls : int; tasks : int; wall_s : float }
-
-(* Per-label instruments live in the global Obs.Metrics registry under
-   [exec.pool.<pool>.<label>.*]; the pool-local entry only remembers
-   the registry values at the moment this pool first used the label,
-   so [report] can present a per-pool-instance view of the shared
-   (cumulative, cross-pool) registry counters. *)
-type stage_handle = {
-  calls_m : Obs.Metrics.counter;
-  tasks_m : Obs.Metrics.counter;
-  wall_m : Obs.Metrics.gauge;
-  calls0 : int;
-  tasks0 : int;
-  wall0 : float;
-}
-
 (* One [map]: [n] tasks, claimed by fetch-and-add on [next], so a claim
    takes no lock and every index is run by exactly one domain.
    [parent] is the job whose task opened this one, which is how a
@@ -32,19 +16,17 @@ type job = {
 type t = {
   name : string;
   n_domains : int;
-  mutex : Mutex.t; (* guards [queue], [stop] and [stats] *)
+  mutex : Mutex.t; (* guards [queue] and [stop] *)
   changed : Condition.t; (* a job was queued or finished, or the pool stops *)
   mutable queue : job list; (* jobs that may hold unclaimed tasks, newest first *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
-  stats : (string, stage_handle) Hashtbl.t;
   (* Occupancy accounting: busy worker-seconds accumulate into
      [exec.pool.<name>.busy_s] while tasks execute; uptime is
      published to [.up_s] at shutdown so occupancy can be derived
      offline as busy / (up * domains). *)
   created_s : float;
   busy_m : Obs.Metrics.gauge;
-  busy0 : float; (* registry value at create; gauges outlive pool instances *)
   up_m : Obs.Metrics.gauge;
 }
 
@@ -193,25 +175,14 @@ let create ?(name = "pool") ~domains () =
       queue = [];
       stop = false;
       workers = [];
-      stats = Hashtbl.create 8;
       created_s = Unix.gettimeofday ();
       busy_m = Obs.Metrics.gauge (metric "busy_s");
-      busy0 = Obs.Metrics.gauge_value (Obs.Metrics.gauge (metric "busy_s"));
       up_m = Obs.Metrics.gauge (metric "up_s");
     }
   in
   Obs.Metrics.set_gauge (Obs.Metrics.gauge (metric "domains")) (float_of_int n_domains);
   t.workers <- List.init (n_domains - 1) (fun _ -> Domain.spawn (worker t));
   t
-
-let uptime t = Unix.gettimeofday () -. t.created_s
-
-let occupancy t =
-  let up = uptime t in
-  if up <= 0.0 then 0.0
-  else
-    (Obs.Metrics.gauge_value t.busy_m -. t.busy0)
-    /. (up *. float_of_int t.n_domains)
 
 let shutdown t =
   Mutex.lock t.mutex;
@@ -220,43 +191,19 @@ let shutdown t =
   Mutex.unlock t.mutex;
   List.iter Domain.join t.workers;
   t.workers <- [];
-  Obs.Metrics.set_gauge t.up_m (uptime t)
+  Obs.Metrics.set_gauge t.up_m (Unix.gettimeofday () -. t.created_s)
 
 let with_pool ?name ~domains f =
   let t = create ?name ~domains () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let stage_handle t label =
-  Mutex.lock t.mutex;
-  let h =
-    match Hashtbl.find_opt t.stats label with
-    | Some h -> h
-    | None ->
-        let metric suffix = Printf.sprintf "exec.pool.%s.%s.%s" t.name label suffix in
-        let calls_m = Obs.Metrics.counter (metric "calls") in
-        let tasks_m = Obs.Metrics.counter (metric "tasks") in
-        let wall_m = Obs.Metrics.gauge (metric "wall_s") in
-        let h =
-          {
-            calls_m;
-            tasks_m;
-            wall_m;
-            calls0 = Obs.Metrics.counter_value calls_m;
-            tasks0 = Obs.Metrics.counter_value tasks_m;
-            wall0 = Obs.Metrics.gauge_value wall_m;
-          }
-        in
-        Hashtbl.add t.stats label h;
-        h
-  in
-  Mutex.unlock t.mutex;
-  h
-
+(* A job's accounting, in the global registry under
+   [exec.pool.<pool>.<label>.*]. *)
 let bump_stats t label ~n ~wall =
-  let h = stage_handle t label in
-  Obs.Metrics.incr h.calls_m;
-  Obs.Metrics.add h.tasks_m n;
-  Obs.Metrics.add_gauge h.wall_m wall
+  let metric suffix = Printf.sprintf "exec.pool.%s.%s.%s" t.name label suffix in
+  Obs.Metrics.incr (Obs.Metrics.counter (metric "calls"));
+  Obs.Metrics.add (Obs.Metrics.counter (metric "tasks")) n;
+  Obs.Metrics.add_gauge (Obs.Metrics.gauge (metric "wall_s")) wall
 
 (* Run [body 0 .. body (n-1)] as one job. *)
 let dispatch t ~label ~n body =
@@ -291,26 +238,5 @@ let concat_map_list ?(label = "concat_map") t f xs =
 
 let map_reduce ?(label = "map_reduce") t ~map:f ~reduce ~init:acc0 xs =
   Array.fold_left reduce acc0 (map ~label t f xs)
-
-let report t =
-  Mutex.lock t.mutex;
-  let rows = Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.stats [] in
-  Mutex.unlock t.mutex;
-  rows
-  |> List.map (fun (label, h) ->
-         ( label,
-           {
-             calls = Obs.Metrics.counter_value h.calls_m - h.calls0;
-             tasks = Obs.Metrics.counter_value h.tasks_m - h.tasks0;
-             wall_s = Obs.Metrics.gauge_value h.wall_m -. h.wall0;
-           } ))
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* Dropping the label entries re-baselines this pool's view; the
-   registry metrics themselves keep their cumulative values. *)
-let reset_stats t =
-  Mutex.lock t.mutex;
-  Hashtbl.reset t.stats;
-  Mutex.unlock t.mutex
 
 let recommended ?(cap = 4) () = max 1 (min cap (Domain.recommended_domain_count ()))

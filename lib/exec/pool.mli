@@ -84,42 +84,22 @@ val map_reduce :
 
 (** {1 Observability}
 
-    Every job is accounted against its [?label] (default ["map"]):
-    number of jobs, number of tasks, and wall-clock seconds spent in
-    the job (dispatch to join, as seen by the caller).
-
-    The counters live in the global {!Obs.Metrics} registry as
-    [exec.pool.<pool>.<label>.calls], [....tasks] (counters) and
-    [....wall_s] (gauge), so a [--metrics] dump carries them; pools
-    sharing a name share the registry metrics, which accumulate
-    across pool instances.  {!report} is a per-pool view: it
-    subtracts the registry values seen when this pool first used the
-    label, and {!reset_stats} re-baselines that view without touching
-    the registry. *)
-
-type stage_stats = {
-  calls : int;  (** jobs dispatched under this label *)
-  tasks : int;  (** total elements processed *)
-  wall_s : float;  (** caller-observed wall seconds *)
-}
-
-(** Per-label counters, sorted by label. *)
-val report : t -> (string * stage_stats) list
-
-val reset_stats : t -> unit
-
-(** Fraction of worker capacity spent executing tasks since this
-    pool was created: busy worker-seconds / (uptime × domains), in
-    [0, 1] up to timer skew for one client domain.  A domain's busy
-    time runs from the start to the end of its outermost task, minus
-    the time it blocks inside it, so a domain that helps a nested job
-    counts once.  The underlying gauges are published as
-    [exec.pool.<pool>.busy_s] (accumulates while tasks run, caller's
-    tasks included) and [exec.pool.<pool>.up_s] (uptime, written at
-    {!shutdown}) plus [exec.pool.<pool>.domains], so the same figure
-    can be derived offline from a [--metrics] dump — that derivation
-    is what [potx obs-report] prints. *)
-val occupancy : t -> float
+    A pool publishes its work to the global {!Obs.Metrics} registry;
+    it keeps no view of its own.  Every job is accounted against its
+    [?label] (default ["map"]) as [exec.pool.<pool>.<label>.calls]
+    (jobs) and [....tasks] (elements), both counters, and
+    [....wall_s], a gauge of the wall seconds from dispatch to join as
+    seen by the caller.  Occupancy is published as three gauges:
+    [exec.pool.<pool>.busy_s] accumulates while tasks run, the
+    caller's included; [exec.pool.<pool>.domains] is set at {!create};
+    [exec.pool.<pool>.up_s], the pool's uptime, is written at
+    {!shutdown}.  A domain's busy time runs from the start to the end
+    of its outermost task, minus the time it blocks inside it, so a
+    domain that helps a nested job counts once, and busy / (up ×
+    domains) stays within [0, 1] up to timer skew for one client
+    domain ({!Obs.Report.pool_occupancy}, [potx obs-report]).  Pools
+    sharing a name share these metrics, which accumulate across pool
+    instances. *)
 
 (** [Domain.recommended_domain_count] capped at [cap] (default 4) —
     the conventional worker count for benches. *)

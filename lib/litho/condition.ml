@@ -3,6 +3,8 @@ type t = { dose : float; defocus : float }
 let nominal = { dose = 1.0; defocus = 0.0 }
 
 let make ~dose ~defocus =
+  if not (Float.is_finite dose && Float.is_finite defocus) then
+    invalid_arg "Condition.make: dose and defocus must be finite";
   if dose <= 0.0 then invalid_arg "Condition.make: dose must be positive";
   { dose; defocus }
 

@@ -8,6 +8,8 @@ type t = { dose : float; defocus : float }
 
 val nominal : t
 
+(** @raise Invalid_argument if [dose] or [defocus] is not finite, or
+    [dose] is not positive. *)
 val make : dose:float -> defocus:float -> t
 
 (** Rectangular dose x defocus grid, inclusive of endpoints.

@@ -1,7 +1,7 @@
 (* Offline attribution over a finished Span log, plus Chrome-trace
    export.  Everything here is a pure function of the event list, so
-   it can run after tracing is disabled (or on a parsed-back JSONL
-   trace) without touching the live registry. *)
+   it can run after tracing is disabled (or on a trace parsed back
+   through Report.read_jsonl) without touching the live registry. *)
 
 type node = {
   event : Span.event;
@@ -147,8 +147,8 @@ let pp_table ppf events =
     rows;
   Format.fprintf ppf "@]"
 
-(* Read back a JSONL trace written by Span.stream_to (or any file of
-   {"type":"span",...} lines); non-span lines are skipped. *)
+(* One {"type":"span",...} line of a trace written by Span.stream_to,
+   back into an event. *)
 let event_of_json j =
   let open Json in
   match member "type" j with
@@ -186,23 +186,3 @@ let event_of_json j =
             }
       | _ -> None)
   | _ -> None
-
-let read_jsonl_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let events = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             match Json.parse line with
-             | Ok j -> (
-                 match event_of_json j with
-                 | Some e -> events := e :: !events
-                 | None -> ())
-             | Error _ -> ()
-         done
-       with End_of_file -> ());
-      List.rev !events)

@@ -5,7 +5,8 @@
 
     Everything here is a pure function of an event list — call it
     after the traced region (typically on [Span.events ()]), or on a
-    trace parsed back from a JSONL sink with {!read_jsonl_file}.
+    trace read back from a JSONL sink with {!Report.read_jsonl} and
+    {!event_of_json}.
     Nothing touches the live registry or the tracing flag, so
     exporting a profile cannot perturb what it measured. *)
 
@@ -48,7 +49,3 @@ val pp_table : Format.formatter -> Span.event list -> unit
 (** Parse one [{"type":"span",...}] JSONL object back into an event;
     [None] for anything else. *)
 val event_of_json : Json.t -> Span.event option
-
-(** Read a JSONL trace file (as written by [Span.stream_to]); skips
-    blank, non-span and malformed lines. *)
-val read_jsonl_file : string -> Span.event list

@@ -1,7 +1,8 @@
-(** Read-side companion to {!Metrics}: quantile estimation over
-    histogram snapshots, parsing a metrics JSONL file back into
-    values, and the derived figures [potx obs-report] prints (pool
-    occupancy, cache hit rate).
+(** Read side of the observability files: the one JSONL reader,
+    quantile estimation over histogram snapshots, and the two offline
+    tools over captured [--trace]/[--metrics] files — {!check}, the
+    schema behind [potx obs-check], and {!summarise}, the summary
+    behind [potx obs-report].
 
     Quantiles are estimated by linear interpolation inside the bucket
     containing the target rank, so they are a deterministic function
@@ -16,24 +17,22 @@ val quantile : Metrics.histogram_snapshot -> float -> float
 val quantiles : Metrics.histogram_snapshot -> (string * float) list
 (** [("p50", _); ("p95", _); ("p99", _)]. *)
 
+(** {1 Reading captured files} *)
+
+val read_jsonl : string -> (int * (Json.t, string) result) list
+(** Every non-blank line of a JSONL file (a [--trace] or [--metrics]
+    capture), with its 1-based line number, parsed by {!Json.parse}.
+    @raise Sys_error if the file cannot be read. *)
+
 val metric_of_json : Json.t -> (string * Metrics.value) option
 (** Inverse of {!Metrics.json_of_metric}; [None] on non-metric
-    JSON. *)
-
-val read_jsonl_file : string -> (string * Metrics.value) list
-(** Parse a metrics JSONL file (as written by
-    [Metrics.save_jsonl_file]); skips blank/malformed lines. *)
+    JSON.  {!Profile.event_of_json} is its counterpart for spans. *)
 
 (** {1 Lookup helpers over a parsed metric list} *)
-
-val find : string -> (string * Metrics.value) list -> Metrics.value option
 
 val counter_of : string -> (string * Metrics.value) list -> int option
 
 val gauge_of : string -> (string * Metrics.value) list -> float option
-
-val histogram_of :
-  string -> (string * Metrics.value) list -> Metrics.histogram_snapshot option
 
 val pool_names : (string * Metrics.value) list -> string list
 (** Pools that published [exec.pool.<pool>.up_s]. *)
@@ -45,3 +44,48 @@ val pool_occupancy : pool:string -> (string * Metrics.value) list -> float optio
 val cache_hit_rate : (string * Metrics.value) list -> float option
 (** hits / (hits + misses) from [litho.cache.*]; [None] when the
     cache was never consulted. *)
+
+(** {1 The capture schema ([potx obs-check])} *)
+
+type kind = [ `Counter | `Gauge | `Histogram ]
+
+val flow_stage_spans : string list
+(** The exact span names of the stages a flow run times:
+    [flow.litho_model], [flow.place], [flow.sta.drawn], [flow.opc],
+    [flow.cdex], [flow.annotate] and [flow.sta.post_opc].  A trace
+    must hold each of them. *)
+
+val required_metrics : (string * kind) list
+(** Metrics registered when their modules load, so every metrics dump
+    of a flow binary carries them, with these kinds: at least one per
+    flow stage, plus the tile cache's and the checkpoint store's
+    counters. *)
+
+type verdict = {
+  summary : string list;  (** one line per checked file *)
+  problems : string list;  (** empty when the capture passes *)
+}
+
+val check :
+  ?trace:string -> ?metrics:string -> ?require_nonzero:string list -> unit -> verdict
+(** Validate a captured pair against the schema.  A trace passes when
+    every line parses as a span event with a non-negative [wall_s]
+    and every {!flow_stage_spans} name occurs.  A metrics dump passes
+    when every line parses as a counter, gauge or histogram, every
+    {!required_metrics} entry is present with its kind, every
+    [require_nonzero] name is a counter or gauge above 0, and every
+    [serve.verb.<v>] counter above 0 has a [serve.latency.<v>]
+    histogram with at least one observation.  Passing neither file,
+    or [require_nonzero] without [metrics], is a problem too. *)
+
+(** {1 The summary ([potx obs-report])} *)
+
+val summarise :
+  ?metrics:string -> ?trace:string -> Format.formatter -> (unit, string) result
+(** Print the offline summary of the given captures: from [metrics],
+    per-verb latency quantiles (the [serve.latency.*] histograms),
+    worker-pool occupancy and the litho tile-cache hit rate; from
+    [trace], the {!Profile.pp_table} self-time table, which is also
+    where stage time shows.  [Error] names a file with no parsable
+    metric or span; the metrics part is printed before the trace is
+    read.  @raise Sys_error if a file cannot be read. *)

@@ -234,6 +234,11 @@ let rec parse_request_obj ~nested j =
         let* defocus = get_float "defocus" j in
         let* defocus = require "defocus" defocus in
         let* spread = get_float "spread" j in
+        let* () =
+          match spread with
+          | Some s when s < 0.0 -> Error "field \"spread\" must not be negative"
+          | _ -> Ok ()
+        in
         Ok (Corner { dose; defocus; spread })
     | "ssta" ->
         let* top = get_int "top" j in

@@ -20,8 +20,9 @@
     {"verb":"cds"}                       extracted CDs, whole die
     {"verb":"cds","lx":0,"ly":0,"hx":3000,"hy":3000}   ... for a region
     {"verb":"corner","dose":1.03,"defocus":90}     re-extract + re-time at a
-                                         process condition; add "spread" for
-                                         the classic CD-corner views too
+                                         process condition (dose > 0); add
+                                         "spread" (nm, >= 0) for the classic
+                                         CD-corner views too
     {"verb":"ssta"}                      statistical timing: process-window
                                          CD fit + canonical-form propagation
                                          (computed once, then served warm);

@@ -34,7 +34,7 @@ let cheap_config () =
    OPC stats and both STA summaries. *)
 let render_run (r : F.run) =
   Format.asprintf "%a@.%a@.%a@.%a@."
-    (fun ppf cds -> Cdex.Csv.write ~exact:true ppf cds)
+    Cdex.Csv.write
     r.F.cds Opc.Model_opc.pp_stats r.F.opc_stats Sta.Timing.pp_summary
     r.F.drawn_sta Sta.Timing.pp_summary r.F.post_opc_sta
 

@@ -187,17 +187,16 @@ let test_csv_roundtrip () =
       checkb "printed" true (a.Cdex.Gate_cd.printed = b.Cdex.Gate_cd.printed);
       checki "slice count" (List.length a.Cdex.Gate_cd.cds) (List.length b.Cdex.Gate_cd.cds);
       List.iter2
-        (fun x y -> Alcotest.(check (float 1e-3)) "cd value" x y)
+        (fun x y -> Alcotest.(check (float 0.0)) "cd value" x y)
         a.Cdex.Gate_cd.cds b.Cdex.Gate_cd.cds;
       checkb "kind" true (a.Cdex.Gate_cd.gate.Layout.Chip.kind = b.Cdex.Gate_cd.gate.Layout.Chip.kind))
-    sample_cds back
+    sample_cds back;
+  checkb "records identical after round-trip" true (back = sample_cds)
 
 let test_csv_corner_identity () =
   (* Write -> read structural identity on records annotated at every
-     process-window corner.  The CD and dose values are exactly
-     representable at the writer's %.4f precision (dyadic fractions),
-     so the reloaded records must equal the originals bit for bit --
-     no tolerance. *)
+     process-window corner: the writer's hex floats round-trip bit for
+     bit, so no tolerance. *)
   let corners =
     Litho.Condition.corners ~dose_range:(0.95, 1.05) ~defocus_range:(0.0, 150.0)
   in
@@ -239,7 +238,7 @@ let test_csv_annotation_equivalence () =
   Cdex.Annotate.iter a (fun key ea ->
       match Cdex.Annotate.find b key with
       | Some eb ->
-          Alcotest.(check (float 1e-2)) "l_on match" ea.Cdex.Annotate.l_on eb.Cdex.Annotate.l_on
+          Alcotest.(check (float 0.0)) "l_on match" ea.Cdex.Annotate.l_on eb.Cdex.Annotate.l_on
       | None -> Alcotest.fail ("missing " ^ key))
 
 let () =

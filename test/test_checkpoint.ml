@@ -22,7 +22,7 @@ let base_config () =
 
 let render (r : Timing_opc.Flow.run) =
   Format.asprintf "%a@.%a@.%a@.%a@."
-    (fun ppf cds -> Cdex.Csv.write ~exact:true ppf cds)
+    Cdex.Csv.write
     r.Timing_opc.Flow.cds Opc.Model_opc.pp_stats r.Timing_opc.Flow.opc_stats
     Sta.Timing.pp_summary r.Timing_opc.Flow.drawn_sta Sta.Timing.pp_summary
     r.Timing_opc.Flow.post_opc_sta

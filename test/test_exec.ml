@@ -235,27 +235,43 @@ let test_two_clients () =
     [ 1; 2; 4 ]
 
 (* A domain that helps a nested job is still in its outermost task, so
-   its busy time counts once: occupancy stays within capacity. *)
+   its busy time counts once: the occupancy derived from the registry
+   gauges the pool published stays within capacity. *)
 let test_occupancy_nested () =
-  with_domains 2 (fun p ->
-      ignore (pool_values p);
-      let occ = Exec.Pool.occupancy p in
+  let pool = "test_nested_occupancy" in
+  Exec.Pool.with_pool ~name:pool ~domains:2 (fun p -> ignore (pool_values p));
+  match Obs.Report.pool_occupancy ~pool (Obs.Metrics.snapshot Obs.Metrics.global) with
+  | Some occ ->
       checkb (Printf.sprintf "occupancy %.3f in (0, 1.02]" occ) true
-        (occ > 0.0 && occ <= 1.02))
+        (occ > 0.0 && occ <= 1.02)
+  | None -> Alcotest.fail "no busy_s/up_s/domains gauges published"
 
+(* Each label's jobs, tasks and wall time land in the registry under
+   exec.pool.<pool>.<label>.*. *)
 let test_stats_counters () =
-  with_domains 2 (fun p ->
+  let pool = "test_stats" in
+  Exec.Pool.with_pool ~name:pool ~domains:2 (fun p ->
       ignore (Exec.Pool.map ~label:"stage_a" p heavy inputs);
       ignore (Exec.Pool.map ~label:"stage_a" p heavy inputs);
-      ignore (Exec.Pool.map ~label:"stage_b" p heavy inputs);
-      let report = Exec.Pool.report p in
-      checki "two labels" 2 (List.length report);
-      let a = List.assoc "stage_a" report in
-      checki "stage_a calls" 2 a.Exec.Pool.calls;
-      checki "stage_a tasks" (2 * Array.length inputs) a.Exec.Pool.tasks;
-      checkb "stage_a wall accumulates" true (a.Exec.Pool.wall_s >= 0.0);
-      Exec.Pool.reset_stats p;
-      checki "reset clears" 0 (List.length (Exec.Pool.report p)))
+      ignore (Exec.Pool.map ~label:"stage_b" p heavy inputs));
+  let ms = Obs.Metrics.snapshot Obs.Metrics.global in
+  let metric label suffix = Printf.sprintf "exec.pool.%s.%s.%s" pool label suffix in
+  let labels =
+    List.filter
+      (fun (name, _) ->
+        String.starts_with ~prefix:("exec.pool." ^ pool ^ ".") name
+        && String.ends_with ~suffix:".calls" name)
+      ms
+  in
+  checki "two labels" 2 (List.length labels);
+  checkb "stage_a calls" true (Obs.Report.counter_of (metric "stage_a" "calls") ms = Some 2);
+  checkb "stage_a tasks" true
+    (Obs.Report.counter_of (metric "stage_a" "tasks") ms = Some (2 * Array.length inputs));
+  checkb "stage_b calls" true (Obs.Report.counter_of (metric "stage_b" "calls") ms = Some 1);
+  checkb "stage_a wall accumulates" true
+    (match Obs.Report.gauge_of (metric "stage_a" "wall_s") ms with
+    | Some w -> w >= 0.0
+    | None -> false)
 
 let test_montecarlo_pool_identical () =
   let tech = Layout.Tech.node90 in

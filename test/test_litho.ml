@@ -28,6 +28,20 @@ let test_condition_invalid () =
   Alcotest.check_raises "zero dose" (Invalid_argument "Condition.make: dose must be positive")
     (fun () -> ignore (Litho.Condition.make ~dose:0.0 ~defocus:0.0))
 
+(* A NaN or infinite dose or defocus would blur with a non-finite
+   width; NaN also passes the [dose <= 0] test. *)
+let test_condition_non_finite () =
+  List.iter
+    (fun (what, dose, defocus) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Condition.make: dose and defocus must be finite")
+        (fun () -> ignore (Litho.Condition.make ~dose ~defocus)))
+    [ ("infinite dose", infinity, 70.0);
+      ("NaN dose", nan, 70.0);
+      ("NaN defocus", 1.02, nan);
+      ("infinite defocus", 1.02, infinity);
+      ("negative infinite defocus", 1.02, neg_infinity) ]
+
 (* ---- Raster ---- *)
 
 let test_raster_paint_coverage () =
@@ -376,6 +390,7 @@ let () =
           Alcotest.test_case "grid" `Quick test_condition_grid;
           Alcotest.test_case "corners" `Quick test_condition_corners;
           Alcotest.test_case "invalid" `Quick test_condition_invalid;
+          Alcotest.test_case "non-finite" `Quick test_condition_non_finite;
         ] );
       ( "raster",
         [

@@ -1,6 +1,7 @@
 (* lib/obs: span nesting/ordering, disabled-mode no-op, histogram
-   bucket determinism, JSONL round-trips, and the flow-level contract
-   that counters/histograms are identical for any worker count. *)
+   bucket determinism, JSONL round-trips, the obs-check schema on real
+   and broken captures, and the flow-level contract that
+   counters/histograms are identical for any worker count. *)
 
 let checkb = Alcotest.(check bool)
 
@@ -393,6 +394,122 @@ let test_report_derived () =
        [ ("exec.pool.p.busy_s", Obs.Metrics.Gauge 2.0) ]
     = None)
 
+(* ---- check: the obs-check schema ---- *)
+
+(* One c17 session, captured as [potx run --trace --metrics] writes it
+   (trace and run metrics), then again after some serve requests
+   (serve metrics).  Each capture is its list of lines. *)
+let captures =
+  lazy
+    (let tmp () = Filename.temp_file "obs_check" ".jsonl" in
+     let trace = tmp () and run_metrics = tmp () and serve_metrics = tmp () in
+     Obs.Span.stream_to trace;
+     let s =
+       Timing_opc_serve.Session.create ~bench:"c17"
+         (Timing_opc.Flow.default_config ())
+         (Circuit.Generator.c17 ())
+     in
+     Fun.protect
+       ~finally:(fun () -> Timing_opc_serve.Session.close s)
+       (fun () ->
+         Timing_opc_serve.Session.print_report Format.str_formatter s ~spread:8.0
+           ~report:0 ~selective:false ~ssta:false;
+         ignore (Format.flush_str_formatter ());
+         Obs.Span.disable ();
+         Obs.Metrics.save_jsonl_file run_metrics Obs.Metrics.global;
+         List.iter
+           (fun l -> ignore (Timing_opc_serve.Session.handle_line s l))
+           [ {|{"verb":"status"}|}; {|{"verb":"retime"}|}; "not json";
+             {|{"verb":"metrics"}|} ];
+         Obs.Metrics.save_jsonl_file serve_metrics Obs.Metrics.global);
+     let lines path =
+       let l = read_jsonl path in
+       Sys.remove path;
+       l
+     in
+     (lines trace, lines run_metrics, lines serve_metrics))
+
+let name_of line =
+  match Obs.Json.parse line with
+  | Ok j -> Option.bind (Obs.Json.member "name" j) Obs.Json.to_str
+  | Error _ -> None
+
+let drop name = List.filter (fun l -> name_of l <> Some name)
+
+(* Set field [key] of the line named [name] to [v]. *)
+let set name key v =
+  List.map (fun l ->
+      match Obs.Json.parse l with
+      | Ok (Obs.Json.Obj kvs) when name_of l = Some name ->
+          Obs.Json.to_string
+            (Obs.Json.Obj (List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) kvs))
+      | _ -> l)
+
+(* The problems obs-check reports on [trace]/[metrics] given as lines. *)
+let problems ?trace ?metrics ?require_nonzero () =
+  let file = Option.map (fun lines ->
+      let path = Filename.temp_file "obs_check" ".jsonl" in
+      let oc = open_out path in
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+      close_out oc;
+      path)
+  in
+  let trace = file trace and metrics = file metrics in
+  let v = Obs.Report.check ?trace ?metrics ?require_nonzero () in
+  List.iter Sys.remove (Option.to_list trace @ Option.to_list metrics);
+  v.Obs.Report.problems
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let fails_naming what sub ps =
+  checkb (Printf.sprintf "%s: a problem names %S (got %s)" what sub (String.concat "; " ps))
+    true
+    (List.exists (contains ~sub) ps)
+
+let test_check_passes_captures () =
+  let trace, run, serve = Lazy.force captures in
+  Alcotest.(check (list string)) "run capture passes" [] (problems ~trace ~metrics:run ());
+  Alcotest.(check (list string)) "serve capture passes" []
+    (problems ~metrics:serve ~require_nonzero:[ "serve.requests" ] ());
+  checkb "the serve capture counts a verb" true
+    (List.exists (fun l -> name_of l = Some "serve.verb.status") serve)
+
+let test_check_unparsable_line () =
+  let trace, run, _ = Lazy.force captures in
+  fails_naming "metrics" "unparsable" (problems ~metrics:(run @ [ "{oops" ]) ());
+  fails_naming "trace" "unparsable" (problems ~trace:("[1," :: trace) ())
+
+(* Stage names are matched exactly: a flow.ssta span does not stand in
+   for flow.sta.post_opc, nor flow.reopc_chip for flow.opc. *)
+let test_check_missing_stage_span () =
+  let trace, _, _ = Lazy.force captures in
+  fails_naming "dropped" "flow.cdex" (problems ~trace:(drop "flow.cdex" trace) ());
+  fails_naming "renamed to flow.ssta" "flow.sta.post_opc"
+    (problems ~trace:(set "flow.sta.post_opc" "name" (Obs.Json.Str "flow.ssta") trace) ());
+  fails_naming "renamed to flow.reopc_chip" "flow.opc"
+    (problems ~trace:(set "flow.opc" "name" (Obs.Json.Str "flow.reopc_chip") trace) ())
+
+let test_check_required_metric () =
+  let _, run, _ = Lazy.force captures in
+  fails_naming "missing" "litho.cache.hits" (problems ~metrics:(drop "litho.cache.hits" run) ());
+  fails_naming "counter as gauge" "opc.dirty_tiles"
+    (problems ~metrics:(set "opc.dirty_tiles" "type" (Obs.Json.Str "gauge") run) ())
+
+let test_check_require_nonzero () =
+  let _, run, _ = Lazy.force captures in
+  fails_naming "zero counter" "flow.checkpoint.loaded"
+    (problems ~metrics:run ~require_nonzero:[ "flow.checkpoint.loaded" ] ())
+
+let test_check_serve_latency () =
+  let _, _, serve = Lazy.force captures in
+  fails_naming "no histogram" "serve.latency.status"
+    (problems ~metrics:(drop "serve.latency.status" serve) ());
+  fails_naming "empty histogram" "serve.latency.retime"
+    (problems ~metrics:(set "serve.latency.retime" "count" (Obs.Json.Num 0.0) serve) ())
+
 (* ---- topology independence of flow metrics ---- *)
 
 (* Deterministic counters and histogram buckets are equal across
@@ -481,6 +598,17 @@ let () =
           Alcotest.test_case "quantile" `Quick test_report_quantile;
           Alcotest.test_case "metric json roundtrip" `Quick test_report_metric_roundtrip;
           Alcotest.test_case "derived figures" `Quick test_report_derived;
+        ] );
+      ( "check",
+        [
+          Alcotest.test_case "c17 run and serve captures pass" `Quick
+            test_check_passes_captures;
+          Alcotest.test_case "unparsable line" `Quick test_check_unparsable_line;
+          Alcotest.test_case "missing flow-stage span" `Quick test_check_missing_stage_span;
+          Alcotest.test_case "required metric missing or mistyped" `Quick
+            test_check_required_metric;
+          Alcotest.test_case "require-nonzero at 0" `Quick test_check_require_nonzero;
+          Alcotest.test_case "counted verb without latency" `Quick test_check_serve_latency;
         ] );
       ( "flow",
         [

@@ -237,6 +237,7 @@ let malformed =
     {|{"verb":"corner","defocus":30}|};
     {|{"verb":"corner","dose":0,"defocus":70}|};
     {|{"verb":"corner","dose":-1,"defocus":70}|};
+    {|{"verb":"corner","dose":1.03,"defocus":90,"spread":-5}|};
     {|{"verb":"profile","of":{"verb":"corner","dose":0,"defocus":70}}|};
     {|{"verb":"retime","endpoint":1.5}|};
     {|{"verb":"metrics","all":1}|};
@@ -708,11 +709,6 @@ let test_random_queries_deterministic =
           String.equal (pin line (session_for 1)) (pin line (session_for 2)))
         lines)
 
-(* ---- fault tolerance ---- *)
-
-(* A corner whose spread reaches the 90 nm drawn gate length leaves a
-   non-positive channel: the target raises [Invalid_argument] from the
-   device model. *)
 (* ---- report ---- *)
 
 (* At a defocus where no gate prints, the report says so and goes on
@@ -738,6 +734,11 @@ let test_report_no_gate_printed () =
   checkb "report goes on to leakage" true
     (List.exists (String.starts_with ~prefix:"leakage : ") lines)
 
+(* ---- fault tolerance ---- *)
+
+(* A corner whose spread reaches the 90 nm drawn gate length leaves a
+   non-positive channel: the target raises [Invalid_argument] from the
+   device model. *)
 let failing_corner = {|{"verb":"corner","dose":1.03,"defocus":90,"spread":200}|}
 
 let test_session_survives_fault () =

@@ -334,6 +334,91 @@ let incremental_differential =
       && reevaluated <= Circuit.Netlist.num_gates n
       && (changed <> [] || reevaluated = 0))
 
+(* ---- Path-enumeration oracle ---- *)
+
+(* A random DAG of [gates] gates over [pis] primary inputs: each gate
+   reads one to three distinct nets among the inputs and the outputs of
+   the gates before it.  Every gate output nothing reads is an
+   endpoint, and so is about a quarter of the others. *)
+let random_dag rng ~pis ~gates =
+  let module N = Circuit.Netlist in
+  let b = N.builder () in
+  let avail =
+    ref
+      (Array.init pis (fun _ ->
+           let n = N.new_net b in
+           N.mark_input b n;
+           n))
+  in
+  let read = Hashtbl.create 16 in
+  let outs =
+    List.init gates (fun i ->
+        let pool = Array.copy !avail in
+        Stats.Rng.shuffle rng pool;
+        let k = min (Array.length pool) (1 + Stats.Rng.int rng 3) in
+        let inputs = Array.to_list (Array.sub pool 0 k) in
+        let cell = [| "INV_X1"; "NAND2_X1"; "NAND3_X1" |].(k - 1) in
+        let output = N.new_net b in
+        N.add_gate b ~gname:(Printf.sprintf "g%d" i) ~cell ~inputs ~output;
+        List.iter (fun n -> Hashtbl.replace read n ()) inputs;
+        avail := Array.append !avail [| output |];
+        output)
+  in
+  List.iter
+    (fun o -> if (not (Hashtbl.mem read o)) || Stats.Rng.int rng 4 = 0 then N.mark_output b o)
+    outs;
+  N.finish b
+
+(* Every input-to-[net] path as its (gate, pin) arcs in path order. *)
+let rec enumerate_paths (n : Circuit.Netlist.t) net =
+  match Circuit.Netlist.driver n net with
+  | None -> [ [] ]
+  | Some g ->
+      List.concat
+        (List.mapi
+           (fun pin input ->
+             List.map (fun p -> p @ [ (g, pin) ]) (enumerate_paths n input))
+           g.Circuit.Netlist.inputs)
+
+(* With a delay that ignores [slew_in], graph-based arrival is the
+   longest path: at every endpoint [analyze]'s arrival equals the
+   largest enumerated path delay, each summed from 0 in path order,
+   and the reported path is one that attains it.  Delays take few
+   distinct values so that maximising paths tie. *)
+let path_enumeration_oracle =
+  QCheck.Test.make ~name:"frozen-slew arrival = worst enumerated path" ~count:300
+    QCheck.(triple (int_range 0 99999) (int_range 1 4) (int_range 1 12))
+    (fun (seed, pis, gates) ->
+      let n = random_dag (Stats.Rng.create seed) ~pis ~gates in
+      let arc_delay (g : Circuit.Netlist.gate) pin =
+        0.1 *. float_of_int (1 + (Hashtbl.hash (seed, g.Circuit.Netlist.gname, pin) mod 7))
+      in
+      let delay ~gate ~pin ~slew_in:_ ~c_load:_ =
+        { Circuit.Delay_model.delay = arc_delay gate pin; slew_out = 0.0 }
+      in
+      let t =
+        Sta.Timing.analyze n ~loads:(fun _ -> 1.0) ~delay ~clock_period:100.0 ()
+      in
+      let path_delay =
+        List.fold_left (fun acc (g, pin) -> acc +. arc_delay g pin) 0.0
+      in
+      List.length t.Sta.Timing.paths = List.length n.Circuit.Netlist.primary_outputs
+      && List.for_all
+           (fun (p : Sta.Timing.path) ->
+             let paths = enumerate_paths n p.Sta.Timing.endpoint in
+             let worst =
+               List.fold_left (fun m q -> Float.max m (path_delay q)) neg_infinity paths
+             in
+             p.Sta.Timing.arrival = worst
+             && t.Sta.Timing.arrival.(p.Sta.Timing.endpoint) = worst
+             && List.exists
+                  (fun q ->
+                    path_delay q = worst
+                    && List.map (fun ((g : Circuit.Netlist.gate), _) -> g.Circuit.Netlist.gname) q
+                       = p.Sta.Timing.gates)
+                  paths)
+           t.Sta.Timing.paths)
+
 (* ---- Sequential ---- *)
 
 let pipe = lazy (Sta.Sequential.pipeline (Stats.Rng.create 9) ~stages:4 ~width:6)
@@ -432,6 +517,7 @@ let () =
           Alcotest.test_case "no change" `Quick test_incremental_no_change_is_cheap;
           QCheck_alcotest.to_alcotest incremental_differential;
         ] );
+      ("oracle", [ QCheck_alcotest.to_alcotest path_enumeration_oracle ]);
       ( "sequential",
         [
           Alcotest.test_case "pipeline structure" `Quick test_pipeline_structure;
