@@ -101,7 +101,7 @@ let run_flow bench opc seed dose defocus spread report selective ssta
   Timing_opc_serve.Session.print_report Format.std_formatter session ~spread
     ~report ~selective ~ssta
 
-let serve_flow bench opc seed dose defocus domains no_cache engine socket
+let serve_flow bench opc seed dose defocus domains no_cache engine
     slowlog_ms slowlog_file trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   let config =
@@ -124,11 +124,7 @@ let serve_flow bench opc seed dose defocus domains no_cache engine socket
     config.Timing_opc.Flow.domains;
   with_session ~bench config @@ fun session ->
   Format.eprintf "ready@.";
-  match socket with
-  | "" -> Timing_opc_serve.Server.serve_stdio ?slowlog session
-  | path ->
-      Format.eprintf "listening on %s@." path;
-      Timing_opc_serve.Server.serve_socket ?slowlog session ~path
+  Timing_opc_serve.Server.serve_stdio ?slowlog session
 
 let bench_arg =
   Arg.(
@@ -168,9 +164,22 @@ let dose_arg =
     & info [ "dose" ] ~doc:"Silicon exposure dose (1.0 nominal); positive and finite.")
 
 let defocus_arg =
+  let bound = Litho.Condition.max_defocus in
+  let defocus =
+    checked_float
+      ~ok:(fun v -> Float.abs v <= bound)
+      ~error:(fun s ->
+        Printf.sprintf "defocus %s nm is beyond the %g nm the optical model is built for" s
+          bound)
+      ()
+  in
   Arg.(
-    value & opt (checked_float ()) 70.0
-    & info [ "defocus" ] ~doc:"Silicon defocus, nm; finite.")
+    value & opt defocus 70.0
+    & info [ "defocus" ]
+        ~doc:
+          (Printf.sprintf
+             "Silicon defocus, nm; finite and at most %g in magnitude, the \
+              defocus the optical model is built for." bound))
 
 (* The corner views move every gate to drawn +- spread, so a spread at
    or beyond the drawn gate length leaves a non-positive channel. *)
@@ -310,14 +319,6 @@ let run_cmd =
       $ domains_arg $ no_cache_arg $ engine_arg
       $ checkpoint_arg $ resume_arg $ trace_arg $ metrics_arg $ profile_arg)
 
-let socket_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "socket" ]
-        ~doc:
-          "Listen on a Unix-domain socket at $(docv) (one client at a time) \
-           instead of answering requests on stdin/stdout." ~docv:"PATH")
-
 let slowlog_arg =
   Arg.(
     value & opt float (-1.0)
@@ -346,11 +347,11 @@ let serve_cmd =
       `P
         "Runs the full flow at startup and keeps the placed chip, post-OPC \
          mask, aerial tile cache, extracted CDs and annotated timing graph \
-         resident.  Requests are JSONL, one object per line on stdin (or \
-         the socket); each gets exactly one response line, in request \
-         order.  Verbs: status, retime, whatif, cds, corner, ssta \
-         (process-window fit + canonical-form statistical timing, computed \
-         once and served warm), metrics (with optional $(i,\"all\":true) for \
+         resident.  Requests are JSONL, one object per line on stdin; \
+         each gets exactly one response line, in request order.  Verbs: \
+         status, retime, whatif, cds, corner, ssta (process-window fit + \
+         canonical-form statistical timing, computed once and served \
+         warm), metrics (with optional $(i,\"all\":true) for \
          the full registry plus latency quantiles), profile (wraps another \
          request and returns its Chrome-trace span tree), shutdown — see \
          the protocol reference in README.md.";
@@ -363,7 +364,7 @@ let serve_cmd =
     Term.(
       const serve_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg
       $ defocus_arg $ domains_arg $ no_cache_arg $ engine_arg
-      $ socket_arg $ slowlog_arg $ slowlog_file_arg
+      $ slowlog_arg $ slowlog_file_arg
       $ trace_arg $ metrics_arg $ profile_arg)
 
 (* ---- cells ---- *)

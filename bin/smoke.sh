@@ -218,6 +218,18 @@ case_ssta() {
     tail -n +2 "$work/ssta_d4.out" | cmp "$work/ssta.body" -
 }
 
+# The session spawns its worker pool for the first request that runs
+# flow work on it: a plain report never starts the `serve` pool, and
+# the --ssta section does.
+case_session_pool() {
+  "$POTX" run --bench c17 --domains 2 --metrics "$work/pool_plain.jsonl" \
+    > /dev/null 2>&1 &&
+    ! grep -q '"exec\.pool\.serve\.' "$work/pool_plain.jsonl" &&
+    "$POTX" run --bench c17 --ssta --domains 4 \
+      --metrics "$work/pool_ssta.jsonl" > /dev/null 2>&1 &&
+    grep -q '"exec\.pool\.serve\.' "$work/pool_ssta.jsonl"
+}
+
 # `potx ARGS` must fail as a usage error: a nonzero exit that is not
 # cmdliner's internal-error exit (125), with no "internal error" on
 # stderr.  Sets ok=1 otherwise.
@@ -232,11 +244,12 @@ expect_usage_error() {
   fi
 }
 
-# Bad flag values and missing or malformed input files are usage
-# errors, never uncaught exceptions.  A --spread at or beyond the drawn
-# gate length is a bad value: it would leave the corner views a
-# non-positive channel; so is a dose that is not positive, and a dose
-# or defocus that is not finite.
+# Bad flag values, unknown options and missing or malformed input files
+# are usage errors, never uncaught exceptions.  A --spread at or beyond
+# the drawn gate length is a bad value: it would leave the corner views
+# a non-positive channel; so is a dose that is not positive, a dose or
+# defocus that is not finite, and a defocus beyond the 200 nm the
+# optical model is built for.  serve has no --socket transport.
 case_bad_input() {
   ok=0
   printf 'g1,NAND2,1.0,70.0,90.0\n' > "$work/noheader.csv"
@@ -249,6 +262,8 @@ case_bad_input() {
   expect_usage_error run --dose=-1
   expect_usage_error run --dose inf
   expect_usage_error run --defocus nan
+  expect_usage_error run --defocus 5000
+  expect_usage_error serve --socket "$work/potx.sock" < /dev/null
   expect_usage_error export --bench nosuch -o "$work/layout.txt"
   expect_usage_error cdcmp /nonexistent.csv "$work/noheader.csv"
   expect_usage_error cdcmp "$work/noheader.csv" "$work/noheader.csv"
@@ -266,6 +281,7 @@ run_case ssta case_ssta
 run_case engine case_engine
 run_case profile-identity case_profile_identity
 run_case bad-input case_bad_input
+run_case session-pool case_session_pool
 if [ -n "$SERVE_SCRIPT" ] && [ -n "$SERVE_GOLDEN" ]; then
   run_case serve case_serve
   run_case serve-profile case_serve_profile

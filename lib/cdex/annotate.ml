@@ -7,8 +7,6 @@ type entry = {
 
 type t = (string, entry) Hashtbl.t
 
-let empty () : t = Hashtbl.create 64
-
 let size = Hashtbl.length
 
 let m_entries = Obs.Metrics.counter "annotate.entries"

@@ -14,8 +14,6 @@ type entry = {
 
 type t
 
-val empty : unit -> t
-
 val size : t -> int
 
 (** [build ~nmos ~pmos gate_cds] reduces every measured gate profile

@@ -37,5 +37,3 @@ let classify chip (g : Layout.Chip.gate_ref) =
     else if min_space <= 2 * pitch then Mid
     else Iso
   end
-
-let pp ppf t = Format.pp_print_string ppf (name t)

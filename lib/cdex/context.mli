@@ -15,5 +15,3 @@ val all : t list
 (** Classify a gate on its chip (nearest distinct poly shape measured
     from the gate's own poly stripe, horizontally). *)
 val classify : Layout.Chip.t -> Layout.Chip.gate_ref -> t
-
-val pp : Format.formatter -> t -> unit

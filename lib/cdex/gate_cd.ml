@@ -23,11 +23,3 @@ let min_cd t =
   | cds -> List.fold_left Float.min infinity cds
 
 let delta_cd t = mean_cd t -. float_of_int t.gate.Layout.Chip.drawn_l
-
-let pp ppf t =
-  Format.fprintf ppf "%s @ %a: %s"
-    (Layout.Chip.gate_key t.gate)
-    Litho.Condition.pp t.condition
-    (if t.cds = [] then "NOT PRINTED"
-     else Printf.sprintf "CD=%.2fnm (min %.2f, %d/%d slices)" (mean_cd t)
-         (min_cd t) (List.length t.cds) t.slices_requested)

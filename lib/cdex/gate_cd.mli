@@ -21,5 +21,3 @@ val min_cd : t -> float
 
 (** Printed-minus-drawn CD error at this site (mean slice). *)
 val delta_cd : t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -46,5 +46,3 @@ let all =
 let find name = List.find (fun c -> String.equal c.name name) all
 
 let mem name = List.exists (fun c -> String.equal c.name name) all
-
-let names = List.map (fun c -> c.name) all

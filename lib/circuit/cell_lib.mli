@@ -23,6 +23,3 @@ val all : t list
 val find : string -> t
 
 val mem : string -> bool
-
-(** Names of cells usable as netlist gates. *)
-val names : string list

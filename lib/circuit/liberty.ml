@@ -169,10 +169,3 @@ let read text =
   finish_cell ();
   if Hashtbl.length lib = 0 then failwith "liberty: no cells parsed";
   lib
-
-let load_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  read text

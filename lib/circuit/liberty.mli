@@ -14,5 +14,3 @@ val save_file : string -> Delay_model.env -> Nldm.library -> unit
     [rise_transition], input capacitance from the first input pin).
     @raise Failure on files this focused reader cannot interpret. *)
 val read : string -> Nldm.library
-
-val load_file : string -> Nldm.library

@@ -22,10 +22,8 @@ type t = {
 (** Make a checkpoint handle, creating [dir] (and parents) if needed. *)
 val create : dir:string -> resume:bool -> t
 
-(** Stage file locations (exposed for tests and tooling). *)
+(** A stage's payload file (exposed for tests and tooling). *)
 val payload_path : t -> string -> string
-
-val meta_path : t -> string -> string
 
 (** [stage ckpt ~name ~key ~encode ~decode compute] runs one
     checkpointable stage.  With [ckpt = None] this is just

@@ -587,7 +587,8 @@ let window_conditions config w =
     ~dose_steps:w.window_steps
     ~defocus_range:
       ( Float.max 0.0 (c.Litho.Condition.defocus -. w.defocus_spread),
-        c.Litho.Condition.defocus +. w.defocus_spread )
+        Float.min Litho.Condition.max_defocus
+          (c.Litho.Condition.defocus +. w.defocus_spread) )
     ~defocus_steps:w.window_steps
 
 let mean_length (l : Circuit.Delay_model.lengths) =

@@ -215,16 +215,13 @@ val reopc_chip :
 
 (** Process-window sampling grid around the run's silicon condition:
     [window_steps] x [window_steps] conditions spanning
-    +-[dose_spread] (relative dose) and +-[defocus_spread] nm
-    (clamped at zero defocus). *)
+    +-[dose_spread] (relative dose) and +-[defocus_spread] nm, the
+    defocus clamped to [0, {!Litho.Condition.max_defocus}]. *)
 type window = {
   dose_spread : float;
   defocus_spread : float;
   window_steps : int;
 }
-
-(** 3x3 grid over +-0.02 dose and +-50 nm defocus. *)
-val default_window : window
 
 type ssta_view = {
   window : window;
@@ -236,7 +233,8 @@ type ssta_view = {
   ssta : Sta.Ssta.t;  (** canonical-form timing over the base annotation *)
 }
 
-(** [ssta r] re-measures the chip's CDs over the process window, fits
+(** [ssta r] re-measures the chip's CDs over the process [window]
+    (default: a 3x3 grid over +-0.02 dose and +-50 nm defocus), fits
     the per-gate channel-length distribution (global + independent
     components, plus the config's frozen silicon-noise floor as an
     extra independent term) and propagates canonical delay forms over

@@ -18,10 +18,6 @@ let table ppf ~title ~header rows =
       Format.fprintf ppf "%s@." (String.concat " | " (List.mapi pad row)))
     rows
 
-let f1 v = Printf.sprintf "%.1f" v
-
-let f2 v = Printf.sprintf "%.2f" v
-
 let pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
 
 let ps v = Printf.sprintf "%.1fps" v

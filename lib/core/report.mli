@@ -5,11 +5,6 @@
 val table :
   Format.formatter -> title:string -> header:string list -> string list list -> unit
 
-(** Format helpers used across benches. *)
-val f1 : float -> string
-
-val f2 : float -> string
-
 val pct : float -> string
 
 val ps : float -> string

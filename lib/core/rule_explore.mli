@@ -13,8 +13,6 @@ type knob =
   | Poly_endcap
   | Gate_length
 
-val knob_name : knob -> string
-
 type sample = {
   knob : knob;
   value : int;  (** rule value, nm *)

@@ -31,7 +31,3 @@ let min_length t =
 
 let max_length t =
   List.fold_left (fun acc s -> Float.max acc s.length) neg_infinity t.slices
-
-let pp ppf t =
-  Format.fprintf ppf "profile W=%.0f L[%.1f..%.1f] mean=%.2f" (total_width t)
-    (min_length t) (max_length t) (mean_length t)

@@ -10,14 +10,13 @@ type slice = { width : float;  (** nm along W *) length : float  (** nm along L 
 
 type t = { slices : slice list }
 
-(** @raise Invalid_argument on empty slices or non-positive dims. *)
-val make : slice list -> t
-
-(** Rectangular profile: one slice. *)
+(** Rectangular profile: one slice.
+    @raise Invalid_argument on a non-positive dimension. *)
 val rectangular : w:float -> l:float -> t
 
 (** [of_cds ~w cds] distributes the total width equally over the
-    measured CDs. *)
+    measured CDs.
+    @raise Invalid_argument on no CDs or a non-positive dimension. *)
 val of_cds : w:float -> float list -> t
 
 val total_width : t -> float
@@ -28,5 +27,3 @@ val mean_length : t -> float
 val min_length : t -> float
 
 val max_length : t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -45,7 +45,3 @@ let reduce_naive params profile =
     ion_total = Mosfet.ion params ~w ~l;
     ioff_total = Mosfet.ioff params ~w ~l;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "Leff: on=%.2fnm off=%.2fnm (Ion=%.1fuA Ioff=%.4guA)"
-    t.l_on t.l_off t.ion_total t.ioff_total

@@ -24,5 +24,3 @@ val reduce : Mosfet.params -> Gate_profile.t -> t
 (** Uniform-averaging baseline (what a naive flow would use): both
     equivalents set to the width-weighted mean CD. *)
 val reduce_naive : Mosfet.params -> Gate_profile.t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -60,7 +60,3 @@ let cgate p ~w ~l = (p.c_gate *. w *. l) +. (p.c_overlap *. w)
 let req p ~w ~l =
   let i = ion p ~w ~l in
   if i <= 0.0 then infinity else p.vdd /. i *. 1000.0
-
-let pp_params ppf p =
-  Format.fprintf ppf "vdd=%.2fV vth0=%.2fV alpha=%.2f k=%.0fuA/sq" p.vdd p.vth0
-    p.alpha p.k_drive

@@ -39,5 +39,3 @@ val cgate : params -> w:float -> l:float -> float
 
 (** Equivalent switching resistance Vdd / Ion, in kOhm (uA, V). *)
 val req : params -> w:float -> l:float -> float
-
-val pp_params : Format.formatter -> params -> unit

@@ -43,8 +43,6 @@ type domain_state = {
 let state : domain_state Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { current = None; since = 0.0; blocked = 0.0 })
 
-let domains t = t.n_domains
-
 let rec record_failure j i e bt =
   let seen = Atomic.get j.failure in
   match seen with

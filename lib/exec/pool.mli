@@ -37,9 +37,6 @@ type t
     at least 1. *)
 val create : ?name:string -> domains:int -> unit -> t
 
-(** Worker count the pool was created with (after clamping). *)
-val domains : t -> int
-
 (** Join the worker domains.  The pool must not be used afterwards;
     calling [shutdown] twice is harmless. *)
 val shutdown : t -> unit

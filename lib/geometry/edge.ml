@@ -64,7 +64,3 @@ let sample e ~step =
     else go (t + step) (Point.add e.a (Point.scale t d) :: acc)
   in
   go 0 []
-
-let equal e1 e2 = Point.equal e1.a e2.a && Point.equal e1.b e2.b
-
-let pp ppf e = Format.fprintf ppf "%a->%a" Point.pp e.a Point.pp e.b

@@ -17,9 +17,6 @@ val length : t -> int
 
 val midpoint : t -> Point.t
 
-(** Unit vector along the edge direction. *)
-val direction : t -> Point.t
-
 (** Unit outward normal, assuming counter-clockwise winding. *)
 val outward_normal : t -> Point.t
 
@@ -44,7 +41,3 @@ val split : t -> max_len:int -> t list
 (** [sample e ~step] returns points along the edge every [step]
     nanometres, always including both endpoints. *)
 val sample : t -> step:int -> Point.t list
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

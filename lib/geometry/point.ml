@@ -31,5 +31,3 @@ let compare_yx a b =
   match Int.compare a.y b.y with 0 -> Int.compare a.x b.x | c -> c
 
 let pp ppf { x; y } = Format.fprintf ppf "(%d,%d)" x y
-
-let to_string p = Format.asprintf "%a" pp p

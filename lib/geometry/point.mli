@@ -39,5 +39,3 @@ val compare : t -> t -> int
 val compare_yx : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

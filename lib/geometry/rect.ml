@@ -21,10 +21,6 @@ let is_empty r = r.hx <= r.lx || r.hy <= r.ly
 
 let center r = Point.make ((r.lx + r.hx) / 2) ((r.ly + r.hy) / 2)
 
-let corners r =
-  [ Point.make r.lx r.ly; Point.make r.hx r.ly;
-    Point.make r.hx r.hy; Point.make r.lx r.hy ]
-
 let inflate r d =
   let lx = r.lx - d and hx = r.hx + d and ly = r.ly - d and hy = r.hy + d in
   if lx > hx || ly > hy then
@@ -65,17 +61,6 @@ let separation a b =
   (axis a.lx a.hx b.lx b.hx, axis a.ly a.hy b.ly b.hy)
 
 let equal a b = a.lx = b.lx && a.ly = b.ly && a.hx = b.hx && a.hy = b.hy
-
-let compare a b =
-  match Int.compare a.lx b.lx with
-  | 0 -> (
-      match Int.compare a.ly b.ly with
-      | 0 -> (
-          match Int.compare a.hx b.hx with
-          | 0 -> Int.compare a.hy b.hy
-          | c -> c)
-      | c -> c)
-  | c -> c
 
 let pp ppf r = Format.fprintf ppf "[%d,%d..%d,%d]" r.lx r.ly r.hx r.hy
 

@@ -28,8 +28,6 @@ val is_empty : t -> bool
 
 val center : t -> Point.t
 
-val corners : t -> Point.t list
-
 (** [inflate r d] grows the rectangle by [d] on all four sides; a
     negative [d] shrinks it (the result is clamped to a degenerate
     rectangle at the centre rather than inverting). *)
@@ -66,8 +64,6 @@ val hull_of_list : t list -> t
 val separation : t -> t -> int * int
 
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 

@@ -152,8 +152,3 @@ let translate t d = List.map (fun r -> Rect.translate r d) t
 let inflate t d = of_rects (List.map (fun r -> Rect.inflate r d) t)
 
 let equal a b = List.length a = List.length b && List.for_all2 Rect.equal a b
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>region{%a}@]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") Rect.pp)
-    t

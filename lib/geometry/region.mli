@@ -48,5 +48,3 @@ val translate : t -> Point.t -> t
 val inflate : t -> int -> t
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

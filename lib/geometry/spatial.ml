@@ -54,21 +54,3 @@ let query t window =
   !out
 
 let nearby t r ~halo = query t (Rect.inflate r halo)
-
-let iter t f =
-  let seen = Hashtbl.create (t.count * 2) in
-  Hashtbl.iter
-    (fun _ l ->
-      List.iter
-        (fun e ->
-          if not (Hashtbl.mem seen e.id) then begin
-            Hashtbl.add seen e.id ();
-            f e.rect e.payload
-          end)
-        !l)
-    t.table
-
-let to_list t =
-  let acc = ref [] in
-  iter t (fun r p -> acc := (r, p) :: !acc);
-  !acc

@@ -20,7 +20,3 @@ val query : 'a t -> Rect.t -> (Rect.t * 'a) list
 
 (** [nearby t r ~halo] is [query] over [r] inflated by [halo]. *)
 val nearby : 'a t -> Rect.t -> halo:int -> (Rect.t * 'a) list
-
-val iter : 'a t -> (Rect.t -> 'a -> unit) -> unit
-
-val to_list : 'a t -> (Rect.t * 'a) list

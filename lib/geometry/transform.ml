@@ -76,16 +76,3 @@ let invert t =
   in
   let o = inv t.orient in
   { orient = o; offset = orient_point o (Point.neg t.offset) }
-
-let orientation_name = function
-  | R0 -> "R0"
-  | R90 -> "R90"
-  | R180 -> "R180"
-  | R270 -> "R270"
-  | MX -> "MX"
-  | MY -> "MY"
-  | MXR90 -> "MXR90"
-  | MYR90 -> "MYR90"
-
-let pp ppf t =
-  Format.fprintf ppf "%s+%a" (orientation_name t.orient) Point.pp t.offset

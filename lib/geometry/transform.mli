@@ -27,5 +27,3 @@ val apply_polygon : t -> Polygon.t -> Polygon.t
 val compose : t -> t -> t
 
 val invert : t -> t
-
-val pp : Format.formatter -> t -> unit

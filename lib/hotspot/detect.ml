@@ -6,6 +6,7 @@ type t = {
   condition : Litho.Condition.t;
 }
 
+(* Severity of a feature that did not print at all. *)
 let missing_severity = 99.0
 
 let on_chip model orc_config chip ~mask =
@@ -37,7 +38,3 @@ let prune ~radius hotspots =
       if not (List.exists close !kept) then kept := h :: !kept)
     sorted;
   List.rev !kept
-
-let pp ppf h =
-  Format.fprintf ppf "hotspot@%a sev=%.1fnm (%a)" G.Point.pp h.at h.severity
-    Litho.Condition.pp h.condition

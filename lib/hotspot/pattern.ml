@@ -32,8 +32,6 @@ let signature ~cells (snippet : Snippet.t) =
   done;
   { cells; bits }
 
-let cells t = t.cells
-
 let distance a b =
   if a.cells <> b.cells then invalid_arg "Pattern.distance: grid mismatch";
   let d = ref 0 in

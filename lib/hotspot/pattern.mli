@@ -11,8 +11,6 @@ type t
     it). *)
 val signature : cells:int -> Snippet.t -> t
 
-val cells : t -> int
-
 (** Number of differing grid cells.
     @raise Invalid_argument on grid-size mismatch. *)
 val distance : t -> t -> int

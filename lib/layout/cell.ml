@@ -36,11 +36,3 @@ let shapes_on t layer =
 
 let find_transistor t name =
   List.find_opt (fun tr -> String.equal tr.tname name) t.transistors
-
-let pp_mos_kind ppf = function
-  | Nmos -> Format.pp_print_string ppf "nmos"
-  | Pmos -> Format.pp_print_string ppf "pmos"
-
-let pp ppf t =
-  Format.fprintf ppf "cell %s %dx%d (%d shapes, %d devices)" t.cname t.width
-    t.height (List.length t.shapes) (List.length t.transistors)

@@ -38,7 +38,3 @@ val bbox : t -> Geometry.Rect.t
 val shapes_on : t -> Layer.t -> Geometry.Polygon.t list
 
 val find_transistor : t -> string -> transistor option
-
-val pp_mos_kind : Format.formatter -> mos_kind -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -52,10 +52,8 @@ val die : t -> Geometry.Rect.t option
 (** All shapes of one layer, flattened to chip coordinates. *)
 val flatten_layer : t -> Layer.t -> Geometry.Polygon.t list
 
-(** Spatial index of one layer's flattened shapes (built lazily, cached). *)
-val layer_index : t -> Layer.t -> Geometry.Polygon.t Geometry.Spatial.t
-
-(** Shapes of [layer] intersecting the window, in chip coordinates. *)
+(** Shapes of [layer] intersecting the window, in chip coordinates,
+    from a spatial index of the layer built on first use and cached. *)
 val shapes_in : t -> Layer.t -> Geometry.Rect.t -> Geometry.Polygon.t list
 
 (** Every transistor gate site on the chip. *)

@@ -34,6 +34,4 @@ val check_enclosure :
 (** Run all checks relevant to a chip's poly/active/contact/metal1. *)
 val check_chip : Chip.t -> report
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val pp_report : Format.formatter -> report -> unit

@@ -55,17 +55,3 @@ let write_chip ppf chip =
         (fun poly -> write_shapes ppf [ (layer, poly) ])
         (Chip.flatten_layer chip layer))
     Layer.all
-
-let save_file path shapes =
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  (try write_shapes ppf shapes with e -> close_out oc; raise e);
-  Format.pp_print_flush ppf ();
-  close_out oc
-
-let load_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  read_shapes text

@@ -16,8 +16,3 @@ val read_shapes : string -> (Layer.t * Geometry.Polygon.t) list
 
 (** Flatten every layer of a chip and write it. *)
 val write_chip : Format.formatter -> Chip.t -> unit
-
-(** File convenience wrappers. *)
-val save_file : string -> (Layer.t * Geometry.Polygon.t) list -> unit
-
-val load_file : string -> (Layer.t * Geometry.Polygon.t) list

@@ -13,10 +13,6 @@ let name = function
 
 let of_name s = List.find_opt (fun l -> name l = s) all
 
-let opc_layers = [ Poly ]
-
 let equal (a : t) b = a = b
-
-let compare (a : t) b = Stdlib.compare a b
 
 let pp ppf l = Format.pp_print_string ppf (name l)

@@ -15,12 +15,6 @@ val name : t -> string
 
 val of_name : string -> t option
 
-(** Layers that are lithographically critical and go through OPC in
-    this flow (gate-level reproduction: poly only). *)
-val opc_layers : t list
-
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit

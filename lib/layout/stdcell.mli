@@ -8,13 +8,6 @@
     Cell names follow the usual convention ([INV_X1], [NAND2_X1], ...)
     and match the logical library in [Circuit.Cell_lib]. *)
 
-(** Column of the template: which active bands the poly crosses and
-    whether a mid-cell horizontal strap attaches to it. *)
-type column = { has_n : bool; has_p : bool; strap : bool }
-
-(** [generate tech spec] builds a cell from explicit columns. *)
-val generate : Tech.t -> cname:string -> inputs:string list -> column list -> Cell.t
-
 (** Library of cells for a technology, keyed by cell name. *)
 val library : Tech.t -> (string * Cell.t) list
 

@@ -46,8 +46,8 @@
     relocated to the window's origin ({!Tile_cache.find}); a miss
     stores the image it computed.  Every caller only reads the image:
     CD extraction ([Cdex.Extract]), {!Pvband}, {!calibrate}, model OPC
-    ([Opc.Model_opc], always with [into]), ORC ([Opc.Orc]), SRAF
-    placement ([Opc.Sraf]), the bench harness and the examples. *)
+    ([Opc.Model_opc], always with [into]), ORC ([Opc.Orc]), the bench
+    harness and the examples. *)
 
 type engine = Model.engine = Direct | Fft
 

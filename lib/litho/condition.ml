@@ -2,10 +2,15 @@ type t = { dose : float; defocus : float }
 
 let nominal = { dose = 1.0; defocus = 0.0 }
 
+let max_defocus = 200.0
+
 let make ~dose ~defocus =
   if not (Float.is_finite dose && Float.is_finite defocus) then
     invalid_arg "Condition.make: dose and defocus must be finite";
   if dose <= 0.0 then invalid_arg "Condition.make: dose must be positive";
+  if Float.abs defocus > max_defocus then
+    invalid_arg
+      (Printf.sprintf "Condition.make: |defocus| must be at most %g nm" max_defocus);
   { dose; defocus }
 
 let linspace lo hi n =
@@ -23,7 +28,5 @@ let corners ~dose_range:(dlo, dhi) ~defocus_range:(flo, fhi) =
   :: List.map
        (fun (dose, defocus) -> make ~dose ~defocus)
        [ (dlo, flo); (dlo, fhi); (dhi, flo); (dhi, fhi) ]
-
-let equal a b = a.dose = b.dose && a.defocus = b.defocus
 
 let pp ppf t = Format.fprintf ppf "dose=%.3f defocus=%.0fnm" t.dose t.defocus

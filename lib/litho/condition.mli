@@ -8,8 +8,13 @@ type t = { dose : float; defocus : float }
 
 val nominal : t
 
-(** @raise Invalid_argument if [dose] or [defocus] is not finite, or
-    [dose] is not positive. *)
+(** The largest |defocus|, nm, the optical model is built for:
+    {!Model.create} sizes its halo so that tile boundaries cannot bias
+    interior intensity up to this defocus. *)
+val max_defocus : float
+
+(** @raise Invalid_argument if [dose] or [defocus] is not finite,
+    [dose] is not positive, or |[defocus]| is above {!max_defocus}. *)
 val make : dose:float -> defocus:float -> t
 
 (** Rectangular dose x defocus grid, inclusive of endpoints.
@@ -26,7 +31,5 @@ val grid :
     the given ranges. *)
 val corners :
   dose_range:float * float -> defocus_range:float * float -> t list
-
-val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 (* Iterative radix-2 FFT on flat float arrays.  Everything here is
    stdlib-only and allocation-conscious: plans (bit-reversal table +
    twiddle factors) are built once per transform size and reused
-   across the rows of a 2-D pass, and the aerial convolution below
+   across the rows of a pass, and the aerial convolution below
    works in scratch grids with blocked transposes so every 1-D
    transform runs over contiguous memory. *)
 
@@ -144,37 +144,6 @@ let ifft ~re ~im =
   transform p re im ~off:0 ~inverse:true;
   let s = 1.0 /. float_of_int n in
   for i = 0 to n - 1 do
-    re.(i) <- re.(i) *. s;
-    im.(i) <- im.(i) *. s
-  done
-
-let transform2 ~re ~im ~nx ~ny ~inverse =
-  check_pair re im "Fft.transform2";
-  if Array.length re <> nx * ny then invalid_arg "Fft.transform2: nx*ny mismatch";
-  let px = plan nx in
-  for y = 0 to ny - 1 do
-    transform px re im ~off:(y * nx) ~inverse
-  done;
-  let py = plan ny in
-  let cre = Array.make ny 0.0 and cim = Array.make ny 0.0 in
-  for x = 0 to nx - 1 do
-    for y = 0 to ny - 1 do
-      cre.(y) <- re.((y * nx) + x);
-      cim.(y) <- im.((y * nx) + x)
-    done;
-    transform py cre cim ~off:0 ~inverse;
-    for y = 0 to ny - 1 do
-      re.((y * nx) + x) <- cre.(y);
-      im.((y * nx) + x) <- cim.(y)
-    done
-  done
-
-let fft2 ~re ~im ~nx ~ny = transform2 ~re ~im ~nx ~ny ~inverse:false
-
-let ifft2 ~re ~im ~nx ~ny =
-  transform2 ~re ~im ~nx ~ny ~inverse:true;
-  let s = 1.0 /. float_of_int (nx * ny) in
-  for i = 0 to (nx * ny) - 1 do
     re.(i) <- re.(i) *. s;
     im.(i) <- im.(i) *. s
   done

@@ -1,10 +1,9 @@
 (** Iterative radix-2 FFT over flat float arrays — stdlib only.
 
     The transforms operate on separate re/im arrays whose length must
-    be a power of two ([next_pow2] rounds up).  [fft] is unnormalised;
+    be a power of two.  [fft] is unnormalised;
     [ifft] applies the 1/n factor, so [ifft (fft x) = x] up to
-    rounding.  The 2-D variants treat the arrays as row-major
-    [ny] rows of [nx] and transform rows then columns.
+    rounding.
 
     {!convolve_gaussians} is the aerial-image entry point: it replaces
     the per-kernel box-blur cascade with one forward transform of the
@@ -17,22 +16,12 @@
     annihilates (the band of the smallest sigma), so the cost is
     nearly independent of the kernel count. *)
 
-(** Smallest power of two >= [n] (and >= 1). *)
-val next_pow2 : int -> int
-
 (** In-place forward transform; [re]/[im] must share a power-of-two
     length.  Unnormalised. *)
 val fft : re:float array -> im:float array -> unit
 
 (** In-place inverse transform, including the 1/n normalisation. *)
 val ifft : re:float array -> im:float array -> unit
-
-(** In-place 2-D forward transform of a row-major [nx]*[ny] grid
-    ([nx] and [ny] powers of two).  Unnormalised. *)
-val fft2 : re:float array -> im:float array -> nx:int -> ny:int -> unit
-
-(** In-place 2-D inverse transform, including the 1/(nx*ny) factor. *)
-val ifft2 : re:float array -> im:float array -> nx:int -> ny:int -> unit
 
 (** [convolve_gaussians raster ~kernels] replaces the raster contents
     with [Σ wₖ · (Gσₖ ⊛ raster)] for [kernels = [(σₖ_px, wₖ); ...]]

@@ -28,9 +28,11 @@ let create ?(kernels = default_kernels) ?(step = 5.0) ?(defocus_blur = 0.18)
     ?(engine = Direct) ?(cache = true) () =
   let kernels = normalise kernels in
   let max_sigma = List.fold_left (fun acc k -> Float.max acc k.sigma) 0.0 kernels in
-  (* Halo covers 3 sigma of the widest kernel at worst-case defocus
-     (200 nm), so tile boundaries cannot bias interior intensity. *)
-  let worst = sqrt ((max_sigma ** 2.0) +. ((defocus_blur *. 200.0) ** 2.0)) in
+  (* Halo covers 3 sigma of the widest kernel at worst-case defocus,
+     so tile boundaries cannot bias interior intensity. *)
+  let worst =
+    sqrt ((max_sigma ** 2.0) +. ((defocus_blur *. Condition.max_defocus) ** 2.0))
+  in
   { kernels; threshold = 0.5; step; halo = int_of_float (3.2 *. worst); defocus_blur;
     engine; cache }
 

@@ -102,9 +102,6 @@ let paint_rect ?(clamp = false) t (r : G.Rect.t) =
     done
   end
 
-let paint_polygon t p =
-  List.iter (paint_rect t) (G.Region.to_rects (G.Region.of_polygon p))
-
 let sample t x y =
   (* Bilinear over pixel centres, clamped at borders. *)
   let fx = ((x -. float_of_int t.origin.G.Point.x) /. t.step) -. 0.5 in
@@ -126,8 +123,6 @@ let sample t x y =
 let x_of_ix t ix = float_of_int t.origin.G.Point.x +. ((float_of_int ix +. 0.5) *. t.step)
 
 let y_of_iy t iy = float_of_int t.origin.G.Point.y +. ((float_of_int iy +. 0.5) *. t.step)
-
-let mean t = Array.fold_left ( +. ) 0.0 t.data /. float_of_int (Array.length t.data)
 
 let max_value t = Array.fold_left Float.max neg_infinity t.data
 

@@ -61,9 +61,6 @@ val blend : dst:t -> src:t -> w:float -> unit
     whole-raster clamp, without ever scanning unpainted pixels. *)
 val paint_rect : ?clamp:bool -> t -> Geometry.Rect.t -> unit
 
-(** Paint a polygon via its exact rectangle decomposition. *)
-val paint_polygon : t -> Geometry.Polygon.t -> unit
-
 (** Bilinear sample at layout coordinates (float nm).  Outside the
     raster the value clamps to the border pixel. *)
 val sample : t -> float -> float -> float
@@ -72,9 +69,6 @@ val sample : t -> float -> float -> float
 val x_of_ix : t -> int -> float
 
 val y_of_iy : t -> int -> float
-
-(** Mean of all pixels. *)
-val mean : t -> float
 
 val max_value : t -> float
 

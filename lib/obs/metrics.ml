@@ -153,20 +153,6 @@ let reset r =
           Mutex.unlock h.h_mutex)
     entries
 
-let pp ppf r =
-  Format.fprintf ppf "@[<v>metrics (%d)" (List.length (snapshot r));
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Counter n -> Format.fprintf ppf "@,  %-40s %d" name n
-      | Gauge v -> Format.fprintf ppf "@,  %-40s %.6f" name v
-      | Histogram h ->
-          Format.fprintf ppf "@,  %-40s count=%d sum=%.3f buckets=[%s]" name
-            h.count h.sum
-            (String.concat ";" (Array.to_list (Array.map string_of_int h.counts))))
-    (snapshot r);
-  Format.fprintf ppf "@]"
-
 let json_of_metric name v : Json.t =
   match v with
   | Counter n ->

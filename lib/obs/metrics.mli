@@ -13,7 +13,7 @@
     Histogram bucket edges are fixed at registration, so bucket
     counts — and the serialised output — are deterministic too.
 
-    All output (snapshot order, {!pp}, {!write_jsonl}) is sorted by
+    All output (snapshot order, {!save_jsonl_file}) is sorted by
     metric name. *)
 
 type t
@@ -61,8 +61,6 @@ val histogram : ?registry:t -> ?edges:float array -> string -> histogram
 
 val observe : histogram -> float -> unit
 
-val default_edges : float array
-
 (** {1 Reading} *)
 
 type histogram_snapshot = {
@@ -84,9 +82,6 @@ val snapshot : t -> (string * value) list
     sites) stay valid. *)
 val reset : t -> unit
 
-(** Human-readable table, one metric per line. *)
-val pp : Format.formatter -> t -> unit
-
 (** The JSONL object for one metric:
     [{"type":"counter","name":...,"value":...}],
     [{"type":"gauge","name":...,"value":...}],
@@ -95,7 +90,6 @@ val pp : Format.formatter -> t -> unit
     inverse. *)
 val json_of_metric : string -> value -> Json.t
 
-(** One {!json_of_metric} object per line, sorted by name. *)
-val write_jsonl : out_channel -> t -> unit
-
+(** [save_jsonl_file path r] writes one {!json_of_metric} object per
+    line, sorted by name, to [path] (truncating it). *)
 val save_jsonl_file : string -> t -> unit

@@ -5,8 +5,7 @@
 
     Everything here is a pure function of an event list — call it
     after the traced region (typically on [Span.events ()]), or on a
-    trace read back from a JSONL sink with {!Report.read_jsonl} and
-    {!event_of_json}.
+    trace read back from a JSONL sink with {!event_of_json}.
     Nothing touches the live registry or the tracing flag, so
     exporting a profile cannot perturb what it measured. *)
 

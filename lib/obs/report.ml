@@ -136,8 +136,6 @@ let cache_hit_rate metrics =
 
 (* ---- obs-check: the schema ---- *)
 
-type kind = [ `Counter | `Gauge | `Histogram ]
-
 let kind_name = function
   | `Counter -> "counter"
   | `Gauge -> "gauge"

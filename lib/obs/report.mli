@@ -1,5 +1,5 @@
-(** Read side of the observability files: the one JSONL reader,
-    quantile estimation over histogram snapshots, and the two offline
+(** Read side of the observability files: quantile estimation over
+    histogram snapshots, and the two offline
     tools over captured [--trace]/[--metrics] files — {!check}, the
     schema behind [potx obs-check], and {!summarise}, the summary
     behind [potx obs-report].
@@ -18,11 +18,6 @@ val quantiles : Metrics.histogram_snapshot -> (string * float) list
 (** [("p50", _); ("p95", _); ("p99", _)]. *)
 
 (** {1 Reading captured files} *)
-
-val read_jsonl : string -> (int * (Json.t, string) result) list
-(** Every non-blank line of a JSONL file (a [--trace] or [--metrics]
-    capture), with its 1-based line number, parsed by {!Json.parse}.
-    @raise Sys_error if the file cannot be read. *)
 
 val metric_of_json : Json.t -> (string * Metrics.value) option
 (** Inverse of {!Metrics.json_of_metric}; [None] on non-metric
@@ -47,20 +42,6 @@ val cache_hit_rate : (string * Metrics.value) list -> float option
 
 (** {1 The capture schema ([potx obs-check])} *)
 
-type kind = [ `Counter | `Gauge | `Histogram ]
-
-val flow_stage_spans : string list
-(** The exact span names of the stages a flow run times:
-    [flow.litho_model], [flow.place], [flow.sta.drawn], [flow.opc],
-    [flow.cdex], [flow.annotate] and [flow.sta.post_opc].  A trace
-    must hold each of them. *)
-
-val required_metrics : (string * kind) list
-(** Metrics registered when their modules load, so every metrics dump
-    of a flow binary carries them, with these kinds: at least one per
-    flow stage, plus the tile cache's and the checkpoint store's
-    counters. *)
-
 type verdict = {
   summary : string list;  (** one line per checked file *)
   problems : string list;  (** empty when the capture passes *)
@@ -68,12 +49,22 @@ type verdict = {
 
 val check :
   ?trace:string -> ?metrics:string -> ?require_nonzero:string list -> unit -> verdict
-(** Validate a captured pair against the schema.  A trace passes when
-    every line parses as a span event with a non-negative [wall_s]
-    and every {!flow_stage_spans} name occurs.  A metrics dump passes
-    when every line parses as a counter, gauge or histogram, every
-    {!required_metrics} entry is present with its kind, every
-    [require_nonzero] name is a counter or gauge above 0, and every
+(** Validate a captured pair against the schema.  Both files are read
+    as JSONL: every non-blank line must parse, and a problem names the
+    file and the 1-based line (blank lines counted).
+
+    A trace passes when every line parses as a span event with a
+    non-negative [wall_s] and it holds a span, by exact name, for each
+    stage a flow run times: [flow.litho_model], [flow.place],
+    [flow.sta.drawn], [flow.opc], [flow.cdex], [flow.annotate] and
+    [flow.sta.post_opc].
+
+    A metrics dump passes when every line parses as a counter, gauge
+    or histogram, it holds the 17 metrics every dump of a flow binary
+    carries (they register when their modules load: at least one per
+    flow stage, plus the tile cache's and the checkpoint store's),
+    each with its kind, every [require_nonzero] name is a counter or
+    gauge above 0, and every
     [serve.verb.<v>] counter above 0 has a [serve.latency.<v>]
     histogram with at least one observation.  Passing neither file,
     or [require_nonzero] without [metrics], is a problem too. *)

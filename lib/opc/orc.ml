@@ -98,7 +98,3 @@ let verify model config ~mask ~drawn ~window =
     max_epe = !max_epe;
     rms_epe = (if !count = 0 then 0.0 else sqrt (!sum_sq /. float_of_int !count));
   }
-
-let pp_report ppf r =
-  Format.fprintf ppf "ORC: %d sites, %d violations, max|EPE|=%.2f rms=%.2f"
-    r.sites (List.length r.violations) r.max_epe r.rms_epe

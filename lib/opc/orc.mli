@@ -39,5 +39,3 @@ val verify :
   drawn:Geometry.Polygon.t list ->
   window:Geometry.Rect.t ->
   report
-
-val pp_report : Format.formatter -> report -> unit

@@ -163,13 +163,9 @@ type response = {
     [Error] carries a message suitable for an error reply. *)
 val parse_request : string -> (int option * request, string) result
 
-val request_to_json : ?id:int -> request -> Obs.Json.t
-
 val request_to_string : ?id:int -> request -> string
 
 (** {1 Responses} *)
-
-val response_to_json : response -> Obs.Json.t
 
 (** The response as one JSONL line (no trailing newline). *)
 val response_to_string : response -> string

@@ -20,7 +20,7 @@ let slowlog_line (response : Protocol.response) ~wall_ms =
 let serve_channels ?slowlog session ic oc =
   let rec loop () =
     match input_line ic with
-    | exception End_of_file -> false
+    | exception End_of_file -> ()
     | line ->
         if String.trim line = "" then loop ()
         else begin
@@ -38,33 +38,9 @@ let serve_channels ?slowlog session ic oc =
                 flush sink
               end
           | None -> ());
-          if is_shutdown response then true else loop ()
+          if not (is_shutdown response) then loop ()
         end
   in
   loop ()
 
-let serve_stdio ?slowlog session = ignore (serve_channels ?slowlog session stdin stdout)
-
-let serve_socket ?slowlog session ~path =
-  if Sys.file_exists path then Sys.remove path;
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock 1;
-  let rec accept_loop () =
-    let client, _addr = Unix.accept sock in
-    let ic = Unix.in_channel_of_descr client
-    and oc = Unix.out_channel_of_descr client in
-    let stop =
-      Fun.protect
-        ~finally:(fun () ->
-          try Unix.close client with Unix.Unix_error _ -> ())
-        (fun () -> serve_channels ?slowlog session ic oc)
-    in
-    if not stop then accept_loop ()
-  in
-  accept_loop ()
+let serve_stdio ?slowlog session = serve_channels ?slowlog session stdin stdout

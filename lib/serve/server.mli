@@ -6,17 +6,12 @@
     order no matter how a client batches its writes — one leg of the
     byte-determinism contract.
 
-    Two transports share the loop: stdio (the default for [potx
-    serve]; stdout carries only response lines, diagnostics go to
-    stderr) and a Unix-domain socket serving one client connection at
-    a time.  A [shutdown] request answers, then stops the loop; on
-    the socket transport it also stops accepting and removes the
-    socket file. *)
+    [potx serve] runs the loop over stdio: stdout carries only
+    response lines, diagnostics go to stderr.  A [shutdown] request
+    answers, then stops the loop. *)
 
 (** [serve_channels session ic oc] answers requests from [ic] on [oc]
-    until end-of-input or a [shutdown] request.  Returns [true] when
-    the loop ended because of [shutdown] (used by the socket accept
-    loop), [false] on end-of-input.
+    until end-of-input or a [shutdown] request.
 
     [slowlog = (threshold_ms, sink)] turns on the slow-query log:
     every request whose handling (transport-inclusive, as seen by
@@ -27,12 +22,7 @@
     byte-determinism contract on responses is unaffected; [potx serve
     --slowlog MS] points it at stderr by default. *)
 val serve_channels :
-  ?slowlog:float * out_channel -> Session.t -> in_channel -> out_channel -> bool
+  ?slowlog:float * out_channel -> Session.t -> in_channel -> out_channel -> unit
 
 (** Serve stdin/stdout until end-of-input or [shutdown]. *)
 val serve_stdio : ?slowlog:float * out_channel -> Session.t -> unit
-
-(** Bind a Unix-domain socket at [path] (an existing file there is
-    replaced), then accept and serve one client at a time until some
-    client sends [shutdown].  The socket file is removed on return. *)
-val serve_socket : ?slowlog:float * out_channel -> Session.t -> path:string -> unit

@@ -3,7 +3,9 @@ module Flow = Timing_opc.Flow
 type t = {
   bench : string;
   run : Flow.run;
-  pool : Exec.Pool.t option;  (* session-owned, shared across requests *)
+  mutable pool : Exec.Pool.t option;
+      (* session-owned, shared across requests; spawned by the first
+         request that runs flow work (see [pool]) *)
   lengths : string -> Circuit.Delay_model.lengths option;  (* memoised *)
   counters : (string, int ref) Hashtbl.t;
   mutable ssta_view : Flow.ssta_view option;
@@ -16,15 +18,10 @@ type t = {
 
 let create ?(bench = "?") config netlist =
   let run = Flow.run config netlist in
-  let pool =
-    if config.Flow.domains > 1 then
-      Some (Exec.Pool.create ~name:"serve" ~domains:config.Flow.domains ())
-    else None
-  in
   {
     bench;
     run;
-    pool;
+    pool = None;
     lengths = Flow.lengths_of run;
     counters = Hashtbl.create 16;
     ssta_view = None;
@@ -33,6 +30,14 @@ let create ?(bench = "?") config netlist =
   }
 
 let run t = t.run
+
+(* The worker pool for a request's flow work, spawned on first use so
+   that a session which only prints its report never starts one. *)
+let pool t =
+  let domains = t.run.Flow.config.Flow.domains in
+  if Option.is_none t.pool && domains > 1 && not t.closed then
+    t.pool <- Some (Exec.Pool.create ~name:"serve" ~domains ());
+  t.pool
 
 let close t =
   if not t.closed then begin
@@ -169,7 +174,7 @@ let move t gate dx dy =
   | Some _ ->
       let* () = check_move_reach r.Flow.chip ~dx ~dy in
       let chip = Layout.Chip.move r.Flow.chip ~inst:gate ~dx ~dy in
-      let mask, _opc_stats = Flow.reopc_chip ?pool:t.pool r chip in
+      let mask, _opc_stats = Flow.reopc_chip ?pool:(pool t) r chip in
       (* Gate sites whose aerial image the move can reach: the hull of
          the old and new instance footprints, inflated by the optical
          halo plus a full tile on each side (tiles are simulated
@@ -191,7 +196,7 @@ let move t gate dx dy =
           let region = Geometry.Rect.inflate footprint reach in
           Cdex.Extract.gates_in ~region (Layout.Chip.gates chip)
       in
-      let fresh = Flow.extract_at ?pool:t.pool ~gates ~chip ~mask r in
+      let fresh = Flow.extract_at ?pool:(pool t) ~gates ~chip ~mask r in
       (* Splice re-measured sites into the warm records by gate key:
          silicon noise is seeded per (seed, gate key), so a subset
          re-extraction is bit-identical to the full one. *)
@@ -257,11 +262,22 @@ let cds t region =
 
 (* Re-measure every gate at the requested process condition (tile
    cache absorbs repeats across corner queries) and re-time under the
-   resulting annotation. *)
+   resulting annotation.  The corner views move every gate to drawn
+   +- spread, so a spread at or beyond the drawn gate length is
+   refused before any flow work. *)
 let corner t ~dose ~defocus ~spread =
   let r = t.run in
+  let gate_length = r.Flow.config.Flow.tech.Layout.Tech.gate_length in
+  let* () =
+    match spread with
+    | Some s when s >= float_of_int gate_length ->
+        Error
+          (Printf.sprintf "spread %g nm is outside [0, %d), the drawn gate length"
+             s gate_length)
+    | _ -> Ok ()
+  in
   let condition = Litho.Condition.make ~dose ~defocus in
-  let cds = Flow.extract_at ?pool:t.pool ~condition r in
+  let cds = Flow.extract_at ?pool:(pool t) ~condition r in
   let annotation = Flow.annotate r.Flow.config cds in
   let timing =
     Flow.time_with r
@@ -290,7 +306,7 @@ let ssta_view t =
   match t.ssta_view with
   | Some v -> v
   | None ->
-      let v = Flow.ssta ?pool:t.pool t.run in
+      let v = Flow.ssta ?pool:(pool t) t.run in
       t.ssta_view <- Some v;
       v
 

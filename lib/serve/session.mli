@@ -17,7 +17,8 @@
 
     Observability: each request runs under an [serve.<verb>] span and
     bumps session-local counters ([serve.requests], [serve.errors],
-    [serve.verb.<verb>]) that the [metrics] verb reports.  The
+    [serve.verb.<verb>]) that the [metrics] verb reports, sorted by
+    name.  The
     counters are mirrored into the global {!Obs.Metrics} registry for
     [--metrics] dumps; the plain verb reads only the session-local
     ones, so its replies do not depend on unrelated process history.
@@ -34,7 +35,9 @@
 type t
 
 (** Run the flow on [netlist] under [config] and hold the result warm.
-    Spawns the session's worker pool when [config.domains > 1].
+    When [config.domains > 1], the first [move], [corner] or [ssta]
+    request (or {!print_report} with [ssta]) spawns the session's
+    worker pool; a session that answers none of them never spawns it.
     [bench] is the benchmark name echoed by the [status] verb
     (default ["?"]). *)
 val create : ?bench:string -> Timing_opc.Flow.config -> Circuit.Netlist.t -> t
@@ -53,16 +56,13 @@ val handle : t -> Protocol.request -> (Protocol.reply, string) result
     line consumes a slot, parsable or not), run {!handle} under the
     request span, and turn parse errors, protocol errors and the
     [Failure] or [Invalid_argument] of a request the flow cannot
-    answer (say, a [corner] whose [spread] reaches the drawn gate
-    length) into error replies.  The session survives any such
-    request. *)
+    answer (say, a [corner] whose [defocus] is beyond
+    {!Litho.Condition.max_defocus}) into error replies.  The session
+    survives any such request. *)
 val handle_line : t -> string -> Protocol.response
 
-(** Session-local counters, sorted by name (what the [metrics] verb
-    reports). *)
-val counters : t -> (string * int) list
-
-(** Shut down the session's worker pool.  Idempotent. *)
+(** Shut down the session's worker pool, if a request spawned it.
+    Idempotent. *)
 val close : t -> unit
 
 (** Print the classic [potx run] batch report for the warm run —

@@ -108,8 +108,3 @@ let pipeline rng ~stages ~width =
     setup = default_setup;
     clk_to_q = default_clk_to_q;
   }
-
-let pp_summary ppf t =
-  let nregs = List.length (List.filter (fun s -> s.reg <> None) t.slacks) in
-  Format.fprintf ppf "SEQ T=%.0fps: WNS=%.2fps over %d endpoints (%d register captures)"
-    t.clock_period t.wns (List.length t.slacks) nregs

@@ -52,5 +52,3 @@ val min_period : design -> loads:(Circuit.Netlist.net -> float) -> delay:Timing.
 (** [pipeline rng ~stages ~width] builds a [stages]-deep pipeline of
     random logic ranks separated by register boundaries. *)
 val pipeline : Stats.Rng.t -> stages:int -> width:int -> design
-
-val pp_summary : Format.formatter -> t -> unit

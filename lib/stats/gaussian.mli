@@ -6,9 +6,6 @@
     the tolerances of the approximations are part of the SSTA-vs-MC
     tolerance contract in DESIGN.md. *)
 
-(** Standard normal density at [x]. *)
-val pdf : float -> float
-
 (** Standard normal CDF at [x] (Abramowitz & Stegun 7.1.26 rational
     approximation of erf; absolute error <= 1.5e-7). *)
 val cdf : float -> float

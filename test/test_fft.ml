@@ -89,19 +89,6 @@ let test_roundtrip () =
       check_eps (Printf.sprintf "roundtrip n=%d" n) 1e-12 !err)
     sizes
 
-let test_roundtrip_2d () =
-  let nx = 32 and ny = 8 in
-  let x = signal (nx * ny) in
-  let re = Array.copy x and im = Array.make (nx * ny) 0.0 in
-  Litho.Fft.fft2 ~re ~im ~nx ~ny;
-  Litho.Fft.ifft2 ~re ~im ~nx ~ny;
-  let err = ref 0.0 in
-  for i = 0 to (nx * ny) - 1 do
-    err := Float.max !err (Float.abs (re.(i) -. x.(i)));
-    err := Float.max !err (Float.abs im.(i))
-  done;
-  check_eps "2-D roundtrip" 1e-12 !err
-
 (* ---- convolve_gaussians: impulse response vs the analytic kernel ---- *)
 
 let test_convolve_impulse_analytic () =
@@ -384,7 +371,6 @@ let () =
           Alcotest.test_case "linearity" `Quick test_linearity;
           Alcotest.test_case "parseval" `Quick test_parseval;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
-          Alcotest.test_case "roundtrip 2-D" `Quick test_roundtrip_2d;
           Alcotest.test_case "impulse vs analytic" `Quick test_convolve_impulse_analytic;
         ] );
       ( "differential",

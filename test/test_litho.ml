@@ -42,6 +42,30 @@ let test_condition_non_finite () =
       ("infinite defocus", 1.02, infinity);
       ("negative infinite defocus", 1.02, neg_infinity) ]
 
+(* The model's halo is sized for a worst-case defocus; a condition
+   beyond it is refused, and the halo covers 3 sigma of the widest
+   kernel at the bound itself. *)
+let test_condition_defocus_bound () =
+  let bound = Litho.Condition.max_defocus in
+  List.iter
+    (fun defocus -> ignore (Litho.Condition.make ~dose:1.0 ~defocus))
+    [ bound; -.bound; 0.0 ];
+  List.iter
+    (fun defocus ->
+      Alcotest.check_raises (Printf.sprintf "defocus %g" defocus)
+        (Invalid_argument "Condition.make: |defocus| must be at most 200 nm")
+        (fun () -> ignore (Litho.Condition.make ~dose:1.0 ~defocus)))
+    [ bound +. 0.5; -.bound -. 0.5; 5000.0; 1e8 ];
+  let m = Litho.Model.create () in
+  let widest =
+    List.fold_left
+      (fun acc k ->
+        Float.max acc (Litho.Model.effective_sigma m k ~defocus:bound))
+      0.0 m.Litho.Model.kernels
+  in
+  checkb "halo covers 3 sigma at the bound" true
+    (float_of_int m.Litho.Model.halo >= 3.0 *. widest)
+
 (* ---- Raster ---- *)
 
 let test_raster_paint_coverage () =
@@ -321,48 +345,6 @@ let test_cd_not_printed () =
        ~search:100.0
     = None)
 
-(* ---- Contour ---- *)
-
-let test_contour_square () =
-  let r = Litho.Raster.create ~origin:G.Point.origin ~step:1.0 ~nx:40 ~ny:40 in
-  (* Fill a 10x10 block of pixels. *)
-  for iy = 10 to 19 do
-    for ix = 10 to 19 do
-      Litho.Raster.set r ix iy 1.0
-    done
-  done;
-  let contours = Litho.Contour.trace r ~threshold:0.5 in
-  Alcotest.(check int) "one contour" 1 (List.length contours);
-  let perimeter = Litho.Contour.polyline_length (List.hd contours) in
-  checkb "perimeter near 40" true (Float.abs (perimeter -. 40.0) < 6.0)
-
-let test_contour_two_blobs () =
-  let r = Litho.Raster.create ~origin:G.Point.origin ~step:1.0 ~nx:60 ~ny:20 in
-  for iy = 5 to 14 do
-    for ix = 5 to 14 do
-      Litho.Raster.set r ix iy 1.0
-    done;
-    for ix = 35 to 44 do
-      Litho.Raster.set r ix iy 1.0
-    done
-  done;
-  Alcotest.(check int) "two contours" 2
-    (List.length (Litho.Contour.trace r ~threshold:0.5))
-
-let test_printed_area () =
-  let r = Litho.Raster.create ~origin:G.Point.origin ~step:2.0 ~nx:50 ~ny:50 in
-  for iy = 10 to 19 do
-    for ix = 10 to 19 do
-      Litho.Raster.set r ix iy 1.0
-    done
-  done;
-  let area =
-    Litho.Contour.printed_area r ~threshold:0.5
-      ~window:(G.Rect.make ~lx:0 ~ly:0 ~hx:100 ~hy:100)
-  in
-  (* 100 pixels of 4 nm^2. *)
-  checkb "area near 400" true (Float.abs (area -. 400.0) < 80.0)
-
 (* ---- PV band ---- *)
 
 let test_pvband_ordering () =
@@ -391,6 +373,7 @@ let () =
           Alcotest.test_case "corners" `Quick test_condition_corners;
           Alcotest.test_case "invalid" `Quick test_condition_invalid;
           Alcotest.test_case "non-finite" `Quick test_condition_non_finite;
+          Alcotest.test_case "defocus bound" `Quick test_condition_defocus_bound;
         ] );
       ( "raster",
         [
@@ -421,12 +404,6 @@ let () =
         [
           Alcotest.test_case "epe sign" `Slow test_epe_sign;
           Alcotest.test_case "not printed" `Quick test_cd_not_printed;
-        ] );
-      ( "contour",
-        [
-          Alcotest.test_case "square" `Quick test_contour_square;
-          Alcotest.test_case "two blobs" `Quick test_contour_two_blobs;
-          Alcotest.test_case "area" `Quick test_printed_area;
         ] );
       ( "pvband",
         [

@@ -238,60 +238,6 @@ let test_orc_flags_uncorrected () =
      violation count are the ORC acceptance metrics. *)
   checkb "rms reduced" true (rep_opc.Opc.Orc.rms_epe < rep_drawn.Opc.Orc.rms_epe)
 
-(* ---- SRAF ---- *)
-
-let iso_tall = G.Polygon.of_rect (G.Rect.make ~lx:(-45) ~ly:0 ~hx:45 ~hy:3000)
-
-let test_sraf_inserted_for_iso () =
-  let cfg = Opc.Sraf.default_config tech in
-  let bars = Opc.Sraf.insert cfg ~neighbours:(fun _ -> [ iso_tall ]) [ iso_tall ] in
-  checki "one bar per long iso edge" 2 (List.length bars);
-  List.iter
-    (fun b ->
-      let bb = G.Polygon.bbox b in
-      checki "bar width" cfg.Opc.Sraf.bar_width (G.Rect.width bb))
-    bars
-
-let test_sraf_skipped_when_dense () =
-  let cfg = Opc.Sraf.default_config tech in
-  let neighbour = G.Polygon.of_rect (G.Rect.make ~lx:305 ~ly:0 ~hx:395 ~hy:3000) in
-  let shapes = [ iso_tall; neighbour ] in
-  let bars = Opc.Sraf.insert cfg ~neighbours:(fun _ -> shapes) [ iso_tall ] in
-  (* The right edge faces a dense neighbour: only the left edge gets a bar. *)
-  checki "only the iso side" 1 (List.length bars);
-  List.iter
-    (fun b -> checkb "bar on the left" true ((G.Polygon.bbox b).G.Rect.hx < -45))
-    bars
-
-let test_sraf_not_printing () =
-  let m = Lazy.force model in
-  let cfg = Opc.Sraf.default_config tech in
-  let bars = Opc.Sraf.insert cfg ~neighbours:(fun _ -> [ iso_tall ]) [ iso_tall ] in
-  let mask = iso_tall :: bars in
-  let conditions =
-    Litho.Condition.corners ~dose_range:(0.95, 1.05) ~defocus_range:(0.0, 150.0)
-  in
-  checki "no bar prints" 0
-    (List.length (Opc.Sraf.verify_not_printing m conditions ~bars ~mask))
-
-let test_sraf_improves_defocus_cd () =
-  let m = Lazy.force model in
-  let cfg = Opc.Sraf.default_config tech in
-  let bars = Opc.Sraf.insert cfg ~neighbours:(fun _ -> [ iso_tall ]) [ iso_tall ] in
-  let condition = Litho.Condition.make ~dose:1.0 ~defocus:120.0 in
-  let cd polys =
-    let window = G.Rect.make ~lx:(-400) ~ly:1200 ~hx:400 ~hy:1800 in
-    let img = Litho.Aerial.simulate m condition ~window polys in
-    Litho.Metrology.cd_horizontal img
-      ~threshold:(Litho.Model.printed_threshold m condition)
-      ~y:1500.0 ~x_center:0.0 ~search:250.0
-  in
-  match (cd [ iso_tall ], cd (iso_tall :: bars)) with
-  | Some bare, Some assisted ->
-      checkb "assisted CD closer to drawn" true
-        (Float.abs (assisted -. 90.0) < Float.abs (bare -. 90.0))
-  | _ -> Alcotest.fail "feature did not print"
-
 let () =
   Alcotest.run "opc"
     [
@@ -324,12 +270,5 @@ let () =
           Alcotest.test_case "identity" `Quick test_chip_opc_none_identity;
           Alcotest.test_case "model runs" `Slow test_chip_opc_model_runs;
           Alcotest.test_case "ORC improves" `Slow test_orc_flags_uncorrected;
-        ] );
-      ( "sraf",
-        [
-          Alcotest.test_case "inserted for iso" `Quick test_sraf_inserted_for_iso;
-          Alcotest.test_case "skipped when dense" `Quick test_sraf_skipped_when_dense;
-          Alcotest.test_case "not printing" `Slow test_sraf_not_printing;
-          Alcotest.test_case "defocus CD" `Slow test_sraf_improves_defocus_cd;
         ] );
     ]

@@ -610,15 +610,12 @@ let test_slowlog () =
     let ic = open_in script_path in
     let oc = open_out out_path in
     let sink = open_out sink_path in
-    let stopped =
-      Fun.protect
-        ~finally:(fun () ->
-          close_in ic;
-          close_out oc;
-          close_out sink)
-        (fun () -> Server.serve_channels ~slowlog:(threshold, sink) s ic oc)
-    in
-    checkb "ended on EOF" false stopped;
+    Fun.protect
+      ~finally:(fun () ->
+        close_in ic;
+        close_out oc;
+        close_out sink)
+      (fun () -> Server.serve_channels ~slowlog:(threshold, sink) s ic oc);
     read_lines sink_path
   in
   let logged = run 0.0 in
@@ -711,10 +708,10 @@ let test_random_queries_deterministic =
 
 (* ---- report ---- *)
 
-(* At a defocus where no gate prints, the report says so and goes on
-   to the timing lines, instead of failing on an empty CD summary. *)
+(* At a dose where no gate prints, the report says so and goes on to
+   the timing lines, instead of failing on an empty CD summary. *)
 let test_report_no_gate_printed () =
-  let condition = Litho.Condition.make ~dose:1.02 ~defocus:5000.0 in
+  let condition = Litho.Condition.make ~dose:0.5 ~defocus:70.0 in
   let s =
     Session.create ~bench:"c17" { (base_config ()) with F.condition }
       (Circuit.Generator.c17 ())
@@ -736,17 +733,25 @@ let test_report_no_gate_printed () =
 
 (* ---- fault tolerance ---- *)
 
-(* A corner whose spread reaches the 90 nm drawn gate length leaves a
-   non-positive channel: the target raises [Invalid_argument] from the
-   device model. *)
-let failing_corner = {|{"verb":"corner","dose":1.03,"defocus":90,"spread":200}|}
+(* A corner whose defocus is beyond the optical model's bound: the
+   target raises [Invalid_argument] from [Condition.make], before any
+   flow work. *)
+let failing_corner = {|{"verb":"corner","dose":1.0,"defocus":1e8}|}
+
+let defocus_error = "Condition.make: |defocus| must be at most 200 nm"
+
+(* A corner whose spread reaches the 90 nm drawn gate length would
+   leave a non-positive channel; the session refuses it up front. *)
+let wide_corner = {|{"verb":"corner","dose":1.03,"defocus":90,"spread":200}|}
+
+let spread_error = "spread 200 nm is outside [0, 90), the drawn gate length"
 
 let test_session_survives_fault () =
   let s = session_for 1 in
   let first = Session.handle_line s failing_corner in
   (match first.P.reply with
-  | Error e -> checks "failure surfaced" "Mosfet.ion: non-positive geometry" e
-  | Ok _ -> Alcotest.fail "a corner past the gate length should fail");
+  | Error e -> checks "failure surfaced" defocus_error e
+  | Ok _ -> Alcotest.fail "a corner past the defocus bound should fail");
   let second = Session.handle_line s {|{"verb":"status"}|} in
   (match second.P.reply with
   | Ok (P.Status_r st) -> checks "session still answers" "c17" st.bench
@@ -754,20 +759,41 @@ let test_session_survives_fault () =
   (* Requests the physics cannot answer get an error reply; none of
      them ends the session. *)
   List.iter
-    (fun line ->
+    (fun (line, message) ->
       (match (Session.handle_line s line).P.reply with
+      | Error e when message <> "" -> checks ("refused " ^ line) message e
       | Error e -> checkb ("refused " ^ line) true (e <> "")
       | Ok _ -> Alcotest.failf "answered %s" line);
       match (Session.handle_line s {|{"verb":"status"}|}).P.reply with
       | Ok (P.Status_r st) -> checks ("answers after " ^ line) "c17" st.bench
       | _ -> Alcotest.failf "session did not survive %s" line)
     [
-      {|{"verb":"corner","dose":0,"defocus":70}|};
-      {|{"verb":"profile","of":{"verb":"corner","dose":0,"defocus":70}}|};
-      {|{"verb":"whatif","gate":"g10","dl":-200}|};
-      {|{"verb":"whatif","gate":"g10","dx":1000000000}|};
-      {|{"verb":"whatif","gate":"g10","dx":0,"dy":-1000000000}|};
-    ]
+      ({|{"verb":"corner","dose":0,"defocus":70}|}, "");
+      ({|{"verb":"profile","of":{"verb":"corner","dose":0,"defocus":70}}|}, "");
+      (wide_corner, spread_error);
+      ({|{"verb":"whatif","gate":"g10","dl":-200}|}, "");
+      ({|{"verb":"whatif","gate":"g10","dx":1000000000}|}, "");
+      ({|{"verb":"whatif","gate":"g10","dx":0,"dy":-1000000000}|}, "");
+    ];
+  (* The spread is refused before the corner re-extracts the chip: its
+     profile holds no extraction span. *)
+  match
+    (Session.handle_line s (Printf.sprintf {|{"verb":"profile","of":%s}|} wide_corner))
+      .P.reply
+  with
+  | Ok (P.Profile_r { target_ok; trace; _ }) ->
+      checkb "target refused" false target_ok;
+      let names =
+        match Obs.Json.member "traceEvents" trace with
+        | Some (Obs.Json.Arr events) ->
+            List.filter_map (Obs.Json.member "name") events
+        | _ -> Alcotest.fail "trace has no traceEvents array"
+      in
+      checkb "profiled corner span recorded" true
+        (List.mem (Obs.Json.Str "serve.profile.corner") names);
+      checkb "no flow.extract_at span" false
+        (List.mem (Obs.Json.Str "flow.extract_at") names)
+  | _ -> Alcotest.fail "profile of a refused corner should reply"
 
 (* A profiled request whose target raises still turns span tracing
    back off, so the failure leaves no tracing on for later requests. *)
@@ -778,7 +804,7 @@ let test_failed_profile_restores_tracing () =
       (Printf.sprintf {|{"verb":"profile","of":%s}|} failing_corner)
   in
   (match r.P.reply with
-  | Error e -> checks "failure surfaced" "Mosfet.ion: non-positive geometry" e
+  | Error e -> checks "failure surfaced" defocus_error e
   | Ok _ -> Alcotest.fail "the failing target should fail the profiled request");
   checkb "tracing off again" false (Obs.Span.enabled ())
 

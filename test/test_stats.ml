@@ -142,28 +142,6 @@ let prop_spearman_bounds =
       let s = Stats.Correlation.spearman a b in
       s >= -1.0001 && s <= 1.0001)
 
-(* ---- Distribution ---- *)
-
-let test_distribution_sampling () =
-  let rng = Stats.Rng.create 31 in
-  let d = Stats.Distribution.Normal { mean = 5.0; std = 2.0 } in
-  let xs = Stats.Distribution.sample_n d rng 30000 in
-  checkf_eps 0.05 "normal mean" 5.0 (Stats.Summary.mean xs);
-  checkf_eps 0.05 "normal std" 2.0 (Stats.Summary.std xs)
-
-let test_truncated_normal_bounds () =
-  let rng = Stats.Rng.create 32 in
-  let d = Stats.Distribution.Truncated_normal { mean = 0.0; std = 5.0; lo = -2.0; hi = 2.0 } in
-  for _ = 1 to 2000 do
-    let v = Stats.Distribution.sample d rng in
-    checkb "within bounds" true (v >= -2.0 && v <= 2.0)
-  done
-
-let test_constant () =
-  let rng = Stats.Rng.create 33 in
-  checkf "constant" 7.5 (Stats.Distribution.sample (Stats.Distribution.Constant 7.5) rng);
-  checkf "constant mean" 7.5 (Stats.Distribution.mean (Stats.Distribution.Constant 7.5))
-
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_spearman_bounds ]
 
 let () =
@@ -200,10 +178,4 @@ let () =
           Alcotest.test_case "top-k" `Quick test_top_k_overlap;
         ] );
       ("correlation-properties", qsuite);
-      ( "distribution",
-        [
-          Alcotest.test_case "normal" `Quick test_distribution_sampling;
-          Alcotest.test_case "truncated" `Quick test_truncated_normal_bounds;
-          Alcotest.test_case "constant" `Quick test_constant;
-        ] );
     ]
