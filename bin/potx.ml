@@ -101,21 +101,12 @@ let run_flow bench opc seed dose defocus spread report selective ssta
   Timing_opc_serve.Session.print_report Format.std_formatter session ~spread
     ~report ~selective ~ssta
 
-let serve_flow bench opc seed dose defocus domains no_cache engine
-    slowlog_ms slowlog_file trace metrics profile =
+let serve_flow bench opc seed dose defocus domains no_cache engine trace
+    metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   let config =
     flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
       ~checkpoint_dir:"" ~resume:false ()
-  in
-  (* The slow-query log goes to stderr unless a file is named; it must
-     never share the response channel (byte-determinism contract). *)
-  let slowlog =
-    if slowlog_ms < 0.0 then None
-    else
-      Some
-        ( slowlog_ms,
-          if slowlog_file = "" then stderr else open_out slowlog_file )
   in
   (* Diagnostics go to stderr: in stdio mode stdout carries nothing
      but response lines (the golden script test compares its bytes). *)
@@ -124,7 +115,7 @@ let serve_flow bench opc seed dose defocus domains no_cache engine
     config.Timing_opc.Flow.domains;
   with_session ~bench config @@ fun session ->
   Format.eprintf "ready@.";
-  Timing_opc_serve.Server.serve_stdio ?slowlog session
+  Timing_opc_serve.Server.serve_stdio session
 
 let bench_arg =
   Arg.(
@@ -319,25 +310,6 @@ let run_cmd =
       $ domains_arg $ no_cache_arg $ engine_arg
       $ checkpoint_arg $ resume_arg $ trace_arg $ metrics_arg $ profile_arg)
 
-let slowlog_arg =
-  Arg.(
-    value & opt float (-1.0)
-    & info [ "slowlog" ]
-        ~doc:
-          "Log every request slower than $(docv) milliseconds as one \
-           structured JSONL line \
-           ($(i,{\"type\":\"slowquery\",\"id\":..,\"verb\":..,\"ok\":..,\"wall_ms\":..})) \
-           to stderr, or to $(b,--slowlog-file).  Negative = disabled.  The \
-           log never shares the response channel, so response bytes are \
-           unaffected." ~docv:"MS")
-
-let slowlog_file_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "slowlog-file" ]
-        ~doc:"Append slow-query lines to $(docv) instead of stderr."
-        ~docv:"FILE")
-
 let serve_cmd =
   let doc =
     "run the flow once, then answer timing queries against the warm state"
@@ -351,10 +323,15 @@ let serve_cmd =
          each gets exactly one response line, in request order.  Verbs: \
          status, retime, whatif, cds, corner, ssta (process-window fit + \
          canonical-form statistical timing, computed once and served \
-         warm), metrics (with optional $(i,\"all\":true) for \
-         the full registry plus latency quantiles), profile (wraps another \
-         request and returns its Chrome-trace span tree), shutdown — see \
-         the protocol reference in README.md.";
+         warm), metrics (the session's counters), shutdown — see the \
+         protocol reference in README.md.  A field the verb does not read \
+         is refused.";
+      `P
+        "Each request runs under a $(i,serve.<verb>) span carrying its \
+         response $(i,id) and $(i,ok) attributes, written by $(b,--trace) \
+         and $(b,--profile); $(b,--metrics) dumps the registry, whose \
+         per-verb latency p50/p95/p99 $(b,potx obs-report --metrics) \
+         prints.  None of it shares the response channel.";
       `P
         "Responses are byte-deterministic: the same request script yields \
          identical bytes for any $(b,--domains) or tile-cache \
@@ -364,7 +341,6 @@ let serve_cmd =
     Term.(
       const serve_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg
       $ defocus_arg $ domains_arg $ no_cache_arg $ engine_arg
-      $ slowlog_arg $ slowlog_file_arg
       $ trace_arg $ metrics_arg $ profile_arg)
 
 (* ---- cells ---- *)

@@ -135,19 +135,28 @@ case_serve() {
       --require-nonzero serve.requests
 }
 
-# Serve with profiling on (and the slow-query log pointed at a file):
-# response bytes still match the golden capture at 1 and 4 domains,
-# and both side channels actually wrote.
+# Serve with profiling or tracing on: response bytes still match the
+# golden capture at 1 and 4 domains, the profile was written, the trace
+# passes obs-check, and every serve.corner span carries the request's
+# response id and ok attributes.
 case_serve_profile() {
   "$POTX" serve --bench c17 --profile "$work/serve_prof1.json" \
-    --slowlog 0 --slowlog-file "$work/serve_slow.jsonl" \
     < "$SERVE_SCRIPT" > "$work/serve_prof1.out" 2> /dev/null &&
     cmp "$SERVE_GOLDEN" "$work/serve_prof1.out" &&
     "$POTX" serve --bench c17 --domains 4 --profile "$work/serve_prof4.json" \
       < "$SERVE_SCRIPT" > "$work/serve_prof4.out" 2> /dev/null &&
     cmp "$SERVE_GOLDEN" "$work/serve_prof4.out" &&
     grep -q '"traceEvents"' "$work/serve_prof1.json" &&
-    grep -q '"type":"slowquery"' "$work/serve_slow.jsonl"
+    "$POTX" serve --bench c17 --trace "$work/serve_trace.jsonl" \
+      < "$SERVE_SCRIPT" > "$work/serve_trace.out" 2> /dev/null &&
+    cmp "$SERVE_GOLDEN" "$work/serve_trace.out" &&
+    "$POTX" obs-check --trace "$work/serve_trace.jsonl" &&
+    grep '"name":"serve\.corner"' "$work/serve_trace.jsonl" \
+      > "$work/serve_corner_spans" &&
+    n=$(wc -l < "$work/serve_corner_spans") &&
+    test "$n" -gt 0 &&
+    test "$(grep -cE '"attrs":\{"id":"[0-9]+","ok":"(true|false)"\}' \
+      "$work/serve_corner_spans")" -eq "$n"
 }
 
 # Profiling must not perturb the primary stdout: --profile runs at 1
@@ -203,7 +212,8 @@ case_engine() {
 # baseline report byte-for-byte and then the SSTA section below it,
 # and the default (non---ssta) stdout is untouched by the feature.
 # The section itself is closed-form, so it must also be byte-stable
-# across worker-domain counts.
+# across worker-domain counts.  The optics depend on defocus squared,
+# so a run at the mirrored defocus prints the same report.
 case_ssta() {
   "$POTX" run --bench c17 --ssta > "$work/ssta.out" 2> /dev/null &&
     "$POTX" run --bench c17 > "$work/ssta_base.out" 2> /dev/null &&
@@ -215,7 +225,10 @@ case_ssta() {
     "$POTX" run --bench c17 --ssta --domains 4 \
       > "$work/ssta_d4.out" 2> /dev/null &&
     tail -n +2 "$work/ssta.out" > "$work/ssta.body" &&
-    tail -n +2 "$work/ssta_d4.out" | cmp "$work/ssta.body" -
+    tail -n +2 "$work/ssta_d4.out" | cmp "$work/ssta.body" - &&
+    "$POTX" run --bench c17 --ssta --defocus=-70 \
+      > "$work/ssta_m70.out" 2> /dev/null &&
+    tail -n +2 "$work/ssta_m70.out" | cmp "$work/ssta.body" -
 }
 
 # The session spawns its worker pool for the first request that runs
@@ -249,7 +262,8 @@ expect_usage_error() {
 # the drawn gate length is a bad value: it would leave the corner views
 # a non-positive channel; so is a dose that is not positive, a dose or
 # defocus that is not finite, and a defocus beyond the 200 nm the
-# optical model is built for.  serve has no --socket transport.
+# optical model is built for.  serve has no --socket transport and no
+# slow-query log.
 case_bad_input() {
   ok=0
   printf 'g1,NAND2,1.0,70.0,90.0\n' > "$work/noheader.csv"
@@ -264,6 +278,8 @@ case_bad_input() {
   expect_usage_error run --defocus nan
   expect_usage_error run --defocus 5000
   expect_usage_error serve --socket "$work/potx.sock" < /dev/null
+  expect_usage_error serve --slowlog 5 < /dev/null
+  expect_usage_error serve --slowlog-file "$work/slow.jsonl" < /dev/null
   expect_usage_error export --bench nosuch -o "$work/layout.txt"
   expect_usage_error cdcmp /nonexistent.csv "$work/noheader.csv"
   expect_usage_error cdcmp "$work/noheader.csv" "$work/noheader.csv"

@@ -578,17 +578,20 @@ let m_ssta_conditions = Obs.Metrics.counter "flow.ssta.conditions"
 
 let m_ssta_endpoints = Obs.Metrics.counter "flow.ssta.endpoints"
 
+(* The optics depend on defocus squared, so the window is centred on
+   |defocus|: a negative silicon defocus gets the mirror of its
+   positive twin's window. *)
 let window_conditions config w =
   let c = config.condition in
+  let defocus = Float.abs c.Litho.Condition.defocus in
   Litho.Condition.grid
     ~dose_range:
       ( c.Litho.Condition.dose -. w.dose_spread,
         c.Litho.Condition.dose +. w.dose_spread )
     ~dose_steps:w.window_steps
     ~defocus_range:
-      ( Float.max 0.0 (c.Litho.Condition.defocus -. w.defocus_spread),
-        Float.min Litho.Condition.max_defocus
-          (c.Litho.Condition.defocus +. w.defocus_spread) )
+      ( Float.max 0.0 (defocus -. w.defocus_spread),
+        Float.min Litho.Condition.max_defocus (defocus +. w.defocus_spread) )
     ~defocus_steps:w.window_steps
 
 let mean_length (l : Circuit.Delay_model.lengths) =

@@ -215,8 +215,9 @@ val reopc_chip :
 
 (** Process-window sampling grid around the run's silicon condition:
     [window_steps] x [window_steps] conditions spanning
-    +-[dose_spread] (relative dose) and +-[defocus_spread] nm, the
-    defocus clamped to [0, {!Litho.Condition.max_defocus}]. *)
+    +-[dose_spread] (relative dose) and +-[defocus_spread] nm around
+    the silicon condition's |defocus| (the optics depend on defocus
+    squared), the defocus clamped to [0, {!Litho.Condition.max_defocus}]. *)
 type window = {
   dose_spread : float;
   defocus_spread : float;

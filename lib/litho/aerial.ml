@@ -54,12 +54,12 @@ let clipped_rects raster polygons =
         (G.Region.to_rects (G.Region.of_polygon p)))
     polygons
 
-let cache_key eng (model : Model.t) (condition : Condition.t) raster rects =
+let cache_key (model : Model.t) (condition : Condition.t) raster rects =
   let b = Buffer.create 256 in
   let o = Raster.origin raster in
   Buffer.add_string b
     (Printf.sprintf "v2|%s|%dx%d|%h|"
-       (match eng with Direct -> "d" | Fft -> "f")
+       (match model.Model.engine with Direct -> "d" | Fft -> "f")
        (Raster.nx raster) (Raster.ny raster) (Raster.step raster));
   List.iter
     (fun (k : Model.kernel) ->
@@ -150,7 +150,7 @@ let convolve_fft (model : Model.t) (condition : Condition.t) mask =
   in
   Fft.convolve_gaussians mask ~kernels
 
-let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
+let simulate ?into (model : Model.t) (condition : Condition.t) ~window
     polygons =
   Obs.Span.with_ ~name:"litho.simulate"
     ~attrs:(fun () -> [ ("polygons", string_of_int (List.length polygons)) ])
@@ -171,7 +171,7 @@ let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
         || not (G.Point.equal (Raster.origin r) (Raster.origin shape))
       then invalid_arg "Aerial.simulate: buffers made for another window")
     into;
-  let eng = Option.value e ~default:model.Model.engine in
+  let eng = model.Model.engine in
   Obs.Metrics.incr (match eng with Fft -> m_engine_fft | Direct -> m_engine_direct);
   let rects = clipped_rects shape polygons in
   let compute () =
@@ -203,7 +203,7 @@ let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
      simulation into them, so it never enters the cache. *)
   if Option.is_some into || not model.Model.cache then compute ()
   else
-    let key = cache_key eng model condition shape rects in
+    let key = cache_key model condition shape rects in
     match Tile_cache.find Tile_cache.global ~origin:(Raster.origin shape) key with
     | Some intensity -> intensity
     | None ->
@@ -211,7 +211,7 @@ let simulate ?engine:e ?into (model : Model.t) (condition : Condition.t) ~window
         Tile_cache.store Tile_cache.global key intensity;
         intensity
 
-let calibrate ?engine (model : Model.t) (tech : Layout.Tech.t) =
+let calibrate (model : Model.t) (tech : Layout.Tech.t) =
   (* Reference pattern: a dense array of vertical lines at drawn gate
      length and contacted pitch.  The printed edge sits where the
      intensity equals the threshold, so the intensity at the drawn edge
@@ -236,9 +236,6 @@ let calibrate ?engine (model : Model.t) (tech : Layout.Tech.t) =
       ~ly:((height / 2) - 500)
       ~hx:(center + pitch)
       ~hy:((height / 2) + 500)
-  in
-  let model =
-    match engine with Some engine -> { model with Model.engine } | None -> model
   in
   let intensity = simulate model Condition.nominal ~window lines in
   let edge_x = float_of_int center +. (float_of_int l /. 2.0) in

@@ -14,9 +14,8 @@
     [Σ wₖ·exp(-2π²σₖ²|f|²)] ({!Fft.convolve_gaussians}); its output
     agrees with the direct engine within the documented tolerance
     contract (see DESIGN.md) but is not bit-equal.  A simulation uses
-    the model's {!Model.t.engine} unless it is given [?engine].  The
-    engine is part of the tile cache key, so engines never share cache
-    entries.
+    the model's {!Model.t.engine}.  The engine is part of the tile
+    cache key, so engines never share cache entries.
 
     The direct engine blurs one scratch copy of the mask per kernel
     and blends it into the intensity in kernel order, so a simulation
@@ -74,7 +73,6 @@ val buffers : Model.t -> window:Geometry.Rect.t -> buffers
 (** Raises [Invalid_argument] when [into] was made for another window.
     With [into], the tile cache is not consulted. *)
 val simulate :
-  ?engine:engine ->
   ?into:buffers ->
   Model.t ->
   Condition.t ->
@@ -91,7 +89,6 @@ val mask_raster :
     line array at drawn gate length prints at exactly the drawn CD
     under the nominal condition — a centred process.  The threshold is
     read off the simulated intensity at the drawn edge position, using
-    the engine that will simulate (so each engine is centred on the
-    reference pattern): [?engine] when given, else the model's.  The
-    returned model carries that engine. *)
-val calibrate : ?engine:engine -> Model.t -> Layout.Tech.t -> Model.t
+    the model's engine, the one that will simulate (so each engine is
+    centred on the reference pattern). *)
+val calibrate : Model.t -> Layout.Tech.t -> Model.t

@@ -27,8 +27,7 @@ type t = {
   step : float;  (** raster step, nm *)
   halo : int;  (** optical interaction halo, nm *)
   defocus_blur : float;  (** added sigma per nm defocus (quadrature) *)
-  engine : engine;
-      (** engine {!Aerial.simulate} uses when given no [?engine] *)
+  engine : engine;  (** engine {!Aerial.simulate} uses *)
   cache : bool;
       (** whether simulations consult {!Tile_cache.global}; hits are
           bit-identical to fresh simulations, so this changes wall time

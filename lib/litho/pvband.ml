@@ -7,13 +7,13 @@ type t = {
   conditions : int;
 }
 
-let compute ?pool ?engine (model : Model.t) conditions ~window polygons =
+let compute ?pool (model : Model.t) conditions ~window polygons =
   if conditions = [] then invalid_arg "Pvband.compute: no conditions";
   (* One independent simulation per condition; the band scan below
      walks the rasters in condition order, so the result is identical
      for any worker count. *)
   let sim c =
-    (Aerial.simulate ?engine model c ~window polygons,
+    (Aerial.simulate model c ~window polygons,
      Model.printed_threshold model c)
   in
   let rasters =

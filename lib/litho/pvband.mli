@@ -13,13 +13,10 @@ type t = {
     condition over the same raster grid and accumulates the band.
     With [pool], the per-condition simulations run in parallel; the
     band accumulation is sequential in condition order, so the result
-    is bit-identical for any worker count.  [engine] overrides the
-    model's aerial engine for every condition's simulation (see
-    {!Aerial}).
+    is bit-identical for any worker count.
     @raise Invalid_argument on an empty condition list. *)
 val compute :
   ?pool:Exec.Pool.t ->
-  ?engine:Aerial.engine ->
   Model.t ->
   Condition.t list ->
   window:Geometry.Rect.t ->

@@ -13,8 +13,8 @@ type node = {
 
 let tree events =
   (* An event whose parent is absent from [events] is a root: a
-     captured slice (e.g. the serve profile verb) excludes spans
-     still open when the slice was taken. *)
+     captured slice (e.g. the benchmark's per-op windows) excludes
+     spans outside it. *)
   let ids = Hashtbl.create 64 in
   List.iter (fun (e : Span.event) -> Hashtbl.replace ids e.Span.id ()) events;
   let by_parent = Hashtbl.create 64 in

@@ -30,9 +30,6 @@ let quantile (h : Metrics.histogram_snapshot) q =
     walk 0 0.0
   end
 
-let quantiles h =
-  [ ("p50", quantile h 0.50); ("p95", quantile h 0.95); ("p99", quantile h 0.99) ]
-
 (* Line numbers count every line, blank ones included, so a message
    names the line an editor shows. *)
 let read_jsonl path =

@@ -14,9 +14,6 @@
 val quantile : Metrics.histogram_snapshot -> float -> float
 (** [quantile h q] for [q] in [0,1]; [0.0] on an empty histogram. *)
 
-val quantiles : Metrics.histogram_snapshot -> (string * float) list
-(** [("p50", _); ("p95", _); ("p99", _)]. *)
-
 (** {1 Reading captured files} *)
 
 val metric_of_json : Json.t -> (string * Metrics.value) option
@@ -74,7 +71,8 @@ val check :
 val summarise :
   ?metrics:string -> ?trace:string -> Format.formatter -> (unit, string) result
 (** Print the offline summary of the given captures: from [metrics],
-    per-verb latency quantiles (the [serve.latency.*] histograms),
+    per-verb latency quantiles (the [serve.latency.*] histograms; this
+    is where a served request's p50/p95/p99 is read),
     worker-pool occupancy and the litho tile-cache hit rate; from
     [trace], the {!Profile.pp_table} self-time table, which is also
     where stage time shows.  [Error] names a file with no parsable

@@ -9,8 +9,7 @@ type request =
   | Cds of { region : Geometry.Rect.t option }
   | Corner of { dose : float; defocus : float; spread : float option }
   | Ssta of { top : int option }
-  | Metrics of { all : bool }
-  | Profile of { target : request }
+  | Metrics
   | Shutdown
 
 let verb = function
@@ -20,8 +19,7 @@ let verb = function
   | Cds _ -> "cds"
   | Corner _ -> "corner"
   | Ssta _ -> "ssta"
-  | Metrics _ -> "metrics"
-  | Profile _ -> "profile"
+  | Metrics -> "metrics"
   | Shutdown -> "shutdown"
 
 type path_report = {
@@ -79,16 +77,7 @@ type reply =
       conditions : int;
       endpoints : ssta_endpoint list;
     }
-  | Metrics_r of {
-      counters : (string * int) list;
-      registry : (string * Obs.Metrics.value) list option;
-    }
-  | Profile_r of {
-      target : string;
-      target_ok : bool;
-      spans : int;
-      trace : J.t;  (** Chrome-trace object for the profiled request *)
-    }
+  | Metrics_r of { counters : (string * int) list }
   | Shutdown_r
 
 type response = {
@@ -104,7 +93,7 @@ let int_field v = J.Num (float_of_int v)
 let opt_id id fields =
   match id with Some i -> ("id", int_field i) :: fields | None -> fields
 
-let rec request_to_json ?id r =
+let request_to_json ?id r =
   let fields =
     match r with
     | Status -> [ ("verb", J.Str "status") ]
@@ -136,10 +125,7 @@ let rec request_to_json ?id r =
     | Ssta { top } ->
         ("verb", J.Str "ssta")
         :: (match top with None -> [] | Some n -> [ ("top", int_field n) ])
-    | Metrics { all } ->
-        ("verb", J.Str "metrics") :: (if all then [ ("all", J.Bool true) ] else [])
-    | Profile { target } ->
-        [ ("verb", J.Str "profile"); ("of", request_to_json target) ]
+    | Metrics -> [ ("verb", J.Str "metrics") ]
     | Shutdown -> [ ("verb", J.Str "shutdown") ]
   in
   J.Obj (opt_id id fields)
@@ -179,29 +165,38 @@ let require name = function
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing field %S" name)
 
-let get_bool name j =
-  match J.member name j with
-  | Some (J.Bool b) -> Ok (Some b)
-  | Some _ -> Error (Printf.sprintf "field %S must be a boolean" name)
-  | None -> Ok None
-
-(* [nested] marks the object under a profile request's ["of"] field:
-   profiling composes with every verb except profile itself (no
-   recursion) and shutdown (a side effect, not a measurement). *)
-let rec parse_request_obj ~nested j =
-  (match j with J.Obj _ -> Ok () | _ -> Error "request must be a JSON object")
-  |> fun ok ->
-  let* () = ok in
+let parse_request_obj j =
+  let* fields =
+    match j with
+    | J.Obj fields -> Ok fields
+    | _ -> Error "request must be a JSON object"
+  in
   let* id = get_int "id" j in
   let* verb = get_str "verb" j in
   let* verb = require "verb" verb in
+  (* A verb reads "id", "verb" and its own fields; any other field is
+     refused, so a misspelt one cannot fall back to a default. *)
+  let only own =
+    match
+      List.find_opt
+        (fun (name, _) -> not (List.mem name ("id" :: "verb" :: own)))
+        fields
+    with
+    | Some (name, _) ->
+        Error (Printf.sprintf "unknown field %S for verb %S" name verb)
+    | None -> Ok ()
+  in
   let* request =
     match verb with
-    | "status" -> Ok Status
+    | "status" ->
+        let* () = only [] in
+        Ok Status
     | "retime" ->
+        let* () = only [ "endpoint" ] in
         let* endpoint = get_int "endpoint" j in
         Ok (Retime { endpoint })
     | "whatif" -> (
+        let* () = only [ "gate"; "dl"; "dx"; "dy" ] in
         let* gate = get_str "gate" j in
         let* gate = require "gate" gate in
         let* dl = get_float "dl" j in
@@ -216,6 +211,7 @@ let rec parse_request_obj ~nested j =
         | Some _, _, _ -> Error "whatif takes either \"dl\" or \"dx\"/\"dy\", not both"
         | None, None, None -> Error "whatif needs \"dl\" (resize) or \"dx\"/\"dy\" (move)")
     | "cds" -> (
+        let* () = only [ "lx"; "ly"; "hx"; "hy" ] in
         let* lx = get_int "lx" j in
         let* ly = get_int "ly" j in
         let* hx = get_int "hx" j in
@@ -226,6 +222,7 @@ let rec parse_request_obj ~nested j =
             Ok (Cds { region = Some (Geometry.Rect.make ~lx ~ly ~hx ~hy) })
         | _ -> Error "cds region needs all of \"lx\",\"ly\",\"hx\",\"hy\" (or none)")
     | "corner" ->
+        let* () = only [ "dose"; "defocus"; "spread" ] in
         let* dose = get_float "dose" j in
         let* dose = require "dose" dose in
         let* () =
@@ -241,25 +238,15 @@ let rec parse_request_obj ~nested j =
         in
         Ok (Corner { dose; defocus; spread })
     | "ssta" ->
+        let* () = only [ "top" ] in
         let* top = get_int "top" j in
         Ok (Ssta { top })
     | "metrics" ->
-        let* all = get_bool "all" j in
-        Ok (Metrics { all = Option.value all ~default:false })
-    | "profile" ->
-        if nested then Error "profile cannot wrap profile"
-        else
-          let* target =
-            match J.member "of" j with
-            | None -> Ok Status
-            | Some tj ->
-                let* _id, t = parse_request_obj ~nested:true tj in
-                Ok t
-          in
-          (match target with
-          | Shutdown -> Error "profile cannot wrap shutdown"
-          | _ -> Ok (Profile { target }))
-    | "shutdown" -> Ok Shutdown
+        let* () = only [] in
+        Ok Metrics
+    | "shutdown" ->
+        let* () = only [] in
+        Ok Shutdown
     | v -> Error (Printf.sprintf "unknown verb %S" v)
   in
   Ok (id, request)
@@ -270,7 +257,7 @@ let parse_request line =
     | Ok j -> Ok j
     | Error e -> Error ("bad JSON: " ^ e)
   in
-  parse_request_obj ~nested:false j
+  parse_request_obj j
 
 (* ---- responses -------------------------------------------------- *)
 
@@ -341,47 +328,13 @@ let reply_fields = function
                      ("slack_sigma_ps", J.Num e.slack_sigma);
                      ("criticality", J.Num e.criticality) ])
                s.endpoints) ) ]
-  | Metrics_r { counters; registry } ->
-      ( "counters",
-        J.Arr
-          (List.map
-             (fun (name, v) ->
-               J.Obj [ ("name", J.Str name); ("value", int_field v) ])
-             counters) )
-      :: (match registry with
-         | None -> []
-         | Some metrics ->
-             (* The quantiles section is derived from the registry's
-                serve.latency.* histograms at serialisation time, so
-                it carries no state of its own and parsing ignores
-                it. *)
-             let quantiles =
-               List.filter_map
-                 (fun (name, v) ->
-                   match v with
-                   | Obs.Metrics.Histogram h
-                     when String.starts_with ~prefix:"serve.latency." name ->
-                       Some
-                         (J.Obj
-                            (("name", J.Str name)
-                            :: ("count", int_field h.Obs.Metrics.count)
-                            :: List.map
-                                 (fun (q, v) -> (q, J.Num v))
-                                 (Obs.Report.quantiles h)))
-                   | _ -> None)
-                 metrics
-             in
-             [ ( "registry",
-                 J.Arr
-                   (List.map
-                      (fun (name, v) -> Obs.Metrics.json_of_metric name v)
-                      metrics) );
-               ("quantiles", J.Arr quantiles) ])
-  | Profile_r p ->
-      [ ("target", J.Str p.target);
-        ("target_ok", J.Bool p.target_ok);
-        ("spans", int_field p.spans);
-        ("trace", p.trace) ]
+  | Metrics_r { counters } ->
+      [ ( "counters",
+          J.Arr
+            (List.map
+               (fun (name, v) ->
+                 J.Obj [ ("name", J.Str name); ("value", int_field v) ])
+               counters) ) ]
   | Shutdown_r -> []
 
 let response_to_json r =
@@ -526,35 +479,7 @@ let parse_reply verb j =
               items (Ok [])
         | _ -> Error "missing field \"counters\""
       in
-      let* registry =
-        match J.member "registry" j with
-        | None -> Ok None
-        | Some (J.Arr items) ->
-            let* metrics =
-              List.fold_right
-                (fun item acc ->
-                  let* acc = acc in
-                  match Obs.Report.metric_of_json item with
-                  | Some m -> Ok (m :: acc)
-                  | None -> Error "bad registry entry")
-                items (Ok [])
-            in
-            Ok (Some metrics)
-        | Some _ -> Error "field \"registry\" must be an array"
-      in
-      (* "quantiles" is derived from the registry on serialisation;
-         nothing to keep. *)
-      Ok (Metrics_r { counters; registry })
-  | "profile" ->
-      let* target = req_str "target" j in
-      let* target_ok =
-        match J.member "target_ok" j with
-        | Some (J.Bool b) -> Ok b
-        | _ -> Error "missing field \"target_ok\""
-      in
-      let* spans = req_int "spans" j in
-      let* trace = require "trace" (J.member "trace" j) in
-      Ok (Profile_r { target; target_ok; spans; trace })
+      Ok (Metrics_r { counters })
   | "shutdown" -> Ok Shutdown_r
   | v -> Error (Printf.sprintf "unknown verb %S in response" v)
 

@@ -28,22 +28,21 @@
                                          (computed once, then served warm);
                                          add "top":N to cap the endpoint list
     {"verb":"metrics"}                   session counters (serve.* only)
-    {"verb":"metrics","all":true}        ... plus the full global registry
-                                         and p50/p95/p99 latency quantiles
-    {"verb":"profile"}                   Chrome-trace span tree of a status query
-    {"verb":"profile","of":{"verb":"retime"}}      ... of any other verb
     {"verb":"shutdown"}                  reply, then stop the server
     v}
 
-    Integer fields must be integral and at most 2{^53} in magnitude,
-    the range a JSON number holds exactly; anything else is a parse
-    error.  A move whose [dx] exceeds the die width or whose [dy]
-    exceeds the die height gets an error reply before any flow work.
+    A request carries ["id"], ["verb"] and only the fields its verb
+    reads, as listed above; any other field is a parse error,
+    [unknown field "X" for verb "V"].  Integer fields must be integral
+    and at most 2{^53} in magnitude, the range a JSON number holds
+    exactly; anything else is a parse error.  A move whose [dx]
+    exceeds the die width or whose [dy] exceeds the die height gets an
+    error reply before any flow work.
 
-    The plain [metrics] reply is a pure function of this session's
-    request history, so it can appear in golden scripts; [all:true]
-    and [profile] replies carry wall-clock data (gauges, histograms,
-    span timings) and must not.
+    The [metrics] reply is a pure function of this session's request
+    history, so it can appear in golden scripts.  Wall-clock telemetry
+    leaves the process through [potx serve]'s [--trace], [--metrics]
+    and [--profile] files instead.
 
     Responses are [{"id":N,"verb":V,"ok":true,...}] on success and
     [{"id":N,"ok":false,"error":S}] (with the verb when it parsed) on
@@ -64,10 +63,7 @@ type request =
   | Corner of { dose : float; defocus : float; spread : float option }
   | Ssta of { top : int option }
       (** statistical timing view; [top] caps the endpoints reported *)
-  | Metrics of { all : bool }
-  | Profile of { target : request }
-      (** profile [target] and reply with its span tree; [target] may
-          be any verb except [profile] and [shutdown] *)
+  | Metrics
   | Shutdown
 
 (** The wire name of a request's verb ("status", "retime", ...). *)
@@ -138,16 +134,6 @@ type reply =
     }
   | Metrics_r of {
       counters : (string * int) list;  (** session counters, sorted *)
-      registry : (string * Obs.Metrics.value) list option;
-          (** full global registry when the request said [all:true];
-              serialised with a derived [quantiles] section holding
-              p50/p95/p99 for every [serve.latency.*] histogram *)
-    }
-  | Profile_r of {
-      target : string;  (** verb of the profiled request *)
-      target_ok : bool;  (** whether the profiled request succeeded *)
-      spans : int;
-      trace : Obs.Json.t;  (** {!Obs.Profile.chrome_trace} object *)
     }
   | Shutdown_r
 

@@ -348,7 +348,7 @@ let ssta t top =
          endpoints;
        })
 
-let rec handle t (request : Protocol.request) =
+let handle t (request : Protocol.request) =
   match request with
   | Protocol.Status -> status t
   | Protocol.Retime { endpoint } -> retime t endpoint
@@ -359,58 +359,8 @@ let rec handle t (request : Protocol.request) =
   | Protocol.Cds { region } -> cds t region
   | Protocol.Corner { dose; defocus; spread } -> corner t ~dose ~defocus ~spread
   | Protocol.Ssta { top } -> ssta t top
-  | Protocol.Metrics { all } ->
-      Ok
-        (Protocol.Metrics_r
-           {
-             counters = counters t;
-             registry =
-               (if all then Some (Obs.Metrics.snapshot Obs.Metrics.global)
-                else None);
-           })
-  | Protocol.Profile { target } -> profile t target
+  | Protocol.Metrics -> Ok (Protocol.Metrics_r { counters = counters t })
   | Protocol.Shutdown -> Ok Protocol.Shutdown_r
-
-(* Run the target request under span tracing and reply with its span
-   tree as a Chrome-trace object.  When the process is already
-   tracing (e.g. `potx serve --trace`), the live log is left alone
-   and the reply carries the slice recorded during the target; when
-   it is not, tracing is enabled only for the duration of the target,
-   so profiling one request never perturbs another's span log. *)
-and profile t target =
-  let was_enabled = Obs.Span.enabled () in
-  let mark =
-    if was_enabled then
-      List.fold_left
-        (fun acc (e : Obs.Span.event) -> max acc e.Obs.Span.id)
-        (-1) (Obs.Span.events ())
-    else begin
-      Obs.Span.enable ();
-      -1
-    end
-  in
-  (* The log survives [disable], so restoring the tracing state first
-     (even when the target raises) still leaves its spans readable. *)
-  let result =
-    Fun.protect
-      ~finally:(fun () -> if not was_enabled then Obs.Span.disable ())
-      (fun () ->
-        Obs.Span.with_ ~name:("serve.profile." ^ Protocol.verb target) (fun () ->
-            handle t target))
-  in
-  let events =
-    List.filter
-      (fun (e : Obs.Span.event) -> e.Obs.Span.id > mark)
-      (Obs.Span.events ())
-  in
-  Ok
-    (Protocol.Profile_r
-       {
-         target = Protocol.verb target;
-         target_ok = Result.is_ok result;
-         spans = List.length events;
-         trace = Obs.Profile.chrome_trace events;
-       })
 
 (* Request latency histograms, one per verb, milliseconds.  Edges
    span sub-ms status hits through multi-second corner sweeps; counts
@@ -442,9 +392,18 @@ let handle_line t line =
       let id = Option.value explicit_id ~default:seq in
       let verb = Protocol.verb request in
       bump t ("serve.verb." ^ verb);
+      (* The span carries the response id and outcome, so a trace holds
+         every fact of a request beside its wall time. *)
+      let ok = ref false in
       let reply =
         match
-          Obs.Span.with_ ~name:("serve." ^ verb) (fun () -> handle t request)
+          Obs.Span.with_ ~name:("serve." ^ verb)
+            ~attrs:(fun () ->
+              [ ("id", string_of_int id); ("ok", string_of_bool !ok) ])
+            (fun () ->
+              let reply = handle t request in
+              ok := Result.is_ok reply;
+              reply)
         with
         | reply -> reply
         | exception Failure msg -> Error msg

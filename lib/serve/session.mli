@@ -15,22 +15,18 @@
     tile-cache state or how clients interleave, and each reply equals
     the same computation performed as a cold one-shot run.
 
-    Observability: each request runs under an [serve.<verb>] span and
-    bumps session-local counters ([serve.requests], [serve.errors],
-    [serve.verb.<verb>]) that the [metrics] verb reports, sorted by
-    name.  The
-    counters are mirrored into the global {!Obs.Metrics} registry for
-    [--metrics] dumps; the plain verb reads only the session-local
-    ones, so its replies do not depend on unrelated process history.
-    Each handled line is additionally observed into a per-verb
-    latency histogram [serve.latency.<verb>] (milliseconds; verb
-    ["invalid"] for unparsable lines) in the global registry — the
-    source of the p50/p95/p99 quantiles in [metrics all:true] replies
-    and [potx obs-report].  The [profile] verb re-runs its target
-    request under span tracing and replies with the Chrome-trace span
-    tree ({!Obs.Profile.chrome_trace}); when process-wide tracing is
-    off it is enabled only for the target's duration, so profiling
-    never perturbs the span log of a [--trace] run. *)
+    Observability: each parsed request runs under a [serve.<verb>]
+    span whose attributes hold the response [id] and whether the reply
+    was [ok], and bumps session-local counters ([serve.requests],
+    [serve.errors], [serve.verb.<verb>]) that the [metrics] verb
+    reports, sorted by name.  The counters are mirrored into the
+    global {!Obs.Metrics} registry for [--metrics] dumps; the verb
+    reads only the session-local ones, so its replies do not depend on
+    unrelated process history.  Each handled line is additionally
+    observed into a per-verb latency histogram [serve.latency.<verb>]
+    (milliseconds; verb ["invalid"] for unparsable lines) in the
+    global registry, whose p50/p95/p99 [potx obs-report --metrics]
+    prints. *)
 
 type t
 

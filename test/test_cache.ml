@@ -270,7 +270,10 @@ let test_engine_keys_disjoint () =
       (G.Rect.inflate window m.Litho.Model.halo)
   in
   with_cache true @@ fun m ->
-  let sim engine = Litho.Aerial.simulate ~engine m Litho.Condition.nominal ~window shapes in
+  let sim engine =
+    Litho.Aerial.simulate { m with Litho.Model.engine } Litho.Condition.nominal
+      ~window shapes
+  in
   let m0 = counter_value "litho.cache.misses" in
   let d = sim Litho.Aerial.Direct in
   let m1 = counter_value "litho.cache.misses" in

@@ -124,7 +124,8 @@ let test_convolve_impulse_analytic () =
 
 let model = lazy (Litho.Aerial.calibrate (Litho.Model.create ()) tech)
 
-let model_fft = lazy (Litho.Aerial.calibrate ~engine:Litho.Aerial.Fft (Litho.Model.create ()) tech)
+let model_fft =
+  lazy (Litho.Aerial.calibrate (Litho.Model.create ~engine:Litho.Aerial.Fft ()) tech)
 
 (* Intensity does not depend on dose, so the defocus range is the
    whole process window for these checks. *)
@@ -178,7 +179,7 @@ let window = G.Rect.make ~lx:0 ~ly:0 ~hx:1100 ~hy:700
    clip to the window) and carries the box-blur truncation edge.  The
    lines lie inside the simulated extent, so no shape is clipped. *)
 let oracle_gap m engine ~sigma c polygons =
-  let img = Litho.Aerial.simulate ~engine m c ~window polygons in
+  let img = Litho.Aerial.simulate { m with Litho.Model.engine } c ~window polygons in
   let rects = List.map G.Polygon.bbox polygons in
   let kernels =
     List.map
@@ -274,7 +275,9 @@ let printed_cd m engine condition =
       ~hx:(center + pitch)
       ~hy:((height / 2) + 300)
   in
-  let img = Litho.Aerial.simulate ~engine m condition ~window lines in
+  let img =
+    Litho.Aerial.simulate { m with Litho.Model.engine } condition ~window lines
+  in
   let th = Litho.Model.printed_threshold m condition in
   let y = float_of_int (height / 2) in
   let over x = Litho.Raster.sample img x y -. th in
@@ -343,7 +346,9 @@ let test_domains_bit_identical () =
   in
   let source w = List.filter (fun p -> G.Rect.inter (G.Polygon.bbox p) w <> None) polygons in
   let tile window =
-    Litho.Aerial.simulate ~engine:Litho.Aerial.Fft m Litho.Condition.nominal
+    Litho.Aerial.simulate
+      { m with Litho.Model.engine = Litho.Aerial.Fft }
+      Litho.Condition.nominal
       ~window
       (source (G.Rect.inflate window m.Litho.Model.halo))
   in

@@ -158,8 +158,8 @@ let request_seeds =
     {|{"verb":"cds","lx":0,"ly":0,"hx":3000,"hy":3000}|};
     {|{"verb":"corner","dose":1.03,"defocus":90,"spread":8}|};
     {|{"verb":"ssta","top":3}|};
-    {|{"verb":"metrics","all":true}|};
-    {|{"verb":"profile","of":{"verb":"retime"}}|};
+    {|{"verb":"metrics"}|};
+    {|{"verb":"retime","endpiont":9}|};
     {|{"verb":"shutdown"}|} ]
 
 let csv_seeds =

@@ -53,12 +53,7 @@ let all_requests =
     P.Corner { dose = 0.97; defocus = 30.0; spread = Some 8.0 };
     P.Ssta { top = None };
     P.Ssta { top = Some 3 };
-    P.Metrics { all = false };
-    P.Metrics { all = true };
-    P.Profile { target = P.Status };
-    P.Profile { target = P.Retime { endpoint = Some 9 } };
-    P.Profile
-      { target = P.Whatif { gate = "g22"; change = P.Resize { dl = 3.5 } } };
+    P.Metrics;
     P.Shutdown;
   ]
 
@@ -150,57 +145,7 @@ let all_replies =
         } );
     ( "metrics",
       P.Metrics_r
-        {
-          counters = [ ("serve.requests", 5); ("serve.verb.cds", 1) ];
-          registry = None;
-        } );
-    ( "metrics",
-      (* all:true shape — counters plus a full registry dump; float
-         values here are chosen to survive the %.6g wire encoding so
-         the round-trip compares structurally equal. *)
-      P.Metrics_r
-        {
-          counters = [ ("serve.requests", 5) ];
-          registry =
-            Some
-              [
-                ("flow.runs", Obs.Metrics.Counter 3);
-                ("opc.wall_s", Obs.Metrics.Gauge 1.5);
-                ( "serve.latency.retime",
-                  Obs.Metrics.Histogram
-                    {
-                      Obs.Metrics.edges = [| 0.5; 1.0; 2.0 |];
-                      counts = [| 2; 1; 0; 1 |];
-                      count = 4;
-                      sum = 4.25;
-                    } );
-              ];
-        } );
-    ( "profile",
-      P.Profile_r
-        {
-          target = "retime";
-          target_ok = true;
-          spans = 2;
-          trace =
-            Obs.Json.Obj
-              [
-                ( "traceEvents",
-                  Obs.Json.Arr
-                    [
-                      Obs.Json.Obj
-                        [
-                          ("name", Obs.Json.Str "serve.profile.retime");
-                          ("ph", Obs.Json.Str "X");
-                          ("ts", Obs.Json.Num 0.0);
-                          ("dur", Obs.Json.Num 1250.0);
-                          ("pid", Obs.Json.Num 1.0);
-                          ("tid", Obs.Json.Num 0.0);
-                        ];
-                    ] );
-                ("displayTimeUnit", Obs.Json.Str "ms");
-              ];
-        } );
+        { counters = [ ("serve.requests", 5); ("serve.verb.cds", 1) ] } );
     ("shutdown", P.Shutdown_r);
   ]
 
@@ -217,6 +162,17 @@ let test_response_roundtrip () =
   | Ok r' -> checkb "error roundtrip" true (err = r')
   | Error e -> Alcotest.failf "error reply failed to reparse: %s" e);
   ()
+
+(* A field the verb does not read: a misspelt one would otherwise fall
+   back to its default (the overall worst path, no corner views). *)
+let unknown_fields =
+  [
+    ( {|{"verb":"retime","endpiont":9}|},
+      {|unknown field "endpiont" for verb "retime"|} );
+    ( {|{"verb":"corner","dose":1.03,"defocus":90,"sprad":8}|},
+      {|unknown field "sprad" for verb "corner"|} );
+    ({|{"verb":"metrics","all":true}|}, {|unknown field "all" for verb "metrics"|});
+  ]
 
 let malformed =
   [
@@ -250,6 +206,7 @@ let malformed =
     {|{"verb":"whatif","gate":"g22","dx":-1e19}|};
     {|{"id":1e300,"verb":"status"}|};
   ]
+  @ List.map fst unknown_fields
 
 let test_malformed_requests () =
   List.iter
@@ -257,7 +214,13 @@ let test_malformed_requests () =
       match P.parse_request line with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted malformed request %S" line)
-    malformed
+    malformed;
+  List.iter
+    (fun (line, message) ->
+      match P.parse_request line with
+      | Error e -> checks ("refused " ^ line) message e
+      | Ok _ -> Alcotest.failf "accepted %S" line)
+    unknown_fields
 
 (* ---- warm vs cold identity ---- *)
 
@@ -482,72 +445,21 @@ let test_cds_matches_records () =
         (List.length records < List.length r.F.cds)
   | _ -> Alcotest.fail "not a cds reply"
 
-(* ---- observability verbs ---- *)
+(* ---- observability ---- *)
 
-(* Plain metrics: session counters only, no registry.  all:true: the
-   full global registry rides along, including the per-verb latency
-   histograms, and the wire form carries the derived quantiles. *)
-let test_metrics_all () =
+(* The metrics verb reports this session's counters. *)
+let test_metrics_counters () =
   let s = session_for 1 in
-  (* Ensure at least one retime has been latency-observed. *)
   ignore (Session.handle_line s {|{"verb":"retime"}|});
-  (match reply_exn s (P.Metrics { all = false }) with
-  | P.Metrics_r { registry = None; counters } ->
+  match reply_exn s P.Metrics with
+  | P.Metrics_r { counters } ->
       checkb "session counters present" true
-        (List.mem_assoc "serve.requests" counters)
-  | _ -> Alcotest.fail "plain metrics must not carry the registry");
-  let response = Session.handle_line s {|{"verb":"metrics","all":true}|} in
-  (match response.P.reply with
-  | Ok (P.Metrics_r { registry = Some metrics; _ }) ->
-      checkb "latency histogram in registry" true
-        (match List.assoc_opt "serve.latency.retime" metrics with
-        | Some (Obs.Metrics.Histogram h) -> h.Obs.Metrics.count > 0
-        | _ -> false)
-  | _ -> Alcotest.fail "metrics all:true must carry the registry");
-  let line = P.response_to_string response in
-  checkb "wire form has quantiles" true
-    (let contains hay needle =
-       let nl = String.length needle and hl = String.length hay in
-       let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-       go 0
-     in
-     contains line "\"quantiles\"" && contains line "\"p95\"");
-  (* And the whole reply round-trips through the client parser. *)
-  match P.parse_response line with
-  | Ok r' -> checks "round-trip" line (P.response_to_string r')
-  | Error e -> Alcotest.failf "metrics all reply failed to reparse: %s" e
-
-let test_profile_verb () =
-  let s = session_for 1 in
-  checkb "tracing off before" true (not (Obs.Span.enabled ()));
-  let response =
-    Session.handle_line s {|{"verb":"profile","of":{"verb":"retime"}}|}
-  in
-  checkb "tracing off after" true (not (Obs.Span.enabled ()));
-  match response.P.reply with
-  | Ok (P.Profile_r { target; target_ok; spans; trace }) ->
-      checks "target" "retime" target;
-      checkb "target ok" true target_ok;
-      checkb "recorded spans" true (spans >= 1);
-      (* The trace is a valid Chrome-trace object whose event count
-         matches the reported span count, and the wire line reparses. *)
-      (match Obs.Json.member "traceEvents" trace with
-      | Some (Obs.Json.Arr events) ->
-          checki "trace events = spans" spans (List.length events);
-          List.iter
-            (fun e ->
-              checkb "event has ts/dur/name" true
-                (Obs.Json.member "ts" e <> None
-                && Obs.Json.member "dur" e <> None
-                && Obs.Json.member "name" e <> None))
-            events
-      | _ -> Alcotest.fail "trace has no traceEvents array");
-      (match P.parse_response (P.response_to_string response) with
-      | Ok r' ->
-          checks "profile reply round-trips" (P.response_to_string response)
-            (P.response_to_string r')
-      | Error e -> Alcotest.failf "profile reply failed to reparse: %s" e)
-  | _ -> Alcotest.fail "not a profile reply"
+        (List.mem_assoc "serve.requests" counters);
+      checkb "retime counted" true
+        (match List.assoc_opt "serve.verb.retime" counters with
+        | Some n -> n >= 1
+        | None -> false)
+  | _ -> Alcotest.fail "not a metrics reply"
 
 (* Profiling must not change a single response byte: the same query
    answered with tracing off and on (ids pinned — the session's
@@ -576,68 +488,6 @@ let test_profiling_preserves_bytes () =
     (fun i (a, b) ->
       checks (Printf.sprintf "line %d bytes identical under tracing" i) a b)
     (List.combine off on)
-
-(* The slow-query log: threshold 0 logs one structured line per
-   request on the sink (never the response channel); an unreachable
-   threshold logs nothing. *)
-let test_slowlog () =
-  let s = session_for 1 in
-  let script_path = Filename.temp_file "potx_slowlog" ".jsonl" in
-  let out_path = Filename.temp_file "potx_slowlog" ".out" in
-  let sink_path = Filename.temp_file "potx_slowlog" ".log" in
-  Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ script_path; out_path; sink_path ])
-  @@ fun () ->
-  let write path lines =
-    let oc = open_out path in
-    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-    close_out oc
-  in
-  let read_lines path =
-    let ic = open_in path in
-    let rec go acc =
-      match input_line ic with
-      | line -> go (line :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    go []
-  in
-  write script_path [ {|{"verb":"status"}|}; "garbage"; {|{"verb":"retime"}|} ];
-  let run threshold =
-    write sink_path [];
-    let ic = open_in script_path in
-    let oc = open_out out_path in
-    let sink = open_out sink_path in
-    Fun.protect
-      ~finally:(fun () ->
-        close_in ic;
-        close_out oc;
-        close_out sink)
-      (fun () -> Server.serve_channels ~slowlog:(threshold, sink) s ic oc);
-    read_lines sink_path
-  in
-  let logged = run 0.0 in
-  checki "one slowquery line per request" 3 (List.length logged);
-  List.iter
-    (fun line ->
-      match Obs.Json.parse line with
-      | Ok j ->
-          checkb "slowquery shape" true
-            (Obs.Json.member "type" j = Some (Obs.Json.Str "slowquery")
-            && Obs.Json.member "wall_ms" j <> None
-            && Obs.Json.member "ok" j <> None)
-      | Error e -> Alcotest.failf "slowlog line is not JSON: %s" e)
-    logged;
-  checki "unreachable threshold logs nothing" 0 (List.length (run 1e9));
-  (* The response channel carries only response lines. *)
-  List.iter
-    (fun line ->
-      match Obs.Json.parse line with
-      | Ok j -> checkb "response line" true (Obs.Json.member "ok" j <> None)
-      | Error e -> Alcotest.failf "response line is not JSON: %s" e)
-    (read_lines out_path)
 
 (* ---- request-order byte determinism ---- *)
 
@@ -769,44 +619,87 @@ let test_session_survives_fault () =
       | _ -> Alcotest.failf "session did not survive %s" line)
     [
       ({|{"verb":"corner","dose":0,"defocus":70}|}, "");
-      ({|{"verb":"profile","of":{"verb":"corner","dose":0,"defocus":70}}|}, "");
+      ({|{"verb":"profile","of":{"verb":"status"}}|}, {|unknown verb "profile"|});
       (wide_corner, spread_error);
       ({|{"verb":"whatif","gate":"g10","dl":-200}|}, "");
       ({|{"verb":"whatif","gate":"g10","dx":1000000000}|}, "");
       ({|{"verb":"whatif","gate":"g10","dx":0,"dy":-1000000000}|}, "");
     ];
-  (* The spread is refused before the corner re-extracts the chip: its
-     profile holds no extraction span. *)
-  match
-    (Session.handle_line s (Printf.sprintf {|{"verb":"profile","of":%s}|} wide_corner))
-      .P.reply
-  with
-  | Ok (P.Profile_r { target_ok; trace; _ }) ->
-      checkb "target refused" false target_ok;
-      let names =
-        match Obs.Json.member "traceEvents" trace with
-        | Some (Obs.Json.Arr events) ->
-            List.filter_map (Obs.Json.member "name") events
-        | _ -> Alcotest.fail "trace has no traceEvents array"
-      in
-      checkb "profiled corner span recorded" true
-        (List.mem (Obs.Json.Str "serve.profile.corner") names);
-      checkb "no flow.extract_at span" false
-        (List.mem (Obs.Json.Str "flow.extract_at") names)
-  | _ -> Alcotest.fail "profile of a refused corner should reply"
-
-(* A profiled request whose target raises still turns span tracing
-   back off, so the failure leaves no tracing on for later requests. *)
-let test_failed_profile_restores_tracing () =
-  let s = session_for 1 in
-  let r =
-    Session.handle_line s
-      (Printf.sprintf {|{"verb":"profile","of":%s}|} failing_corner)
+  (* The spread is refused before the corner re-extracts the chip: the
+     span log holds the request's span and no extraction span. *)
+  Obs.Span.enable ();
+  Fun.protect ~finally:Obs.Span.disable (fun () ->
+      ignore (Session.handle_line s wide_corner));
+  let names =
+    List.map (fun (e : Obs.Span.event) -> e.Obs.Span.name) (Obs.Span.events ())
   in
-  (match r.P.reply with
-  | Error e -> checks "failure surfaced" defocus_error e
-  | Ok _ -> Alcotest.fail "the failing target should fail the profiled request");
-  checkb "tracing off again" false (Obs.Span.enabled ())
+  checkb "corner span recorded" true (List.mem "serve.corner" names);
+  checkb "no flow.extract_at span" false (List.mem "flow.extract_at" names)
+
+(* Each parsed request's serve.<verb> span carries the response id and
+   whether the reply was ok, so a trace holds every fact of a request
+   beside its wall time; an unparsable line gets no span. *)
+let test_span_attributes () =
+  let s = session_for 1 in
+  let script_path = Filename.temp_file "potx_serve" ".jsonl" in
+  let out_path = Filename.temp_file "potx_serve" ".out" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ script_path; out_path ])
+  @@ fun () ->
+  let oc = open_out script_path in
+  List.iter
+    (fun line -> output_string oc (line ^ "\n"))
+    [
+      {|{"verb":"status"}|};
+      {|{"id":40,"verb":"retime"}|};
+      "not json at all";
+      {|{"verb":"whatif","gate":"g22","dl":3.0}|};
+      wide_corner;
+      failing_corner;
+      {|{"verb":"metrics"}|};
+    ];
+  close_out oc;
+  Obs.Span.enable ();
+  Fun.protect ~finally:Obs.Span.disable (fun () ->
+      let ic = open_in script_path and oc = open_out out_path in
+      Fun.protect
+        ~finally:(fun () ->
+          close_in ic;
+          close_out oc)
+        (fun () -> Server.serve_channels s ic oc));
+  let spans =
+    List.filter
+      (fun (e : Obs.Span.event) ->
+        String.starts_with ~prefix:"serve." e.Obs.Span.name)
+      (Obs.Span.events ())
+  in
+  let ic = open_in out_path in
+  let rec responses acc =
+    match input_line ic with
+    | line -> (
+        match P.parse_response line with
+        | Ok r -> responses (r :: acc)
+        | Error e -> Alcotest.failf "response %S failed to parse: %s" line e)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  let parsed =
+    List.filter (fun (r : P.response) -> r.P.verb <> None) (responses [])
+  in
+  checki "one span per parsed request" (List.length parsed) (List.length spans);
+  checkb "refusals among them" true
+    (List.exists (fun (r : P.response) -> Result.is_error r.P.reply) parsed);
+  List.iter2
+    (fun (r : P.response) (e : Obs.Span.event) ->
+      let verb = Option.get r.P.verb in
+      checks "span name" ("serve." ^ verb) e.Obs.Span.name;
+      checkb
+        (Printf.sprintf "%s: attrs id=%d ok=%b" verb r.P.id (Result.is_ok r.P.reply))
+        true
+        (e.Obs.Span.attrs
+        = [ ("id", string_of_int r.P.id);
+            ("ok", string_of_bool (Result.is_ok r.P.reply)) ]))
+    parsed spans
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -852,18 +745,15 @@ let () =
         [
           Alcotest.test_case "session survives injected fault" `Quick
             test_session_survives_fault;
-          Alcotest.test_case "failed profile restores tracing" `Quick
-            test_failed_profile_restores_tracing;
         ] );
       (* Last: these advance the memoized sessions' request sequence
          numbers via handle_line, which the determinism section's
          cross-session id comparison must not see. *)
       ( "observability",
         [
-          Alcotest.test_case "metrics all:true" `Quick test_metrics_all;
-          Alcotest.test_case "profile verb" `Quick test_profile_verb;
+          Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
           Alcotest.test_case "profiling preserves bytes" `Quick
             test_profiling_preserves_bytes;
-          Alcotest.test_case "slow-query log" `Quick test_slowlog;
+          Alcotest.test_case "span attributes" `Quick test_span_attributes;
         ] );
     ]

@@ -28,6 +28,20 @@ let test_gaussian_cdf () =
   checkf 1e-4 "cdf 1.96" 0.975 (Stats.Gaussian.cdf 1.96);
   checkb "monotone" true (Stats.Gaussian.cdf 0.5 < Stats.Gaussian.cdf 1.5)
 
+(* The erf approximation's documented absolute error; the edge cases
+   below are held to it.  Where the cdf enters, the operands are kept
+   below 1, so that the error it induces in the moments, the cdf error
+   times a difference of (second) moments, stays under it too. *)
+let erf_eps = 1.5e-7
+
+let clark ~m1 ~s1 ~m2 ~s2 ~rho =
+  Stats.Gaussian.max_moments ~mean1:m1 ~sigma1:s1 ~mean2:m2 ~sigma2:s2 ~rho
+
+let check_moments what ~mean ~var ~tightness (m : Stats.Gaussian.max_moments) =
+  checkf erf_eps (what ^ ": mean") mean m.Stats.Gaussian.max_mean;
+  checkf erf_eps (what ^ ": var") var m.Stats.Gaussian.max_var;
+  checkf erf_eps (what ^ ": tightness") tightness m.Stats.Gaussian.tightness
+
 let test_gaussian_max_moments () =
   (* max of two iid N(0,1): mean 1/sqrt(pi), var 1 - 1/pi. *)
   let m =
@@ -43,7 +57,116 @@ let test_gaussian_max_moments () =
       ~rho:1.0
   in
   checkf 1e-9 "degenerate mean" 5.0 d.Stats.Gaussian.max_mean;
-  checkf 1e-9 "degenerate tightness" 1.0 d.Stats.Gaussian.tightness
+  checkf 1e-9 "degenerate tightness" 1.0 d.Stats.Gaussian.tightness;
+  (* X - Y is the constant m1 - m2 there (theta = 0): the max is the
+     larger-mean operand, variance and all, in either order. *)
+  checkf 1e-9 "degenerate var" 4.0 d.Stats.Gaussian.max_var;
+  check_moments "degenerate, m2 larger" ~mean:5.0 ~var:4.0 ~tightness:0.0
+    (clark ~m1:1.0 ~s1:2.0 ~m2:5.0 ~s2:2.0 ~rho:1.0);
+  (* Equal means and sigmas, independent, beyond N(0,1): mean
+     m + sigma / sqrt pi, variance sigma^2 (1 - 1/pi), tightness 1/2.
+     [cdf 0.0] is 0.5 + 5e-10, so the tightness is held to the erf
+     tolerance, not exactly. *)
+  List.iter
+    (fun (m, sigma) ->
+      check_moments
+        (Printf.sprintf "m=%g sigma=%g" m sigma)
+        ~mean:(m +. (sigma /. sqrt Float.pi))
+        ~var:(sigma *. sigma *. (1.0 -. (1.0 /. Float.pi)))
+        ~tightness:0.5
+        (clark ~m1:m ~s1:sigma ~m2:m ~s2:sigma ~rho:0.0))
+    [ (0.7, 0.4); (-0.3, 0.05) ]
+
+(* ---- Clark's max at its edge cases ---- *)
+
+(* E[f(Z)] for a standard normal Z: composite Simpson over [-12, 12],
+   split at [kink] so that each piece is smooth.  A piece's end points
+   take [f]'s one-sided value, nudged inside the piece, so that a step
+   at the kink is integrated exactly. *)
+let expect ~kink f =
+  let simpson a b =
+    let n = 4000 in
+    let h = (b -. a) /. float_of_int n in
+    let g z = f z *. exp (-0.5 *. z *. z) /. sqrt (2.0 *. Float.pi) in
+    let nudge = 1e-9 *. h in
+    let acc = ref (g (a +. nudge) +. g (b -. nudge)) in
+    for i = 1 to n - 1 do
+      let w = if i mod 2 = 1 then 4.0 else 2.0 in
+      acc := !acc +. (w *. g (a +. (float_of_int i *. h)))
+    done;
+    !acc *. h /. 3.0
+  in
+  let kink = Float.min 12.0 (Float.max (-12.0) kink) in
+  simpson (-12.0) kink +. simpson kink 12.0
+
+(* With |rho| = 1 both operands are linear in one Z: X = m1 + s1 Z and
+   Y = m2 + rho s2 Z, so max(X, Y) is piecewise linear in Z with its
+   kink where X = Y, and its moments are integrals over Z. *)
+let check_degenerate_by_quadrature what ~m1 ~s1 ~m2 ~s2 ~rho =
+  let x z = m1 +. (s1 *. z) and y z = m2 +. (rho *. s2 *. z) in
+  let kink = (m2 -. m1) /. (s1 -. (rho *. s2)) in
+  let mean = expect ~kink (fun z -> Float.max (x z) (y z)) in
+  let second = expect ~kink (fun z -> Float.max (x z) (y z) ** 2.0) in
+  let tightness = expect ~kink (fun z -> if x z >= y z then 1.0 else 0.0) in
+  check_moments what ~mean ~var:(second -. (mean *. mean)) ~tightness
+    (clark ~m1 ~s1 ~m2 ~s2 ~rho)
+
+let test_max_zero_sigmas () =
+  check_moments "larger first" ~mean:0.7 ~var:0.0 ~tightness:1.0
+    (clark ~m1:0.7 ~s1:0.0 ~m2:0.2 ~s2:0.0 ~rho:0.0);
+  check_moments "larger second" ~mean:0.7 ~var:0.0 ~tightness:0.0
+    (clark ~m1:0.2 ~s1:0.0 ~m2:0.7 ~s2:0.0 ~rho:0.5);
+  check_moments "equal constants" ~mean:0.4 ~var:0.0 ~tightness:1.0
+    (clark ~m1:0.4 ~s1:0.0 ~m2:0.4 ~s2:0.0 ~rho:(-1.0))
+
+(* rho = 1 with unequal sigmas and rho = -1: theta > 0, and Clark's
+   first two moments are exact for any jointly Gaussian pair.  The
+   first row, rho = 1 at equal sigmas, is the theta = 0 branch. *)
+let test_max_rho_extremes () =
+  List.iter
+    (fun (m1, s1, m2, s2, rho) ->
+      check_degenerate_by_quadrature
+        (Printf.sprintf "m1=%g s1=%g m2=%g s2=%g rho=%g" m1 s1 m2 s2 rho)
+        ~m1 ~s1 ~m2 ~s2 ~rho)
+    [
+      (0.2, 0.3, 0.5, 0.3, 1.0);
+      (0.5, 0.6, 0.3, 0.2, 1.0);
+      (0.3, 0.2, 0.5, 0.6, 1.0);
+      (0.4, 0.5, 0.4, 0.1, 1.0);
+      (0.5, 0.6, 0.3, 0.4, -1.0);
+      (0.4, 0.3, 0.4, 0.3, -1.0);
+      (0.1, 0.2, 0.6, 0.5, -1.0);
+    ]
+
+(* Mean and variance are continuous where theta = sqrt Var(X - Y)
+   reaches the [theta <= 1e-12] branch: approaching it, both move by
+   at most theta (plus the erf tolerance).  Two approaches: rho -> 1 at
+   equal sigmas, and both sigmas -> 0 across theta = 1e-12 itself. *)
+let test_max_continuous_at_theta_zero () =
+  List.iter
+    (fun (m1, m2) ->
+      (* Equal sigmas [s] at correlation [rho]: theta^2 = 2 s^2 (1 - rho). *)
+      let check what ~s ~rho ~limit =
+        let theta = s *. sqrt (2.0 *. (1.0 -. rho)) in
+        let m = clark ~m1 ~s1:s ~m2 ~s2:s ~rho in
+        let what = Printf.sprintf "m1=%g m2=%g %s theta=%g" m1 m2 what theta in
+        let near a b = Float.abs (a -. b) <= theta +. erf_eps in
+        checkb (what ^ ": mean") true
+          (near m.Stats.Gaussian.max_mean limit.Stats.Gaussian.max_mean);
+        checkb (what ^ ": var") true
+          (near m.Stats.Gaussian.max_var limit.Stats.Gaussian.max_var)
+      in
+      let limit = clark ~m1 ~s1:0.3 ~m2 ~s2:0.3 ~rho:1.0 in
+      List.iter
+        (fun eps ->
+          check (Printf.sprintf "rho=1-%g" eps) ~s:0.3 ~rho:(1.0 -. eps) ~limit)
+        [ 1e-4; 1e-6; 1e-9; 1e-12; 1e-15 ];
+      let limit = clark ~m1 ~s1:0.0 ~m2 ~s2:0.0 ~rho:0.0 in
+      (* theta = s sqrt 2: 7.1e-13 is above 1e-12, 7.0e-13 below. *)
+      List.iter
+        (fun s -> check (Printf.sprintf "sigma=%g" s) ~s ~rho:0.0 ~limit)
+        [ 1e-6; 1e-11; 7.1e-13; 7.0e-13; 1e-13 ])
+    [ (0.4, 0.4); (0.5, 0.2) ]
 
 (* ---- Canonical algebra ---- *)
 
@@ -338,6 +461,32 @@ let test_ssta_bytes_stable_across_domains_and_cache () =
   checkb "ssta bit-identical" true
     (a.Timing_opc.Flow.ssta = b.Timing_opc.Flow.ssta)
 
+(* The optics depend on defocus squared, so a run at the mirrored
+   silicon defocus measures the same CDs and its SSTA view, over the
+   default process window, is the same. *)
+let test_ssta_mirrors_negative_defocus () =
+  let r = Lazy.force base_run in
+  let c = r.Timing_opc.Flow.config.Timing_opc.Flow.condition in
+  let condition =
+    Litho.Condition.make ~dose:c.Litho.Condition.dose
+      ~defocus:(-.c.Litho.Condition.defocus)
+  in
+  let mirror =
+    Timing_opc.Flow.run
+      { (cheap_config ()) with Timing_opc.Flow.condition }
+      (Circuit.Generator.c17 ())
+  in
+  checkb "silicon defocus is mirrored" true (c.Litho.Condition.defocus > 0.0);
+  let slices (r : Timing_opc.Flow.run) =
+    List.map (fun (c : Cdex.Gate_cd.t) -> c.Cdex.Gate_cd.cds) r.Timing_opc.Flow.cds
+  in
+  checkb "same CDs" true (slices mirror = slices r);
+  let a = Timing_opc.Flow.ssta r and b = Timing_opc.Flow.ssta mirror in
+  Alcotest.(check string) "ssta bytes" (render a) (render b);
+  checkb "variation identical" true
+    (a.Timing_opc.Flow.variation = b.Timing_opc.Flow.variation);
+  checkb "ssta identical" true (a.Timing_opc.Flow.ssta = b.Timing_opc.Flow.ssta)
+
 let () =
   Alcotest.run "ssta"
     [
@@ -345,6 +494,11 @@ let () =
         [
           Alcotest.test_case "cdf" `Quick test_gaussian_cdf;
           Alcotest.test_case "max moments" `Quick test_gaussian_max_moments;
+          Alcotest.test_case "max: both sigmas zero" `Quick test_max_zero_sigmas;
+          Alcotest.test_case "max: rho +-1 by quadrature" `Quick
+            test_max_rho_extremes;
+          Alcotest.test_case "max: continuous at theta 0" `Quick
+            test_max_continuous_at_theta_zero;
         ] );
       ( "canonical",
         [
@@ -375,5 +529,7 @@ let () =
           Alcotest.test_case "domains" `Slow test_ssta_bytes_stable_across_domains;
           Alcotest.test_case "domains and cache" `Slow
             test_ssta_bytes_stable_across_domains_and_cache;
+          Alcotest.test_case "negative defocus mirrors positive" `Slow
+            test_ssta_mirrors_negative_defocus;
         ] );
     ]
