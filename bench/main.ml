@@ -4,7 +4,7 @@
      dune exec bench/main.exe                 # all experiments
      dune exec bench/main.exe -- --quick      # smaller workloads
      dune exec bench/main.exe -- t4 f1        # a subset
-     dune exec bench/main.exe -- --domains=4  # worker domains (default 1)
+     dune exec bench/main.exe -- --domains=4  # worker domains (default 1, at most 128)
 
    See DESIGN.md for the experiment index and EXPERIMENTS.md for
    paper-vs-measured records. *)
@@ -25,9 +25,10 @@ let () =
       match String.split_on_char '=' flag with
       | [ "--domains"; n ] -> (
           match int_of_string_opt n with
-          | Some n -> Common.domains := max 1 n
-          | None ->
-              Format.eprintf "bad --domains value %s (want an integer)@." n;
+          | Some n when n <= Exec.Pool.max_domains -> Common.domains := max 1 n
+          | _ ->
+              Format.eprintf "bad --domains value %s (want an integer, at most %d)@." n
+                Exec.Pool.max_domains;
               exit 2)
       | _ -> ())
     flags;

@@ -220,14 +220,26 @@ let ssta_arg =
            rankings.  The section is purely additive: without this flag the \
            output is byte-identical to before it existed.")
 
+(* Refused at parse time: the runtime would start domains until it
+   refused one, after the run had begun printing. *)
 let domains_arg =
+  let limit = Exec.Pool.max_domains in
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > limit ->
+        Error (`Msg (Printf.sprintf "%d domains is above the runtime's limit of %d" n limit))
+    | r -> r
+  in
   Arg.(
-    value & opt int 1
+    value
+    & opt (conv (parse, conv_printer int)) 1
     & info [ "domains" ]
         ~doc:
-          "Worker domains for model OPC (its correction tiles and their sim \
-           tiles) and CD extraction (values below 1 mean 1).  Results are \
-           bit-identical for any value.")
+          (Printf.sprintf
+             "Worker domains for model OPC (its correction tiles and their sim \
+              tiles) and CD extraction: at most %d, the runtime's limit \
+              (values below 1 mean 1).  Results are bit-identical for any \
+              value." limit))
 
 let no_cache_arg =
   Arg.(

@@ -261,8 +261,9 @@ expect_usage_error() {
 # are usage errors, never uncaught exceptions.  A --spread at or beyond
 # the drawn gate length is a bad value: it would leave the corner views
 # a non-positive channel; so is a dose that is not positive, a dose or
-# defocus that is not finite, and a defocus beyond the 200 nm the
-# optical model is built for.  serve has no --socket transport and no
+# defocus that is not finite, a defocus beyond the 200 nm the optical
+# model is built for, and more --domains than the runtime's 128 (refused
+# before any domain starts).  serve has no --socket transport and no
 # slow-query log.
 case_bad_input() {
   ok=0
@@ -277,9 +278,11 @@ case_bad_input() {
   expect_usage_error run --dose inf
   expect_usage_error run --defocus nan
   expect_usage_error run --defocus 5000
+  expect_usage_error run --domains 129
   expect_usage_error serve --socket "$work/potx.sock" < /dev/null
   expect_usage_error serve --slowlog 5 < /dev/null
   expect_usage_error serve --slowlog-file "$work/slow.jsonl" < /dev/null
+  expect_usage_error serve --domains 129 < /dev/null
   expect_usage_error export --bench nosuch -o "$work/layout.txt"
   expect_usage_error cdcmp /nonexistent.csv "$work/noheader.csv"
   expect_usage_error cdcmp "$work/noheader.csv" "$work/noheader.csv"

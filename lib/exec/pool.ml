@@ -161,7 +161,13 @@ let open_job t ~n body =
   end;
   j
 
+let max_domains = 128
+
 let create ?(name = "pool") ~domains () =
+  if domains > max_domains then
+    invalid_arg
+      (Printf.sprintf "Exec.Pool.create: %d domains is above the limit of %d" domains
+         max_domains);
   let n_domains = max 1 domains in
   let metric suffix = Printf.sprintf "exec.pool.%s.%s" name suffix in
   let t =

@@ -32,9 +32,17 @@
 
 type t
 
+(** The most domains a pool can have: 128, the number OCaml 5.1's
+    runtime runs at once on a 64-bit host ([Max_domains] in
+    [caml/domain.h]).  Spawning more fails only after the runtime has
+    started the others. *)
+val max_domains : int
+
 (** [create ~domains] spawns [max 0 (domains - 1)] worker domains; the
     calling domain is the remaining worker.  [domains] is clamped to
-    at least 1. *)
+    at least 1.
+    @raise Invalid_argument above {!max_domains}, before any domain
+    starts. *)
 val create : ?name:string -> domains:int -> unit -> t
 
 (** Join the worker domains.  The pool must not be used afterwards;

@@ -92,29 +92,27 @@ let mask_raster (model : Model.t) ~window polygons =
   paint_mask raster (clipped_rects raster polygons);
   raster
 
-(* The rasters one direct simulation writes: the painted mask, one
-   blur scratch, and the accumulated intensity. *)
-type buffers = { mask : Raster.t; scratch : Raster.t; intensity : Raster.t }
+(* What one direct simulation writes: the painted mask, the blur's
+   work arrays, and the accumulated intensity. *)
+type buffers = { mask : Raster.t; work : Blur.work; intensity : Raster.t }
 
 let buffers_like shape =
-  { mask = Raster.like shape; scratch = Raster.like shape; intensity = Raster.like shape }
+  { mask = Raster.like shape; work = Blur.work (); intensity = Raster.like shape }
 
 let buffers (model : Model.t) ~window =
   buffers_like
     (Raster.shape_of_window ~window ~halo:model.Model.halo ~step:model.Model.step)
 
-(* The direct (oracle) path: kernel by kernel, blit the mask into the
-   scratch, blur it, and blend it into the intensity.  Blending in
-   kernel order keeps the accumulated image bit-identical to blending
-   every blurred copy at the end. *)
+(* The direct (oracle) path: kernel by kernel, add the weighted blur of
+   the mask into the intensity.  Accumulating in kernel order keeps the
+   image bit-identical to summing every blurred copy at the end. *)
 let convolve_direct (model : Model.t) (condition : Condition.t) b =
   Raster.fill b.intensity 0.0;
   List.iter
     (fun (k : Model.kernel) ->
       let sigma = Model.effective_sigma model k ~defocus:condition.Condition.defocus in
-      Raster.blit ~src:b.mask ~dst:b.scratch;
-      Blur.gaussian b.scratch ~sigma_px:(sigma /. model.Model.step);
-      Raster.blend ~dst:b.intensity ~src:b.scratch ~w:k.Model.weight)
+      Blur.accumulate b.work ~src:b.mask ~dst:b.intensity
+        ~sigma_px:(sigma /. model.Model.step) ~weight:k.Model.weight)
     model.Model.kernels
 
 (* Sigma the direct cascade actually realises: three integer-width box

@@ -17,13 +17,16 @@
     the model's {!Model.t.engine}.  The engine is part of the tile
     cache key, so engines never share cache entries.
 
-    The direct engine blurs one scratch copy of the mask per kernel
-    and blends it into the intensity in kernel order, so a simulation
-    works in three rasters: mask, scratch and intensity.  With [into],
-    those are caller-owned {!buffers} made once for a fixed window and
-    reused by every simulation of it (model OPC's passes over its sim
-    tiles); the result is then [into]'s intensity raster, overwritten
-    by the next simulation into the same buffers.  One simulation runs
+    The direct engine adds each kernel's weighted blur of the mask
+    into the intensity in kernel order, one fused step per kernel
+    ({!Blur.accumulate}), so a simulation works in the mask, the
+    intensity and the blur's work arrays (one blurred image, line
+    buffers, running sums and a ring of rows).  With [into], those are
+    caller-owned {!buffers} made once for a fixed window and reused by
+    every simulation of it (model OPC's passes over its sim tiles), so
+    a simulation into them allocates no array after the first; the
+    result is then [into]'s intensity raster, overwritten by the next
+    simulation into the same buffers.  One simulation runs
     on one domain: parallelism is across tiles (model OPC's sim
     tiles), never across the kernels of one image.
 
@@ -66,8 +69,9 @@ val cascade_sigma_px : float -> float
 (** Caller-owned rasters for repeated simulations of one window. *)
 type buffers
 
-(** [buffers model ~window] allocates the mask, scratch and intensity
-    rasters for simulating [window] under [model]'s step and halo. *)
+(** [buffers model ~window] allocates the mask and intensity rasters
+    for simulating [window] under [model]'s step and halo, and the
+    blur's work arrays, which the first simulation sizes. *)
 val buffers : Model.t -> window:Geometry.Rect.t -> buffers
 
 (** Raises [Invalid_argument] when [into] was made for another window.

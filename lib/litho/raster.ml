@@ -49,19 +49,7 @@ let copy t = { t with data = Array.copy t.data }
 
 let like t = { t with data = Array.make (t.nx * t.ny) 0.0 }
 
-let blit ~src ~dst =
-  if dst.nx <> src.nx || dst.ny <> src.ny then
-    invalid_arg "Raster.blit: geometry mismatch";
-  Array.blit src.data 0 dst.data 0 (Array.length dst.data)
-
 let relocate t ~origin = { t with origin }
-
-let blend ~dst ~src ~w =
-  if dst.nx <> src.nx || dst.ny <> src.ny then
-    invalid_arg "Raster.blend: geometry mismatch";
-  for i = 0 to Array.length dst.data - 1 do
-    dst.data.(i) <- dst.data.(i) +. (w *. src.data.(i))
-  done
 
 let paint_rect ?(clamp = false) t (r : G.Rect.t) =
   (* Coverage weight of the rect against pixel column ix is the overlap
@@ -126,5 +114,5 @@ let y_of_iy t iy = float_of_int t.origin.G.Point.y +. ((float_of_int iy +. 0.5) 
 
 let max_value t = Array.fold_left Float.max neg_infinity t.data
 
-(* Internal access for the blur engine. *)
+(* Internal access for the convolution engines. *)
 let unsafe_data t = t.data

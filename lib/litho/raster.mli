@@ -41,18 +41,11 @@ val copy : t -> t
     nx, ny) — the allocation pattern for accumulation buffers. *)
 val like : t -> t
 
-(** [blit ~src ~dst] copies [src]'s pixels into [dst], which keeps its
-    own origin; rasters must share nx and ny. *)
-val blit : src:t -> dst:t -> unit
-
 (** [relocate t ~origin] views the same pixel data at a different
     layout origin.  The data array is shared with [t]; callers that
     mutate must [copy] first.  Used by {!Tile_cache} to re-home a
     content-addressed (translation-invariant) entry at a hit site. *)
 val relocate : t -> origin:Geometry.Point.t -> t
-
-(** Pointwise [dst := dst + w * src]; rasters must share geometry. *)
-val blend : dst:t -> src:t -> w:float -> unit
 
 (** Add the coverage fraction of [rect] (in layout nm) to every pixel.
     Parts outside the raster are clipped away.  With [clamp], pixels
@@ -74,5 +67,8 @@ val max_value : t -> float
 
 (**/**)
 
-(** Direct row-major buffer access; reserved for {!Blur}. *)
+(** Direct row-major buffer access, pixel (ix, iy) at [iy * nx + ix];
+    reserved for the convolution engines ({!Blur.accumulate} and
+    {!Fft.convolve_gaussians}), which read and write whole rasters
+    without per-pixel bounds checks. *)
 val unsafe_data : t -> float array

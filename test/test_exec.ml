@@ -78,6 +78,16 @@ let test_empty_and_singleton () =
             (Exec.Pool.map_reduce p ~map:heavy ~reduce:( +. ) ~init:7.5 [||])))
     [ 1; 4 ]
 
+(* Above the runtime's limit a pool is refused before any worker domain
+   starts, so this spawns none. *)
+let test_domain_limit () =
+  let n = Exec.Pool.max_domains + 1 in
+  Alcotest.check_raises "above the limit"
+    (Invalid_argument
+       (Printf.sprintf "Exec.Pool.create: %d domains is above the limit of %d" n
+          Exec.Pool.max_domains))
+    (fun () -> ignore (Exec.Pool.create ~domains:n ()))
+
 let test_exception_propagates () =
   List.iter
     (fun domains ->
@@ -332,6 +342,8 @@ let () =
           Alcotest.test_case "map_reduce reduction is ordered" `Quick
             test_map_reduce_matches_sequential_fold;
           Alcotest.test_case "empty and singleton inputs" `Quick test_empty_and_singleton;
+          Alcotest.test_case "more domains than the runtime's limit" `Quick
+            test_domain_limit;
           Alcotest.test_case "worker exception propagates" `Quick
             test_exception_propagates;
           Alcotest.test_case "per-label stats counters" `Quick test_stats_counters;

@@ -104,13 +104,6 @@ let test_raster_sample_bilinear () =
   (* Halfway to the next (zero) pixel centre: 0.5. *)
   checkf 1e-9 "halfway" 0.5 (Litho.Raster.sample r 15.0 12.5)
 
-let test_raster_blend () =
-  let a = Raster_helpers.raster_100 () in
-  let b = Raster_helpers.raster_100 () in
-  Litho.Raster.set b 1 1 2.0;
-  Litho.Raster.blend ~dst:a ~src:b ~w:0.25;
-  checkf 1e-9 "blended" 0.5 (Litho.Raster.get a 1 1)
-
 (* ---- Blur ---- *)
 
 let test_box_sizes_variance () =
@@ -124,10 +117,17 @@ let test_box_sizes_variance () =
   in
   checkb "variance close" true (Float.abs (var -. (sigma *. sigma)) < 2.0 *. sigma)
 
+(* The blur alone: [dst + weight * G(src)] into a zero destination at
+   weight 1. *)
+let blurred r ~sigma_px =
+  let dst = Litho.Raster.like r in
+  Litho.Blur.accumulate (Litho.Blur.work ()) ~src:r ~dst ~sigma_px ~weight:1.0;
+  dst
+
 let test_blur_conserves_mass () =
   let r = Raster_helpers.raster_100 () in
   Litho.Raster.set r 10 10 100.0;
-  Litho.Blur.gaussian r ~sigma_px:2.0;
+  let r = blurred r ~sigma_px:2.0 in
   let total = ref 0.0 in
   for iy = 0 to Litho.Raster.ny r - 1 do
     for ix = 0 to Litho.Raster.nx r - 1 do
@@ -140,19 +140,21 @@ let test_blur_conserves_mass () =
 let test_blur_spreads () =
   let r = Raster_helpers.raster_100 () in
   Litho.Raster.set r 10 10 1.0;
-  Litho.Blur.gaussian r ~sigma_px:1.5;
+  let r = blurred r ~sigma_px:1.5 in
   checkb "peak reduced" true (Litho.Raster.get r 10 10 < 1.0);
   checkb "neighbour raised" true (Litho.Raster.get r 11 10 > 0.0)
 
 let test_blur_identity_for_tiny_sigma () =
   let r = Raster_helpers.raster_100 () in
   Litho.Raster.set r 5 5 1.0;
-  Litho.Blur.gaussian r ~sigma_px:0.1;
+  let r = blurred r ~sigma_px:0.1 in
   checkf 1e-9 "untouched" 1.0 (Litho.Raster.get r 5 5)
 
-(* The column-at-a-time cascade [Blur.gaussian] replaced: each
-   vertical pass walks one column with a stride of nx floats.  Kept
-   here as the bit-identity reference for the row-swept pass. *)
+(* The cascade [Blur.accumulate] replaced: blit the source into a
+   scratch raster, blur it one row and then one column at a time (each
+   vertical pass walks one column with a stride of nx floats), and add
+   the weighted scratch into the destination in a separate pass.  Kept
+   here as the bit-identity reference for the fused step. *)
 let reference_box_h data nx ny w =
   if w > 1 then begin
     let r = (w - 1) / 2 in
@@ -196,41 +198,104 @@ let reference_box_v data nx ny w =
     done
   end
 
-let reference_gaussian raster ~sigma_px =
+let reference_accumulate ~src ~dst ~sigma_px ~weight =
+  let nx = Litho.Raster.nx src and ny = Litho.Raster.ny src in
+  let scratch = Litho.Raster.like src in
+  let data = Litho.Raster.unsafe_data scratch in
+  Array.blit (Litho.Raster.unsafe_data src) 0 data 0 (nx * ny);
   if sigma_px > 0.25 then begin
-    let data = Litho.Raster.unsafe_data raster in
-    let nx = Litho.Raster.nx raster and ny = Litho.Raster.ny raster in
     let sizes = Litho.Blur.box_sizes ~sigma:sigma_px ~passes:3 in
     Array.iter (fun w -> reference_box_h data nx ny w) sizes;
     Array.iter (fun w -> reference_box_v data nx ny w) sizes
-  end
+  end;
+  let d = Litho.Raster.unsafe_data dst in
+  for i = 0 to (nx * ny) - 1 do
+    d.(i) <- d.(i) +. (weight *. data.(i))
+  done
+
+(* Bitwise, so that a -0.0 in place of a 0.0 (or one NaN for another)
+   is a difference. *)
+let same_bits a b =
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    (Litho.Raster.unsafe_data a) (Litho.Raster.unsafe_data b)
+
+type blur_case = {
+  nx : int;
+  ny : int;
+  empty_share : float;  (** chance that a row is zero throughout *)
+  sigma_px : float;
+  weight : float;
+  prefilled : bool;  (** destination holds random values, not zeros *)
+  seed : int;
+}
 
 (* Sizes lean small so that one-column rasters and rasters no taller
-   than the box radius come up in every run. *)
+   than the box radius come up in every run.  Sigmas at or below a
+   quarter pixel are the identity, and those up to 1.5 px give widths
+   of 1 beside widths of 3. *)
 let arb_blur_case =
+  let open QCheck.Gen in
+  let size = oneof [ int_range 1 4; int_range 1 64 ] in
+  let gen =
+    let* nx = size and* ny = size in
+    let* empty_share = oneofl [ 0.0; 0.5; 1.0 ] in
+    let* sigma_px =
+      oneof [ float_range 0.0 0.25; float_range 0.25 1.5; float_range 0.3 40.0 ]
+    in
+    let* weight = oneof [ return 1.0; float_range (-2.0) 2.0 ] in
+    let+ prefilled = bool and+ seed = int_bound 1_000_000 in
+    { nx; ny; empty_share; sigma_px; weight; prefilled; seed }
+  in
   QCheck.make
-    ~print:(fun (nx, ny, sigma_px, seed) ->
-      Printf.sprintf "nx=%d ny=%d sigma_px=%h seed=%d" nx ny sigma_px seed)
-    QCheck.Gen.(
-      let size = oneof [ int_range 1 4; int_range 1 64 ] in
-      quad size size (float_range 0.3 40.0) (int_bound 1_000_000))
+    ~print:(fun c ->
+      Printf.sprintf "nx=%d ny=%d empty_share=%g sigma_px=%h weight=%h prefilled=%b seed=%d"
+        c.nx c.ny c.empty_share c.sigma_px c.weight c.prefilled c.seed)
+    gen
 
+(* A source row is zero throughout (a random mix of +0.0 and -0.0),
+   sparse (one to three nonzero pixels at random columns, the rest
+   +0.0) or dense (mask-like plateaus plus signed noise). *)
+let blur_case_rasters c =
+  let rng = Random.State.make [| c.seed |] in
+  let src = Litho.Raster.create ~origin:G.Point.origin ~step:5.0 ~nx:c.nx ~ny:c.ny in
+  for iy = 0 to c.ny - 1 do
+    if Random.State.float rng 1.0 < c.empty_share then
+      for ix = 0 to c.nx - 1 do
+        Litho.Raster.set src ix iy (if Random.State.bool rng then 0.0 else -0.0)
+      done
+    else if Random.State.bool rng then
+      for _ = 1 to 1 + Random.State.int rng 3 do
+        Litho.Raster.set src (Random.State.int rng c.nx) iy
+          (Random.State.float rng 2.0 -. 1.0)
+      done
+    else
+      for ix = 0 to c.nx - 1 do
+        let v = if Random.State.bool rng then 1.0 else Random.State.float rng 2.0 -. 1.0 in
+        Litho.Raster.set src ix iy v
+      done
+  done;
+  let dst = Litho.Raster.like src in
+  if c.prefilled then
+    for iy = 0 to c.ny - 1 do
+      for ix = 0 to c.nx - 1 do
+        Litho.Raster.set dst ix iy (Random.State.float rng 2.0 -. 1.0)
+      done
+    done;
+  (src, dst)
+
+(* One work serves every case, so its arrays hold what earlier, often
+   larger, cases left in them. *)
 let prop_blur_matches_reference =
+  let work = Litho.Blur.work () in
   QCheck.Test.make ~name:"gaussian = column-at-a-time reference" ~count:300
-    arb_blur_case (fun (nx, ny, sigma_px, seed) ->
-      let rng = Random.State.make [| seed |] in
-      let r = Litho.Raster.create ~origin:G.Point.origin ~step:5.0 ~nx ~ny in
-      for iy = 0 to ny - 1 do
-        for ix = 0 to nx - 1 do
-          (* Mask-like plateaus plus signed noise. *)
-          let v = if Random.State.bool rng then 1.0 else Random.State.float rng 2.0 -. 1.0 in
-          Litho.Raster.set r ix iy v
-        done
-      done;
-      let expected = Litho.Raster.copy r in
-      Litho.Blur.gaussian r ~sigma_px;
-      reference_gaussian expected ~sigma_px;
-      Litho.Raster.unsafe_data r = Litho.Raster.unsafe_data expected)
+    arb_blur_case (fun c ->
+      let src, dst = blur_case_rasters c in
+      let expected = Litho.Raster.copy dst and before = Litho.Raster.copy src in
+      Litho.Blur.accumulate work ~src ~dst ~sigma_px:c.sigma_px ~weight:c.weight;
+      reference_accumulate ~src:before ~dst:expected ~sigma_px:c.sigma_px
+        ~weight:c.weight;
+      same_bits dst expected && same_bits src before)
 
 (* ---- Model / Aerial ---- *)
 
@@ -309,6 +374,41 @@ let test_line_end_pullback () =
       checkb "pullback sane (< 120nm)" true (2000.0 -. printed_end < 120.0)
   | None -> Alcotest.fail "no line end found"
 
+(* A direct simulation is the mask plus each kernel's reference blur,
+   added in kernel order, bit for bit: on its own buffers, and on
+   caller-owned ones that every simulation of the window reuses. *)
+let test_direct_matches_reference () =
+  let m = Litho.Model.create ~cache:false () in
+  let rng = Random.State.make [| 2005 |] in
+  let window = G.Rect.make ~lx:0 ~ly:0 ~hx:400 ~hy:300 in
+  let into = Litho.Aerial.buffers m ~window in
+  for layout = 1 to 3 do
+    let polygons =
+      List.init (1 + Random.State.int rng 6) (fun _ ->
+          let lx = Random.State.int rng 600 - 100 and ly = Random.State.int rng 500 - 100 in
+          G.Polygon.of_rect
+            (G.Rect.make ~lx ~ly
+               ~hx:(lx + 10 + Random.State.int rng 200)
+               ~hy:(ly + 10 + Random.State.int rng 200)))
+    in
+    List.iter
+      (fun defocus ->
+        let condition = Litho.Condition.make ~dose:1.0 ~defocus in
+        let mask = Litho.Aerial.mask_raster m ~window polygons in
+        let expected = Litho.Raster.like mask in
+        List.iter
+          (fun (k : Litho.Model.kernel) ->
+            reference_accumulate ~src:mask ~dst:expected
+              ~sigma_px:(Litho.Model.effective_sigma m k ~defocus /. m.Litho.Model.step)
+              ~weight:k.Litho.Model.weight)
+          m.Litho.Model.kernels;
+        let what = Printf.sprintf "layout %d, defocus %g nm" layout defocus in
+        checkb what true (same_bits (Litho.Aerial.simulate m condition ~window polygons) expected);
+        checkb (what ^ ", into") true
+          (same_bits (Litho.Aerial.simulate ~into m condition ~window polygons) expected))
+      [ 0.0; 70.0; 200.0 ]
+  done
+
 let test_mask_raster_clamped () =
   let m = Lazy.force model in
   (* Two overlapping rects must not exceed coverage 1. *)
@@ -381,7 +481,6 @@ let () =
           Alcotest.test_case "subpixel" `Quick test_raster_paint_subpixel;
           Alcotest.test_case "mass" `Quick test_raster_total_mass;
           Alcotest.test_case "bilinear" `Quick test_raster_sample_bilinear;
-          Alcotest.test_case "blend" `Quick test_raster_blend;
         ] );
       ( "blur",
         [
@@ -398,6 +497,8 @@ let () =
           Alcotest.test_case "dose" `Slow test_dose_monotonic;
           Alcotest.test_case "defocus" `Slow test_defocus_shrinks;
           Alcotest.test_case "line end" `Slow test_line_end_pullback;
+          Alcotest.test_case "direct = reference cascade" `Quick
+            test_direct_matches_reference;
           Alcotest.test_case "mask clamp" `Quick test_mask_raster_clamped;
         ] );
       ( "metrology",
