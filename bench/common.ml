@@ -13,12 +13,13 @@ let quick = ref false
    experiment tables never depend on this. *)
 let domains = ref 1
 
-let shared_pool =
-  lazy
-    (if !domains > 1 then Some (Exec.Pool.create ~name:"bench" ~domains:!domains ())
-     else None)
-
-let pool () = Lazy.force shared_pool
+(* [with_pool f] runs [f] on a pool of that many domains (none at 1),
+   shut down when [f] returns, so it never overlaps the pool a flow run
+   opens for itself. *)
+let with_pool f =
+  if !domains > 1 then
+    Exec.Pool.with_pool ~name:"bench" ~domains:!domains (fun p -> f (Some p))
+  else f None
 
 let config () =
   let c = Timing_opc.Flow.default_config () in
@@ -96,9 +97,10 @@ let mask_for chip ~style_name =
 let extract chip mask condition =
   let m = litho_model () in
   let c = config () in
-  Cdex.Extract.extract ?pool:(pool ()) m condition ~mask:(Opc.Mask.source mask)
-    ~gates:(Layout.Chip.gates chip) ~slices:c.Timing_opc.Flow.slices
-    ~tile:c.Timing_opc.Flow.tile ()
+  with_pool (fun pool ->
+      Cdex.Extract.extract ?pool m condition ~mask:(Opc.Mask.source mask)
+        ~gates:(Layout.Chip.gates chip) ~slices:c.Timing_opc.Flow.slices
+        ~tile:c.Timing_opc.Flow.tile ())
 
 let ppf = Format.std_formatter
 

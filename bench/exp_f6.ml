@@ -17,15 +17,16 @@ let run () =
     List.fold_left ( +. ) 0.0 vals /. float_of_int (List.length vals)
   in
   let mc =
-    Sta.Montecarlo.run ?pool:(Common.pool ()) env netlist ~loads
-      {
-        Sta.Montecarlo.trials = (if !Common.quick then 60 else 300);
-        sigma_global = 3.0;
-        sigma_local = 1.5;
-        mean_shift;
-        clock_period = r.Timing_opc.Flow.clock_period;
-      }
-      (Stats.Rng.create Common.seed)
+    Common.with_pool (fun pool ->
+        Sta.Montecarlo.run ?pool env netlist ~loads
+          {
+            Sta.Montecarlo.trials = (if !Common.quick then 60 else 300);
+            sigma_global = 3.0;
+            sigma_local = 1.5;
+            mean_shift;
+            clock_period = r.Timing_opc.Flow.clock_period;
+          }
+          (Stats.Rng.create Common.seed))
   in
   let s = Stats.Summary.of_array mc.Sta.Montecarlo.critical_delay in
   let corners = Timing_opc.Flow.corner_views r ~spread:8.0 in

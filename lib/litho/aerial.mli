@@ -20,8 +20,9 @@
     The direct engine adds each kernel's weighted blur of the mask
     into the intensity in kernel order, one fused step per kernel
     ({!Blur.accumulate}), so a simulation works in the mask, the
-    intensity and the blur's work arrays (one blurred image, line
-    buffers, running sums and a ring of rows).  With [into], those are
+    intensity and the blur's work arrays (the horizontal output of
+    the distinct mask rows with each row's offset into it, one blurred
+    image, line buffers and running sums).  With [into], those are
     caller-owned {!buffers} made once for a fixed window and reused by
     every simulation of it (model OPC's passes over its sim tiles), so
     a simulation into them allocates no array after the first; the

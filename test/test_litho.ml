@@ -224,6 +224,8 @@ type blur_case = {
   nx : int;
   ny : int;
   empty_share : float;  (** chance that a row is zero throughout *)
+  repeat_share : float;  (** chance that a row repeats an earlier row *)
+  specials : bool;  (** some rows hold a NaN or an infinity *)
   sigma_px : float;
   weight : float;
   prefilled : bool;  (** destination holds random values, not zeros *)
@@ -231,49 +233,78 @@ type blur_case = {
 }
 
 (* Sizes lean small so that one-column rasters and rasters no taller
-   than the box radius come up in every run.  Sigmas at or below a
-   quarter pixel are the identity, and those up to 1.5 px give widths
-   of 1 beside widths of 3. *)
+   than the box radius come up in every run, and widths of 5-7 and
+   9-11 leave one to three columns past the last group of four.
+   Sigmas at or below a quarter pixel are the identity, and those up
+   to 1.5 px give widths of 1 beside widths of 3. *)
 let arb_blur_case =
   let open QCheck.Gen in
   let size = oneof [ int_range 1 4; int_range 1 64 ] in
   let gen =
-    let* nx = size and* ny = size in
+    let* nx = oneof [ size; int_range 5 7; int_range 9 11 ] and* ny = size in
     let* empty_share = oneofl [ 0.0; 0.5; 1.0 ] in
+    let* repeat_share = oneofl [ 0.0; 0.5; 0.9 ] and* specials = map (( = ) 0) (int_bound 3) in
     let* sigma_px =
       oneof [ float_range 0.0 0.25; float_range 0.25 1.5; float_range 0.3 40.0 ]
     in
     let* weight = oneof [ return 1.0; float_range (-2.0) 2.0 ] in
     let+ prefilled = bool and+ seed = int_bound 1_000_000 in
-    { nx; ny; empty_share; sigma_px; weight; prefilled; seed }
+    { nx; ny; empty_share; repeat_share; specials; sigma_px; weight; prefilled; seed }
   in
   QCheck.make
     ~print:(fun c ->
-      Printf.sprintf "nx=%d ny=%d empty_share=%g sigma_px=%h weight=%h prefilled=%b seed=%d"
-        c.nx c.ny c.empty_share c.sigma_px c.weight c.prefilled c.seed)
+      Printf.sprintf
+        "nx=%d ny=%d empty_share=%g repeat_share=%g specials=%b sigma_px=%h weight=%h \
+         prefilled=%b seed=%d"
+        c.nx c.ny c.empty_share c.repeat_share c.specials c.sigma_px c.weight c.prefilled
+        c.seed)
     gen
 
 (* A source row is zero throughout (a random mix of +0.0 and -0.0),
    sparse (one to three nonzero pixels at random columns, the rest
-   +0.0) or dense (mask-like plateaus plus signed noise). *)
+   +0.0), dense (mask-like plateaus, zeros and signed noise), or a
+   repeat.  A repeat copies the row above, or now and then the row two
+   above, so that a row can equal the row two above but not the one
+   between; half the repeats negate every zero and NaN of the copy, so
+   they equal the original under [=] only where no NaN is held.  With
+   [specials], a quarter of the non-repeat rows hold a NaN, +infinity
+   or -infinity at a random column. *)
 let blur_case_rasters c =
   let rng = Random.State.make [| c.seed |] in
   let src = Litho.Raster.create ~origin:G.Point.origin ~step:5.0 ~nx:c.nx ~ny:c.ny in
   for iy = 0 to c.ny - 1 do
-    if Random.State.float rng 1.0 < c.empty_share then
+    if iy > 0 && Random.State.float rng 1.0 < c.repeat_share then begin
+      let from = if iy > 1 && Random.State.int rng 4 = 0 then iy - 2 else iy - 1 in
+      let negate = Random.State.bool rng in
       for ix = 0 to c.nx - 1 do
-        Litho.Raster.set src ix iy (if Random.State.bool rng then 0.0 else -0.0)
+        let v = Litho.Raster.get src ix from in
+        Litho.Raster.set src ix iy (if negate && (v = 0.0 || Float.is_nan v) then -.v else v)
       done
-    else if Random.State.bool rng then
-      for _ = 1 to 1 + Random.State.int rng 3 do
+    end
+    else begin
+      if Random.State.float rng 1.0 < c.empty_share then
+        for ix = 0 to c.nx - 1 do
+          Litho.Raster.set src ix iy (if Random.State.bool rng then 0.0 else -0.0)
+        done
+      else if Random.State.bool rng then
+        for _ = 1 to 1 + Random.State.int rng 3 do
+          Litho.Raster.set src (Random.State.int rng c.nx) iy
+            (Random.State.float rng 2.0 -. 1.0)
+        done
+      else
+        for ix = 0 to c.nx - 1 do
+          let v =
+            match Random.State.int rng 3 with
+            | 0 -> 1.0
+            | 1 -> 0.0
+            | _ -> Random.State.float rng 2.0 -. 1.0
+          in
+          Litho.Raster.set src ix iy v
+        done;
+      if c.specials && Random.State.int rng 4 = 0 then
         Litho.Raster.set src (Random.State.int rng c.nx) iy
-          (Random.State.float rng 2.0 -. 1.0)
-      done
-    else
-      for ix = 0 to c.nx - 1 do
-        let v = if Random.State.bool rng then 1.0 else Random.State.float rng 2.0 -. 1.0 in
-        Litho.Raster.set src ix iy v
-      done
+          [| Float.nan; Float.infinity; Float.neg_infinity |].(Random.State.int rng 3)
+    end
   done;
   let dst = Litho.Raster.like src in
   if c.prefilled then
