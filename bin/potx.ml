@@ -66,8 +66,8 @@ let with_obs ?(profile = "") ~trace ~metrics f =
    service; both hand it to Timing_opc_serve.Session, which runs the
    flow once and keeps the result warm.  Domain counts <= 0 clamp to
    1. *)
-let flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
-    ~checkpoint_dir ~resume () =
+let flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~checkpoint_dir
+    ~resume () =
   let base = Timing_opc.Flow.default_config () in
   { base with
     Timing_opc.Flow.seed;
@@ -75,7 +75,6 @@ let flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
     condition = Litho.Condition.make ~dose ~defocus;
     domains = max 1 domains;
     cache = not no_cache;
-    engine;
     checkpoint =
       (if checkpoint_dir = "" then None
        else Some (Timing_opc.Checkpoint.create ~dir:checkpoint_dir ~resume)) }
@@ -88,11 +87,11 @@ let with_session ~bench config f =
     (fun () -> f session)
 
 let run_flow bench opc seed dose defocus spread report selective ssta
-    domains no_cache engine checkpoint_dir resume trace metrics profile =
+    domains no_cache checkpoint_dir resume trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   let config =
-    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
-      ~checkpoint_dir ~resume ()
+    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~checkpoint_dir
+      ~resume ()
   in
   Format.printf "flow: %s, OPC=%s, silicon %a, seed %d, domains %d@." bench opc
     Litho.Condition.pp config.Timing_opc.Flow.condition seed
@@ -101,12 +100,12 @@ let run_flow bench opc seed dose defocus spread report selective ssta
   Timing_opc_serve.Session.print_report Format.std_formatter session ~spread
     ~report ~selective ~ssta
 
-let serve_flow bench opc seed dose defocus domains no_cache engine trace
-    metrics profile =
+let serve_flow bench opc seed dose defocus domains no_cache trace metrics
+    profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   let config =
-    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine
-      ~checkpoint_dir:"" ~resume:false ()
+    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~checkpoint_dir:""
+      ~resume:false ()
   in
   (* Diagnostics go to stderr: in stdio mode stdout carries nothing
      but response lines (the golden script test compares its bytes). *)
@@ -250,23 +249,6 @@ let no_cache_arg =
            (results are bit-identical either way; this trades wall time for \
            memory).")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           (List.map
-              (fun e -> (Litho.Aerial.engine_to_string e, e))
-              Litho.Aerial.[ Direct; Fft ]))
-        Litho.Aerial.Direct
-    & info [ "engine" ]
-        ~doc:
-          "Aerial convolution engine: $(b,direct) (per-kernel box-blur \
-           cascade — the oracle every golden is recorded against), $(b,fft) \
-           (one mask spectrum shared by the whole kernel stack, applied in \
-           the frequency domain — same images within the tolerance contract \
-           in DESIGN.md, about half the wall time of a whole flow).")
-
 let checkpoint_arg =
   Arg.(
     value & opt string ""
@@ -319,7 +301,7 @@ let run_cmd =
     Term.(
       const run_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg $ defocus_arg
       $ spread_arg $ report_arg $ selective_arg $ ssta_arg
-      $ domains_arg $ no_cache_arg $ engine_arg
+      $ domains_arg $ no_cache_arg
       $ checkpoint_arg $ resume_arg $ trace_arg $ metrics_arg $ profile_arg)
 
 let serve_cmd =
@@ -352,7 +334,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const serve_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg
-      $ defocus_arg $ domains_arg $ no_cache_arg $ engine_arg
+      $ defocus_arg $ domains_arg $ no_cache_arg
       $ trace_arg $ metrics_arg $ profile_arg)
 
 (* ---- cells ---- *)
@@ -440,19 +422,17 @@ let export_cmd =
 
 (* ---- cds ---- *)
 
-let export_cds bench seed path domains no_cache engine trace metrics =
+let export_cds bench seed path domains no_cache trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
   let base = Timing_opc.Flow.default_config () in
   let config =
     { base with
       Timing_opc.Flow.seed;
       domains = max 1 domains;
-      cache = not no_cache;
-      engine }
+      cache = not no_cache }
   in
   let r = Timing_opc.Flow.run config (netlist_of_name seed bench) in
-  (* Hex-float CDs: cdcmp deltas reflect the engines, not a
-     decimal-printing round trip. *)
+  (* Hex-float CDs: a reader gets every float back bit for bit. *)
   Cdex.Csv.save_file path r.Timing_opc.Flow.cds;
   Format.printf "wrote %s (%d gate-CD records)@." path (List.length r.Timing_opc.Flow.cds)
 
@@ -462,100 +442,7 @@ let cds_cmd =
     (Cmd.info "cds" ~doc:"run the flow and export the extracted gate CDs as CSV")
     Term.(
       const export_cds $ bench_arg $ seed_arg $ out $ domains_arg $ no_cache_arg
-      $ engine_arg $ trace_arg $ metrics_arg)
-
-(* ---- cdcmp ---- *)
-
-(* Compare two CD exports slice by slice — the acceptance check of the
-   engine tolerance contract: extract once per engine with [potx cds
-   --engine ...], then assert the worst slice delta fits the budget.
-   Records are joined on (gate site, condition); a gate printing under
-   one engine but not the other is always fatal (that is a CD the
-   budget cannot express). *)
-
-let cdcmp file_a file_b budget =
-  let load path =
-    try Cdex.Csv.load_file path
-    with Failure msg | Sys_error msg ->
-      Format.eprintf "cdcmp: %s@." msg;
-      exit 1
-  in
-  let a = load file_a and b = load file_b in
-  let key (r : Cdex.Gate_cd.t) =
-    Printf.sprintf "%s|%h|%h"
-      (Layout.Chip.gate_key r.Cdex.Gate_cd.gate)
-      r.Cdex.Gate_cd.condition.Litho.Condition.dose
-      r.Cdex.Gate_cd.condition.Litho.Condition.defocus
-  in
-  let tbl = Hashtbl.create (List.length b) in
-  List.iter (fun r -> Hashtbl.replace tbl (key r) r) b;
-  let problems = ref [] in
-  let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  if List.length a <> List.length b then
-    problem "record counts differ: %d in %s, %d in %s" (List.length a) file_a
-      (List.length b) file_b;
-  let pairs = ref 0 and sum = ref 0.0 in
-  let max_d = ref 0.0 and max_site = ref "-" in
-  List.iter
-    (fun (ra : Cdex.Gate_cd.t) ->
-      match Hashtbl.find_opt tbl (key ra) with
-      | None ->
-          problem "%s: no matching record in %s"
-            (Layout.Chip.gate_key ra.Cdex.Gate_cd.gate) file_b
-      | Some rb ->
-          if List.length ra.Cdex.Gate_cd.cds <> List.length rb.Cdex.Gate_cd.cds
-          then
-            problem "%s: printed slice counts differ (%d vs %d)"
-              (Layout.Chip.gate_key ra.Cdex.Gate_cd.gate)
-              (List.length ra.Cdex.Gate_cd.cds)
-              (List.length rb.Cdex.Gate_cd.cds)
-          else
-            List.iter2
-              (fun ca cb ->
-                let d = Float.abs (ca -. cb) in
-                incr pairs;
-                sum := !sum +. d;
-                if d > !max_d then begin
-                  max_d := d;
-                  max_site := Layout.Chip.gate_key ra.Cdex.Gate_cd.gate
-                end)
-              ra.Cdex.Gate_cd.cds rb.Cdex.Gate_cd.cds)
-    a;
-  Format.printf "cdcmp: %d records, %d slice pairs@." (List.length a) !pairs;
-  if !pairs > 0 then
-    Format.printf "cdcmp: max|dCD|=%.4fnm at %s, mean|dCD|=%.4fnm (budget %.3fnm)@."
-      !max_d !max_site
-      (!sum /. float_of_int !pairs)
-      budget;
-  if !max_d > budget then problem "max|dCD|=%.4fnm exceeds budget %.3fnm" !max_d budget;
-  match List.rev !problems with
-  | [] -> Format.printf "cdcmp: OK@."
-  | ps ->
-      List.iter (fun p -> Format.eprintf "cdcmp: %s@." p) ps;
-      exit 1
-
-let cdcmp_cmd =
-  let file n doc =
-    Arg.(required & pos n (some file) None & info [] ~doc ~docv:"CSV")
-  in
-  let budget =
-    Arg.(
-      value & opt float 1.0
-      & info [ "budget" ]
-          ~doc:
-            "Maximum allowed per-slice |CD| delta, nm.  Exits nonzero when \
-             the worst pair exceeds it.  The committed engine budget lives \
-             in DESIGN.md; bin/smoke.sh gates direct-vs-fft extraction on \
-             it.")
-  in
-  Cmd.v
-    (Cmd.info "cdcmp"
-       ~doc:"diff two CD CSV exports slice-by-slice against a budget (nm)")
-    Term.(
-      const cdcmp
-      $ file 0 "Reference CD export (potx cds)."
-      $ file 1 "Candidate CD export to compare."
-      $ budget)
+      $ trace_arg $ metrics_arg)
 
 (* ---- obs-check / obs-report ---- *)
 
@@ -639,4 +526,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ run_cmd; serve_cmd; cells_cmd; litho_cmd; drc_cmd; liberty_cmd;
-            export_cmd; cds_cmd; cdcmp_cmd; obs_check_cmd; obs_report_cmd ]))
+            export_cmd; cds_cmd; obs_check_cmd; obs_report_cmd ]))

@@ -81,10 +81,3 @@ let save_file path cds =
   (try write ppf cds with e -> close_out oc; raise e);
   Format.pp_print_flush ppf ();
   close_out oc
-
-let load_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  read ~src:path text

@@ -73,24 +73,17 @@ let with_flow_pool config f =
 
 let model_cache : (string, Litho.Model.t) Hashtbl.t = Hashtbl.create 4
 
-(* Memoised per (technology, engine): calibration simulates the
-   reference pattern on the engine that will simulate production tiles
-   (see Litho.Aerial.calibrate), so each engine gets its own centred
-   threshold and the entries must not alias.  The cache setting only
-   changes wall time, so it is applied to the memoised model on the
-   way out. *)
+(* Memoised per technology.  The cache setting only changes wall time,
+   so it is applied to the memoised model on the way out. *)
 let litho_model config =
-  let key =
-    config.tech.Layout.Tech.name ^ "|"
-    ^ Litho.Aerial.engine_to_string config.engine
-  in
+  let key = config.tech.Layout.Tech.name in
   let m =
     match Hashtbl.find_opt model_cache key with
     | Some m -> m
     | None ->
         let m =
           Litho.Aerial.calibrate
-            (Litho.Model.create ~engine:config.engine ~cache:config.cache ())
+            (Litho.Model.create ~cache:config.cache ())
             config.tech
         in
         Hashtbl.add model_cache key m;
@@ -217,10 +210,7 @@ let opc_style_tag = function
    Domain count and the litho tile cache are deliberately excluded:
    results are bit-identical across both (see Exec.Pool and
    Litho.Tile_cache), so a checkpoint written at one domain count
-   resumes cleanly at another.  The aerial engine is included: the
-   direct and FFT engines agree only within the tolerance contract
-   (DESIGN.md), so a checkpoint recorded under one must never resume a
-   run configured for the other. *)
+   resumes cleanly at another. *)
 let opc_key config ~extra chip =
   let oc = config.opc_config in
   Digest.to_hex
@@ -240,7 +230,6 @@ let opc_key config ~extra chip =
             string_of_int oc.Opc.Model_opc.min_mask_space;
             string_of_int oc.Opc.Model_opc.sim_tile;
             string_of_int config.tile;
-            Litho.Aerial.engine_to_string config.engine;
             extra;
             chip_digest chip;
           ]))
@@ -302,7 +291,6 @@ let cds_key config ~extra ~mask ~chip =
             hex config.cd_noise_gate;
             hex config.cd_noise_slice;
             string_of_int config.seed;
-            Litho.Aerial.engine_to_string config.engine;
             extra;
           ]))
 

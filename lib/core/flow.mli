@@ -46,16 +46,10 @@ type config = {
           simulator as the [cache] field of {!litho_model}'s model.
           Default on *)
   engine : Litho.Aerial.engine;
-      (** aerial-image convolution engine ([Litho.Aerial]): [Direct] is
-          the per-kernel box-blur cascade every golden is recorded
-          against; [Fft] computes the mask spectrum once and applies
-          the whole kernel stack in the frequency domain — same images
-          within the documented tolerance contract (DESIGN.md), several
-          times faster on OPC-sized tiles.  It reaches the simulator as
-          the [engine] field of {!litho_model}'s model; it is part of
-          the litho model calibration key, the tile-cache key and every
-          checkpoint key, so engines never share cached or checkpointed
-          state.  Default [Direct] *)
+      (** ignored; no flow code reads it, and [Direct] is its only
+          value.  Kept only because the benchmark's config literal
+          ([perfbench/main.ml]) still sets [engine = Direct]; the field
+          goes when that line does *)
   retry : Fault.retry;
       (** ignored; no flow code reads it.  Kept only because the
           benchmark's config literal ([perfbench/main.ml]) still sets
@@ -76,12 +70,12 @@ type config = {
           sets [dist = None]; the field goes when that line does *)
 }
 
-(** The default run: cache on, engine [Direct], one domain, no
-    checkpoint.  Reads no environment. *)
+(** The default run: cache on, one domain, no checkpoint.  Reads no
+    environment. *)
 val default_config : unit -> config
 
-(** Calibrated litho model for a config (memoised per technology and
-    engine), carrying the config's [engine] and [cache]. *)
+(** Calibrated litho model for a config (memoised per technology),
+    carrying the config's [cache]. *)
 val litho_model : config -> Litho.Model.t
 
 (** One complete run of the flow over a netlist. *)
@@ -198,14 +192,13 @@ val extract_at :
   run ->
   Cdex.Gate_cd.t list
 
-(** OPC of a replacement chip under the run's config (style, OPC
-    config and engine as in {!run}) — the mask side of a geometric
-    what-if.  Under model OPC,
-    a correction tile whose inputs (targets and frozen context, see
-    {!Opc.Chip_opc.tile_result}) equal a tile of the run's own
-    [opc_tiles] takes that tile's result; only the tiles the
-    replacement changed are corrected again.  The mask and stats are
-    byte-identical to correcting every tile.  The [flow.reopc_chip]
+(** OPC of a replacement chip under the run's config (style and OPC
+    config as in {!run}) — the mask side of a geometric what-if.
+    Under model OPC, a correction tile whose inputs (targets and
+    frozen context, see {!Opc.Chip_opc.tile_result}) equal a tile of
+    the run's own [opc_tiles] takes that tile's result; only the
+    tiles the replacement changed are corrected again.  The mask and
+    stats are byte-identical to correcting every tile.  The [flow.reopc_chip]
     span carries [tiles_reused] and [tiles_corrected]; each reuse
     counts one [opc.reused_tiles].  No checkpointing. *)
 val reopc_chip :

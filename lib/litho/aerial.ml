@@ -2,37 +2,18 @@ module G = Geometry
 
 let m_simulations = Obs.Metrics.counter "litho.simulations"
 
-let m_engine_direct = Obs.Metrics.counter "litho.engine.direct"
-
-let m_engine_fft = Obs.Metrics.counter "litho.engine.fft"
-
-(* ---- engine selection --------------------------------------------
-
-   Two convolution engines produce the aerial image: [Direct] is the
-   seed's per-kernel 3-pass box-blur cascade (the bit-identity oracle
-   every golden is recorded against) and [Fft] computes the mask
-   spectrum once and applies the whole kernel stack as a single
-   frequency-domain multiply with the analytic Gaussian transfer
-   function (see {!Fft.convolve_gaussians}).  The engine is part of
-   the tile-cache key, so the engines never share cache entries. *)
-
-type engine = Model.engine = Direct | Fft
-
-let engine_to_string = function Direct -> "direct" | Fft -> "fft"
+type engine = Direct
 
 (* ---- content-addressed simulation keys ---------------------------
 
    A simulated tile is a pure function of (mask content inside the
-   raster extent, raster geometry, defocus-adjusted kernel stack,
-   engine).  Expressing the mask content as the ordered list
-   of polygon decomposition rectangles clipped to the extent and
-   *translated to the raster origin* makes the key
-   translation-invariant, so repeated cell rows hit anywhere on the
-   chip.  Dose is deliberately absent: it scales only
-   [Model.printed_threshold], never the intensity, so a dose sweep at
-   fixed defocus is a single cache entry.  The engine tag is not:
-   direct and FFT intensities differ inside the tolerance contract,
-   and one key must never serve both. *)
+   raster extent, raster geometry, defocus-adjusted kernel stack).
+   Expressing the mask content as the ordered list of polygon
+   decomposition rectangles clipped to the extent and *translated to
+   the raster origin* makes the key translation-invariant, so repeated
+   cell rows hit anywhere on the chip.  Dose is deliberately absent: it
+   scales only [Model.printed_threshold], never the intensity, so a
+   dose sweep at fixed defocus is a single cache entry. *)
 
 (* Pixel extent of a raster in layout nm, rounded outward.  Clipping a
    mask rectangle to this extent changes no painted pixel: boundary
@@ -58,9 +39,8 @@ let cache_key (model : Model.t) (condition : Condition.t) raster rects =
   let b = Buffer.create 256 in
   let o = Raster.origin raster in
   Buffer.add_string b
-    (Printf.sprintf "v2|%s|%dx%d|%h|"
-       (match model.Model.engine with Direct -> "d" | Fft -> "f")
-       (Raster.nx raster) (Raster.ny raster) (Raster.step raster));
+    (Printf.sprintf "v2|%dx%d|%h|" (Raster.nx raster) (Raster.ny raster)
+       (Raster.step raster));
   List.iter
     (fun (k : Model.kernel) ->
       Buffer.add_string b
@@ -115,39 +95,6 @@ let convolve_direct (model : Model.t) (condition : Condition.t) b =
         ~sigma_px:(sigma /. model.Model.step) ~weight:k.Model.weight)
     model.Model.kernels
 
-(* Sigma the direct cascade actually realises: three integer-width box
-   passes match the Gaussian variance only up to width quantisation
-   (a discrete box of width w has variance (w^2-1)/12), and that ~1-2%
-   width error moves printed edges by over a nanometre at defocus.
-   The FFT engine uses the analytic Gaussian at the cascade's achieved
-   variance, cancelling the first-order width error so the
-   cross-engine CD delta is down to the residual shape (kurtosis)
-   difference.  Below the cascade's no-op threshold the kernel is an
-   identity for both engines. *)
-let cascade_sigma_px sigma_px =
-  if sigma_px <= 0.25 then 0.0
-  else
-    Blur.box_sizes ~sigma:sigma_px ~passes:3
-    |> Array.fold_left
-         (fun acc w -> acc +. (float_of_int ((w * w) - 1) /. 12.0))
-         0.0
-    |> sqrt
-
-(* The FFT path mutates the mask into the intensity in place: one
-   forward transform, one multiply by the accumulated transfer
-   function of the whole kernel stack, one inverse transform. *)
-let convolve_fft (model : Model.t) (condition : Condition.t) mask =
-  let kernels =
-    List.map
-      (fun (k : Model.kernel) ->
-        ( cascade_sigma_px
-            (Model.effective_sigma model k ~defocus:condition.Condition.defocus
-            /. model.Model.step),
-          k.Model.weight ))
-      model.Model.kernels
-  in
-  Fft.convolve_gaussians mask ~kernels
-
 let simulate ?into (model : Model.t) (condition : Condition.t) ~window
     polygons =
   Obs.Span.with_ ~name:"litho.simulate"
@@ -169,33 +116,18 @@ let simulate ?into (model : Model.t) (condition : Condition.t) ~window
         || not (G.Point.equal (Raster.origin r) (Raster.origin shape))
       then invalid_arg "Aerial.simulate: buffers made for another window")
     into;
-  let eng = model.Model.engine in
-  Obs.Metrics.incr (match eng with Fft -> m_engine_fft | Direct -> m_engine_direct);
   let rects = clipped_rects shape polygons in
   let compute () =
-    match eng with
-    | Fft ->
-        let r =
-          match into with
-          | Some b ->
-              Raster.fill b.intensity 0.0;
-              b.intensity
-          | None -> Raster.like shape
-        in
-        paint_mask r rects;
-        convolve_fft model condition r;
-        r
-    | Direct ->
-        let b =
-          match into with
-          | Some b ->
-              Raster.fill b.mask 0.0;
-              b
-          | None -> buffers_like shape
-        in
-        paint_mask b.mask rects;
-        convolve_direct model condition b;
-        b.intensity
+    let b =
+      match into with
+      | Some b ->
+          Raster.fill b.mask 0.0;
+          b
+      | None -> buffers_like shape
+    in
+    paint_mask b.mask rects;
+    convolve_direct model condition b;
+    b.intensity
   in
   (* An image in the caller's [into] buffers is overwritten by the next
      simulation into them, so it never enters the cache. *)
@@ -213,11 +145,7 @@ let calibrate (model : Model.t) (tech : Layout.Tech.t) =
   (* Reference pattern: a dense array of vertical lines at drawn gate
      length and contacted pitch.  The printed edge sits where the
      intensity equals the threshold, so the intensity at the drawn edge
-     position is exactly the threshold that pins printed CD = drawn.
-     Calibration runs on the engine that will simulate, so each engine
-     is a centred process on the reference pattern and cross-engine CD
-     deltas measure only the pattern-dependent part of the
-     approximation difference. *)
+     position is exactly the threshold that pins printed CD = drawn. *)
   let l = tech.Layout.Tech.gate_length in
   let pitch = tech.Layout.Tech.poly_pitch in
   let nlines = 9 in

@@ -1,14 +1,11 @@
 type kernel = { sigma : float; weight : float }
 
-type engine = Direct | Fft
-
 type t = {
   kernels : kernel list;
   threshold : float;
   step : float;
   halo : int;
   defocus_blur : float;
-  engine : engine;
   cache : bool;
 }
 
@@ -25,7 +22,7 @@ let normalise kernels =
   List.map (fun k -> { k with weight = k.weight /. total }) kernels
 
 let create ?(kernels = default_kernels) ?(step = 5.0) ?(defocus_blur = 0.18)
-    ?(engine = Direct) ?(cache = true) () =
+    ?(cache = true) () =
   let kernels = normalise kernels in
   let max_sigma = List.fold_left (fun acc k -> Float.max acc k.sigma) 0.0 kernels in
   (* Halo covers 3 sigma of the widest kernel at worst-case defocus,
@@ -34,7 +31,7 @@ let create ?(kernels = default_kernels) ?(step = 5.0) ?(defocus_blur = 0.18)
     sqrt ((max_sigma ** 2.0) +. ((defocus_blur *. Condition.max_defocus) ** 2.0))
   in
   { kernels; threshold = 0.5; step; halo = int_of_float (3.2 *. worst); defocus_blur;
-    engine; cache }
+    cache }
 
 let effective_sigma t k ~defocus =
   sqrt ((k.sigma ** 2.0) +. ((t.defocus_blur *. defocus) ** 2.0))

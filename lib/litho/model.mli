@@ -13,13 +13,10 @@
     nominal condition, making all residual CD error a pure proximity /
     process-window signature, as in a centred production process.
 
-    A model also carries how it is simulated: the convolution [engine]
-    and whether simulations consult the tile cache (see {!Aerial}). *)
+    A model also carries whether simulations consult the tile cache
+    (see {!Aerial}). *)
 
 type kernel = { sigma : float;  (** nm *) weight : float }
-
-(** Aerial convolution engine (see {!Aerial}). *)
-type engine = Direct | Fft
 
 type t = {
   kernels : kernel list;  (** weights normalised to sum to 1 *)
@@ -27,7 +24,6 @@ type t = {
   step : float;  (** raster step, nm *)
   halo : int;  (** optical interaction halo, nm *)
   defocus_blur : float;  (** added sigma per nm defocus (quadrature) *)
-  engine : engine;  (** engine {!Aerial.simulate} uses *)
   cache : bool;
       (** whether simulations consult {!Tile_cache.global}; hits are
           bit-identical to fresh simulations, so this changes wall time
@@ -40,13 +36,12 @@ val default_kernels : kernel list
 (** Single-Gaussian stack for the kernel-count ablation. *)
 val single_kernel : kernel list
 
-(** [create ()] builds an uncalibrated model (threshold 0.5) on the
-    [Direct] engine with the tile cache on. *)
+(** [create ()] builds an uncalibrated model (threshold 0.5) with the
+    tile cache on. *)
 val create :
   ?kernels:kernel list ->
   ?step:float ->
   ?defocus_blur:float ->
-  ?engine:engine ->
   ?cache:bool ->
   unit ->
   t

@@ -114,5 +114,5 @@ let y_of_iy t iy = float_of_int t.origin.G.Point.y +. ((float_of_int iy +. 0.5) 
 
 let max_value t = Array.fold_left Float.max neg_infinity t.data
 
-(* Internal access for the convolution engines. *)
+(* Internal access for the convolution. *)
 let unsafe_data t = t.data

@@ -68,7 +68,6 @@ val max_value : t -> float
 (**/**)
 
 (** Direct row-major buffer access, pixel (ix, iy) at [iy * nx + ix];
-    reserved for the convolution engines ({!Blur.accumulate} and
-    {!Fft.convolve_gaussians}), which read and write whole rasters
-    without per-pixel bounds checks. *)
+    reserved for the convolution ({!Blur.accumulate}), which reads and
+    writes whole rasters without per-pixel bounds checks. *)
 val unsafe_data : t -> float array

@@ -83,11 +83,14 @@ let record e =
       output_char oc '\n');
   Mutex.unlock mutex
 
-(* Words allocated so far on this domain.  quick_stat walks no heap,
-   so sampling it per span is two counter reads. *)
+(* Words allocated so far on this domain.  Gc.minor_words and
+   Gc.counters read the calling domain's own counters (Gc.quick_stat
+   sums every domain's) and walk no heap.  The minor count comes from
+   Gc.minor_words: OCaml 5.1's Gc.counters scales the words allocated
+   since the last minor collection by 1/8. *)
 let allocated_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let with_ ?attrs ~name f =
   if not (Atomic.get enabled_flag) then f ()

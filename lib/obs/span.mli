@@ -18,12 +18,15 @@
 
     [start_s] is seconds since {!enable}; ids are unique and
     allocation-ordered, so a trace can be re-ordered or re-nested
-    offline.  Each span also samples [Gc.quick_stat] at entry and
-    exit and records the words allocated in between ([alloc_w]) —
-    quick_stat reads counters without walking the heap, so the
-    enabled-path cost stays small (see the profiling-overhead
-    ablation in DESIGN.md).  {!Profile} turns a finished log into
-    self-time/self-allocation attribution and Chrome-trace JSON. *)
+    offline.  Each span also samples [Gc.minor_words] and
+    [Gc.counters] at entry and exit and records the words allocated
+    in between ([alloc_w]).  Those are the span's own domain's
+    counters, read without walking the heap, so the enabled-path cost
+    stays small (see the profiling-overhead ablation in DESIGN.md),
+    and [alloc_w] counts only what that domain allocated: a child
+    span that ran on another domain records its own.  {!Profile}
+    turns a finished log into self-time/self-allocation attribution
+    and Chrome-trace JSON. *)
 
 type event = {
   id : int;
@@ -35,7 +38,9 @@ type event = {
   start_s : float;  (** seconds since {!enable} *)
   wall_s : float;
   cpu_s : float;
-  alloc_w : float;  (** words allocated during the span (incl. children) *)
+  alloc_w : float;
+      (** words allocated on the span's domain during the span, incl.
+          children on the same domain *)
 }
 
 val enabled : unit -> bool

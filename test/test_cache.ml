@@ -259,40 +259,6 @@ let test_model_opc_stores_nothing () =
   checkb "no hit or miss counted" true (lookups () = before);
   checki "nothing stored" 0 (Litho.Tile_cache.entries Litho.Tile_cache.global)
 
-(* ---- engine key separation ---- *)
-
-let test_engine_keys_disjoint () =
-  let m = Lazy.force model in
-  let chip = Lazy.force small_chip in
-  let window = G.Rect.make ~lx:0 ~ly:0 ~hx:1000 ~hy:1000 in
-  let shapes =
-    Layout.Chip.shapes_in chip Layout.Layer.Poly
-      (G.Rect.inflate window m.Litho.Model.halo)
-  in
-  with_cache true @@ fun m ->
-  let sim engine =
-    Litho.Aerial.simulate { m with Litho.Model.engine } Litho.Condition.nominal
-      ~window shapes
-  in
-  let m0 = counter_value "litho.cache.misses" in
-  let d = sim Litho.Aerial.Direct in
-  let m1 = counter_value "litho.cache.misses" in
-  checkb "direct cold miss" true (m1 > m0);
-  (* A direct entry is warm; the FFT engine must still miss — the
-     engines agree only within the tolerance contract, so one cache
-     key must never serve both. *)
-  let f = sim Litho.Aerial.Fft in
-  let m2 = counter_value "litho.cache.misses" in
-  checkb "fft misses past a warm direct entry" true (m2 > m1);
-  let h0 = counter_value "litho.cache.hits" in
-  let f' = sim Litho.Aerial.Fft in
-  let h1 = counter_value "litho.cache.hits" in
-  checkb "fft repeat hits its own entry" true (h1 > h0);
-  checkb "fft hit returns the fft image" true
-    (Litho.Raster.unsafe_data f = Litho.Raster.unsafe_data f');
-  checkb "engines store different images" true
-    (Litho.Raster.unsafe_data d <> Litho.Raster.unsafe_data f)
-
 let () =
   Alcotest.run "tile_cache"
     [
@@ -311,8 +277,6 @@ let () =
         ] );
       ( "metrics",
         [ Alcotest.test_case "monotone + hit" `Slow test_metrics_monotone_and_hit ] );
-      ( "engines",
-        [ Alcotest.test_case "keys disjoint" `Slow test_engine_keys_disjoint ] );
       ( "buffers",
         [
           Alcotest.test_case "into bypasses the cache" `Slow test_into_bypasses_cache;

@@ -106,15 +106,16 @@ let test_raster_sample_bilinear () =
 
 (* ---- Blur ---- *)
 
+(* Variance, in square pixels, of box passes of the given widths run
+   one after another: a discrete box of width w has variance
+   (w^2 - 1) / 12. *)
+let box_variance widths =
+  Array.fold_left (fun acc w -> acc +. (float_of_int ((w * w) - 1) /. 12.0)) 0.0 widths
+
 let test_box_sizes_variance () =
   (* Iterated box variance should match the Gaussian within a pixel. *)
   let sigma = 9.0 in
-  let sizes = Litho.Blur.box_sizes ~sigma ~passes:3 in
-  let var =
-    Array.fold_left
-      (fun acc w -> acc +. (float_of_int ((w * w) - 1) /. 12.0))
-      0.0 sizes
-  in
+  let var = box_variance (Litho.Blur.box_sizes ~sigma ~passes:3) in
   checkb "variance close" true (Float.abs (var -. (sigma *. sigma)) < 2.0 *. sigma)
 
 (* The blur alone: [dst + weight * G(src)] into a zero destination at
@@ -451,6 +452,247 @@ let test_mask_raster_clamped () =
   let mask = Litho.Aerial.mask_raster m ~window shapes in
   checkb "clamped" true (Litho.Raster.max_value mask <= 1.0 +. 1e-9)
 
+(* ---- the direct engine against the closed form ---- *)
+
+(* The model's intensity is linear in the mask: a weighted sum of
+   Gaussian blurs.  The blur of a rectangle is separable, so for a mask
+   of disjoint rectangles the intensity at (x, y) is exactly
+     sum_k w_k sum_r [Phi((hx-x)/s_k) - Phi((lx-x)/s_k)]
+                   * [Phi((hy-y)/s_k) - Phi((ly-y)/s_k)]
+   for kernel sigmas s_k, on an unbounded plane.  [sigma] picks s_k:
+   the kernel's nominal sigma under defocus, or the sigma the direct
+   engine's three box passes realise, which matches the Gaussian's
+   variance only up to width quantisation (at or below a quarter pixel
+   the passes are the identity). *)
+let phi z = 0.5 *. (1.0 +. Float.erf (z /. Float.sqrt 2.0))
+
+let nominal_sigma m (c : Litho.Condition.t) k =
+  Litho.Model.effective_sigma m k ~defocus:c.Litho.Condition.defocus
+
+let cascade_sigma (m : Litho.Model.t) c k =
+  let step = m.Litho.Model.step in
+  let sigma_px = nominal_sigma m c k /. step in
+  if sigma_px <= 0.25 then 0.0
+  else step *. sqrt (box_variance (Litho.Blur.box_sizes ~sigma:sigma_px ~passes:3))
+
+let closed_form (m : Litho.Model.t) ~sigma c rects =
+  let kernels =
+    List.map
+      (fun (k : Litho.Model.kernel) -> (sigma m c k, k.Litho.Model.weight))
+      m.Litho.Model.kernels
+  in
+  let across s lo hi v = phi ((float_of_int hi -. v) /. s) -. phi ((float_of_int lo -. v) /. s) in
+  fun x y ->
+    List.fold_left
+      (fun acc (s, w) ->
+        List.fold_left
+          (fun acc (r : G.Rect.t) ->
+            acc
+            +. w
+               *. across s r.G.Rect.lx r.G.Rect.hx x
+               *. across s r.G.Rect.ly r.G.Rect.hy y)
+          acc rects)
+      0.0 kernels
+
+(* Intensity does not depend on dose, so the defocus range is the
+   whole process window for the intensity checks. *)
+let oracle_conditions =
+  List.map (fun defocus -> Litho.Condition.make ~dose:1.0 ~defocus) [ 0.0; 60.0; 120.0 ]
+
+(* Random clusters of vertical lines — the poly-layer idiom the OPC
+   and extraction layers feed the simulator. *)
+let arb_lines =
+  QCheck.make
+    ~print:(fun ps ->
+      String.concat ";" (List.map (Format.asprintf "%a" G.Polygon.pp) ps))
+    QCheck.Gen.(
+      let* n = int_range 1 3 in
+      let* xs = list_repeat n (int_range 0 8) in
+      let* ws = list_repeat n (int_range 8 16) in
+      let* hs = list_repeat n (int_range 4 10) in
+      return
+        (List.mapi
+           (fun i ((x, w), h) ->
+             G.Polygon.of_rect
+               (G.Rect.make
+                  ~lx:((i * 300) + (x * 10))
+                  ~ly:0
+                  ~hx:((i * 300) + (x * 10) + (w * 10))
+                  ~hy:(h * 100)))
+           (List.combine (List.combine xs ws) hs)))
+
+let oracle_window = G.Rect.make ~lx:0 ~ly:0 ~hx:1100 ~hy:700
+
+(* Worst |direct - closed form| over the window proper: the halo
+   fringe is discarded by every consumer (CD cutlines, pvband scans
+   clip to the window) and carries the box-blur truncation edge.  The
+   lines lie inside the simulated extent, so no shape is clipped. *)
+let oracle_gap m ~sigma c polygons =
+  let img = Litho.Aerial.simulate m c ~window:oracle_window polygons in
+  let exact = closed_form m ~sigma c (List.map G.Polygon.bbox polygons) in
+  let worst = ref 0.0 in
+  for iy = 0 to Litho.Raster.ny img - 1 do
+    for ix = 0 to Litho.Raster.nx img - 1 do
+      let x = Litho.Raster.x_of_ix img ix and y = Litho.Raster.y_of_iy img iy in
+      if x >= 0.0 && x <= 1100.0 && y >= 0.0 && y <= 700.0 then
+        worst := Float.max !worst (Float.abs (Litho.Raster.get img ix iy -. exact x y))
+    done
+  done;
+  !worst
+
+(* Intensity budgets.  Over 250 random layouts of [arb_lines] plus the
+   line-end case below, at each condition, the worst gaps were 0.0336
+   at the cascade sigma and 0.0286 at the nominal sigma (0.0313 and
+   0.0243 on the line-end case); the budgets round them up.  The box
+   cascade has the right variance but not the Gaussian's shape; its
+   gap peaks near line ends. *)
+let cascade_budget = 0.035
+
+let nominal_budget = 0.03
+
+let within_budgets polygons =
+  let m = Lazy.force model in
+  List.for_all
+    (fun c ->
+      let check what budget gap =
+        gap <= budget
+        || QCheck.Test.fail_reportf "%s gap %.4f > %g at %a" what gap budget
+             Litho.Condition.pp c
+      in
+      check "cascade" cascade_budget (oracle_gap m ~sigma:cascade_sigma c polygons)
+      && check "nominal" nominal_budget (oracle_gap m ~sigma:nominal_sigma c polygons))
+    oracle_conditions
+
+let prop_within_budgets =
+  QCheck.Test.make ~name:"direct within budget of closed form" ~count:4 arb_lines
+    within_budgets
+
+(* Three short lines with one end on the window's y = 0 edge.  At
+   defocus 120 nm the cascade's shape error peaks here, in the gap
+   between the first two lines near their ends. *)
+let test_line_end_case () =
+  let rect lx hx hy = G.Polygon.of_rect (G.Rect.make ~lx ~ly:0 ~hx ~hy) in
+  checkb "line ends within budgets" true
+    (within_budgets [ rect 80 220 900; rect 300 390 500; rect 670 750 400 ])
+
+(* Nine lines at drawn gate length and contacted pitch, [height] nm
+   tall: the pattern {!Litho.Aerial.calibrate} centres the process on
+   (at a height of 4000 nm). *)
+let dense_array height =
+  let l = tech.Layout.Tech.gate_length and pitch = tech.Layout.Tech.poly_pitch in
+  List.init 9 (fun i ->
+      G.Rect.make ~lx:((pitch * i) - (l / 2)) ~ly:0 ~hx:((pitch * i) + (l / 2)) ~hy:height)
+
+let dense_centre = float_of_int (tech.Layout.Tech.poly_pitch * 4)
+
+(* Printed CD of the centre line where [over x], the intensity along
+   a cutline less the threshold, changes sign: bisection outward from
+   the line's centre. *)
+let centre_cd over =
+  let crossing lo hi =
+    (* [over lo > 0 >= over hi]: bisect to the printing edge. *)
+    let lo = ref lo and hi = ref hi in
+    for _ = 1 to 60 do
+      let mid = 0.5 *. (!lo +. !hi) in
+      if over mid >= 0.0 then lo := mid else hi := mid
+    done;
+    0.5 *. (!lo +. !hi)
+  in
+  let half = float_of_int tech.Layout.Tech.poly_pitch /. 2.0 in
+  crossing dense_centre (dense_centre +. half) -. crossing dense_centre (dense_centre -. half)
+
+(* The direct engine's CD at mid-height of a 2000 nm array, on the
+   bilinear-sampled intensity against the calibrated threshold. *)
+let direct_cd m c =
+  let pitch = tech.Layout.Tech.poly_pitch in
+  let centre = pitch * 4 in
+  let window = G.Rect.make ~lx:(centre - pitch) ~ly:700 ~hx:(centre + pitch) ~hy:1300 in
+  let img =
+    Litho.Aerial.simulate m c ~window (List.map G.Polygon.of_rect (dense_array 2000))
+  in
+  let th = Litho.Model.printed_threshold m c in
+  centre_cd (fun x -> Litho.Raster.sample img x 1000.0 -. th)
+
+(* The closed form's CD on the same cutline.  It is centred the way
+   {!Litho.Aerial.calibrate} centres the model: its threshold is its
+   own nominal intensity at the calibration array's drawn edge. *)
+let closed_form_cd m c =
+  let edge = dense_centre +. (float_of_int tech.Layout.Tech.gate_length /. 2.0) in
+  let th =
+    closed_form m ~sigma:cascade_sigma Litho.Condition.nominal (dense_array 4000) edge
+      2000.0
+  in
+  let th = Litho.Model.printed_threshold (Litho.Model.with_threshold m th) c in
+  let exact = closed_form m ~sigma:cascade_sigma c (dense_array 2000) in
+  centre_cd (fun x -> exact x 1000.0 -. th)
+
+(* CD budgets, at the cascade sigma: under a nanometre across the
+   extraction conditions (the flow's silicon window; worst 0.60 nm, at
+   dose 0.95 and no defocus), and under 2.5 nm at the pvband corners,
+   where the threshold rides the shallow flank of a heavily defocused
+   profile (worst 2.09 nm, at dose 0.95 and defocus 120 nm).  At the
+   nominal sigma the silicon condition alone is 1.45 nm off: that gap
+   is the cascade's width quantisation, not its shape. *)
+let cd_budget_inner_nm = 1.0
+
+let cd_budget_corner_nm = 2.5
+
+let test_cd_within_budget () =
+  let m = Lazy.force model in
+  let check budget what c =
+    let gap = Float.abs (direct_cd m c -. closed_form_cd m c) in
+    checkb
+      (Format.asprintf "%s CD gap %.3f nm <= %g nm at %a" what gap budget
+         Litho.Condition.pp c)
+      true (gap <= budget)
+  in
+  List.iter (check cd_budget_inner_nm "inner")
+    [
+      Litho.Condition.nominal;
+      Litho.Condition.make ~dose:1.015 ~defocus:70.0;
+      Litho.Condition.make ~dose:1.02 ~defocus:70.0;
+      Litho.Condition.make ~dose:0.98 ~defocus:40.0;
+      Litho.Condition.make ~dose:0.95 ~defocus:0.0;
+      Litho.Condition.make ~dose:1.05 ~defocus:0.0;
+    ];
+  List.iter (check cd_budget_corner_nm "corner")
+    (Litho.Condition.corners ~dose_range:(0.95, 1.05) ~defocus_range:(0.0, 120.0))
+
+(* ---- determinism across worker domains ---- *)
+
+(* Tiles simulated on pool workers, storing into the shared tile cache
+   as they go, are bit-identical to the same tiles simulated in
+   sequence. *)
+let test_domains_bit_identical () =
+  let m = Lazy.force model in
+  let windows =
+    List.init 4 (fun i ->
+        let x = i mod 2 * 900 and y = i / 2 * 900 in
+        G.Rect.make ~lx:x ~ly:y ~hx:(x + 900) ~hy:(y + 900))
+  in
+  let polygons =
+    List.init 6 (fun i ->
+        G.Polygon.of_rect
+          (G.Rect.make ~lx:(i * 280) ~ly:100 ~hx:((i * 280) + 120) ~hy:1500))
+  in
+  let source w = List.filter (fun p -> G.Rect.inter (G.Polygon.bbox p) w <> None) polygons in
+  let tile window =
+    Litho.Aerial.simulate m Litho.Condition.nominal ~window
+      (source (G.Rect.inflate window m.Litho.Model.halo))
+  in
+  let seq = List.map tile windows in
+  List.iter
+    (fun domains ->
+      Litho.Tile_cache.clear Litho.Tile_cache.global;
+      let par =
+        Exec.Pool.with_pool ~name:"test_litho" ~domains (fun p ->
+            Exec.Pool.map_list p tile windows)
+      in
+      checkb
+        (Printf.sprintf "tiles bit-identical at %d domains" domains)
+        true (List.for_all2 same_bits seq par))
+    [ 2; 4 ]
+
 (* ---- Metrology ---- *)
 
 let test_epe_sign () =
@@ -532,6 +774,14 @@ let () =
             test_direct_matches_reference;
           Alcotest.test_case "mask clamp" `Quick test_mask_raster_clamped;
         ] );
+      ( "differential",
+        [
+          QCheck_alcotest.to_alcotest prop_within_budgets;
+          Alcotest.test_case "line-end case within budgets" `Quick test_line_end_case;
+          Alcotest.test_case "CD budget" `Slow test_cd_within_budget;
+        ] );
+      ( "determinism",
+        [ Alcotest.test_case "domains 1/2/4" `Slow test_domains_bit_identical ] );
       ( "metrology",
         [
           Alcotest.test_case "epe sign" `Slow test_epe_sign;

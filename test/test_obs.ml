@@ -282,6 +282,46 @@ let test_span_alloc_counted () =
       checkb "alloc_w covers the 100k-word array" true (e.Obs.Span.alloc_w >= 100_000.0)
   | evs -> Alcotest.failf "expected one span, got %d" (List.length evs)
 
+(* A span counts only the words its own domain allocates.  Another
+   domain allocates ~4 M words while the span is open, so the span
+   lasts through about fifteen minor collections, in which every
+   domain takes part.  The span itself allocates 1,000 ten-word
+   blocks. *)
+let test_span_alloc_own_domain () =
+  let started = Atomic.make false and progress = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        let words = ref 0 in
+        while not (Atomic.get stop) do
+          ignore (Sys.opaque_identity (Array.make 9 0));
+          words := !words + 10;
+          Atomic.set progress !words
+        done)
+  in
+  while not (Atomic.get started) do Domain.cpu_relax () done;
+  let minor0 = (Gc.quick_stat ()).Gc.minor_collections in
+  Obs.Span.enable ();
+  Obs.Span.with_ ~name:"own" (fun () ->
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Array.make 9 0))
+      done;
+      let target = Atomic.get progress + 4_000_000 in
+      while Atomic.get progress < target do Domain.cpu_relax () done);
+  Obs.Span.disable ();
+  Atomic.set stop true;
+  Domain.join other;
+  let minors = (Gc.quick_stat ()).Gc.minor_collections - minor0 in
+  checkb (Printf.sprintf "several minor collections in the span (%d)" minors) true
+    (minors >= 4);
+  match Obs.Span.events () with
+  | [ e ] ->
+      let w = e.Obs.Span.alloc_w in
+      checkb (Printf.sprintf "alloc_w %.0f within 1,000 words of 10,000" w) true
+        (Float.abs (w -. 10_000.0) <= 1_000.0)
+  | evs -> Alcotest.failf "expected one span, got %d" (List.length evs)
+
 (* ---- profile attribution ---- *)
 
 let ev ~id ?parent ~name ~wall ?(alloc = 0.0) () : Obs.Span.event =
@@ -567,6 +607,8 @@ let () =
           Alcotest.test_case "raise restores nesting" `Quick
             test_span_raise_restores_nesting;
           Alcotest.test_case "alloc_w counted" `Quick test_span_alloc_counted;
+          Alcotest.test_case "alloc_w counts its own domain" `Quick
+            test_span_alloc_own_domain;
           Alcotest.test_case "disabled no-op" `Quick test_disabled_is_noop;
           Alcotest.test_case "pp_tree" `Quick test_pp_tree_renders;
         ] );
