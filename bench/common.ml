@@ -13,13 +13,10 @@ let quick = ref false
    experiment tables never depend on this. *)
 let domains = ref 1
 
-(* [with_pool f] runs [f] on a pool of that many domains (none at 1),
-   shut down when [f] returns, so it never overlaps the pool a flow run
-   opens for itself. *)
-let with_pool f =
-  if !domains > 1 then
-    Exec.Pool.with_pool ~name:"bench" ~domains:!domains (fun p -> f (Some p))
-  else f None
+(* [with_pool f] runs [f] on a pool of that many domains, shut down
+   when [f] returns, so it never overlaps the pool a flow run opens for
+   itself. *)
+let with_pool f = Exec.Pool.with_pool ~name:"bench" ~domains:!domains f
 
 let config () =
   let c = Timing_opc.Flow.default_config () in
@@ -98,7 +95,7 @@ let extract chip mask condition =
   let m = litho_model () in
   let c = config () in
   with_pool (fun pool ->
-      Cdex.Extract.extract ?pool m condition ~mask:(Opc.Mask.source mask)
+      Cdex.Extract.extract ~pool m condition ~mask:(Opc.Mask.source mask)
         ~gates:(Layout.Chip.gates chip) ~slices:c.Timing_opc.Flow.slices
         ~tile:c.Timing_opc.Flow.tile ())
 

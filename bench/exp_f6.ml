@@ -18,7 +18,7 @@ let run () =
   in
   let mc =
     Common.with_pool (fun pool ->
-        Sta.Montecarlo.run ?pool env netlist ~loads
+        Sta.Montecarlo.run ~pool env netlist ~loads
           {
             Sta.Montecarlo.trials = (if !Common.quick then 60 else 300);
             sigma_global = 3.0;

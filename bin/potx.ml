@@ -40,7 +40,7 @@ let with_obs ?(profile = "") ~trace ~metrics f =
       (match trace with
       | None -> ()
       | Some path ->
-          Format.eprintf "%a@." Obs.Span.pp_tree (Obs.Span.events ());
+          Format.eprintf "%a@." Obs.Profile.pp_tree (Obs.Span.events ());
           Obs.Span.disable ();
           Format.eprintf "wrote trace %s@." path);
       (match profile with

@@ -53,7 +53,7 @@ let measure_gate intensity ~threshold ~slices ~search (g : Layout.Chip.gate_ref)
   in
   (cds, List.length cds = slices)
 
-let extract ?pool model condition ~mask ~gates ?(slices = 7)
+let extract ?(pool = Exec.Pool.sequential) model condition ~mask ~gates ?(slices = 7)
     ?(tile = 6000) ?(search = 220.0) () =
   Obs.Span.with_ ~name:"cdex.extract"
     ~attrs:(fun () -> [ ("gates", string_of_int (List.length gates)) ])
@@ -78,22 +78,19 @@ let extract ?pool model condition ~mask ~gates ?(slices = 7)
         { Gate_cd.gate = g; condition; cds; slices_requested = slices; printed })
       bucket
   in
-  match pool with
-  | None -> List.concat_map measure_bucket buckets
-  | Some p ->
-      (* The mask source may build a spatial index lazily on first
-         query (Chip.shapes_in does); warm it on the calling domain so
-         worker tasks only perform concurrent reads. *)
-      (match buckets with
-      | b :: _ ->
-          ignore
-            (mask
-               (G.Rect.inflate
-                  (G.Rect.hull_of_list
-                     (List.map (fun (g : Layout.Chip.gate_ref) -> g.Layout.Chip.gate) b))
-                  halo))
-      | [] -> ());
-      Exec.Pool.concat_map_list ~label:"cdex.tiles" p measure_bucket buckets
+  (* The mask source may build a spatial index lazily on first query
+     (Chip.shapes_in does); warm it on the calling domain so worker
+     tasks only perform concurrent reads. *)
+  (match buckets with
+  | b :: _ ->
+      ignore
+        (mask
+           (G.Rect.inflate
+              (G.Rect.hull_of_list
+                 (List.map (fun (g : Layout.Chip.gate_ref) -> g.Layout.Chip.gate) b))
+              halo))
+  | [] -> ());
+  Exec.Pool.concat_map_list ~label:"cdex.tiles" pool measure_bucket buckets
 
 let in_region ~region (g : Layout.Chip.gate_ref) =
   G.Rect.touches region g.Layout.Chip.gate

@@ -14,10 +14,11 @@ val drawn_source : Layout.Chip.t -> mask_source
 (** [extract model condition ~mask ~gates ()] measures every gate.
     [slices] cutlines per gate (default 7); [tile] tile edge in nm
     (default 6000); [search] CD search reach in nm (default 220).
-    With [pool], tiles are simulated and measured in parallel (the
-    mask source must tolerate concurrent window queries; its lazy
-    index, if any, is warmed on the calling domain first).  The record
-    list and its order are bit-identical for any worker count. *)
+    Tiles are simulated and measured as tasks on [pool], by default
+    the shared one-domain pool {!Exec.Pool.sequential} (the mask
+    source must tolerate concurrent window queries; its lazy index,
+    if any, is warmed on the calling domain first).  The record list
+    and its order are bit-identical for any worker count. *)
 val extract :
   ?pool:Exec.Pool.t ->
   Litho.Model.t ->

@@ -63,13 +63,14 @@ let stage ~name config ?checkpoint f =
           Checkpoint.stage config.checkpoint ~name:cname ~key:(key ())
             ~encode ~decode f)
 
-(* Worker pool for the OPC and extraction hot paths; [None] when the
-   config asks for a single domain, keeping call sites on the
-   sequential code path.  Results are bit-identical either way (see
-   Exec.Pool). *)
-let with_flow_pool config f =
-  if config.domains <= 1 then f None
-  else Exec.Pool.with_pool ~name:"flow" ~domains:config.domains (fun p -> f (Some p))
+(* The pool for the OPC and extraction hot paths: the caller's (one
+   pool shared across service requests), or else a "flow" pool of
+   [config.domains], one domain included, shut down when [f] returns.
+   Results are bit-identical either way (see Exec.Pool). *)
+let with_pool ?pool config f =
+  match pool with
+  | Some p -> f p
+  | None -> Exec.Pool.with_pool ~name:"flow" ~domains:config.domains f
 
 let model_cache : (string, Litho.Model.t) Hashtbl.t = Hashtbl.create 4
 
@@ -156,12 +157,12 @@ let lengths_of_annotation annotation netlist =
     netlist.Circuit.Netlist.gates;
   fun name -> Hashtbl.find_opt table name
 
-(* Model-based OPC corrects the plan's tiles (as pool tasks when the
-   flow has a pool) and assembles the mask in canonical tile order.
+(* Model-based OPC corrects the plan's tiles as pool tasks and
+   assembles the mask in canonical tile order.
    The per-tile results come back with the mask ([] for rule and no
    OPC); a tile whose content key [reuse] holds is not corrected
    again. *)
-let opc_of_config ?pool ?reuse config litho chip =
+let opc_of_config ~pool ?reuse config litho chip =
   let whole style =
     let mask, stats = Opc.Chip_opc.correct litho style chip ~tile:config.tile in
     (mask, stats, [])
@@ -172,7 +173,7 @@ let opc_of_config ?pool ?reuse config litho chip =
   | Model_opc ->
       let plan = Opc.Chip_opc.plan litho chip ~tile:config.tile in
       let results =
-        Opc.Chip_opc.correct_tiles ?pool ?reuse litho config.opc_config plan
+        Opc.Chip_opc.correct_tiles ~pool ?reuse litho config.opc_config plan
       in
       let mask, stats = Opc.Chip_opc.assemble plan results in
       (mask, stats, results)
@@ -324,10 +325,10 @@ let add_silicon_noise config cds =
    adds silicon noise.  With checkpointing on, the post-noise records
    are saved under [ckpt_stage] and a content-hash key; a chip without
    gate sites has nothing to resume and writes no file. *)
-let extract_cds ?pool config ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra =
+let extract_cds ~pool config ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra =
   let gates = Layout.Chip.gates chip in
   let compute () =
-    Cdex.Extract.extract ?pool litho config.condition
+    Cdex.Extract.extract ~pool litho config.condition
       ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices ~tile:config.tile ()
     |> add_silicon_noise config
   in
@@ -338,11 +339,11 @@ let extract_cds ?pool config ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra =
         ~encode:encode_cds ~decode:decode_cds compute
   | _ -> compute ()
 
-let extract_and_time ?pool ?(ckpt_stage = "cds") ?(ckpt_extra = "") config
+let extract_and_time ~pool ?(ckpt_stage = "cds") ?(ckpt_extra = "") config
     ~litho ~netlist ~chip ~mask ~loads ~clock_period =
   let cds =
     stage ~name:"flow.cdex" config (fun () ->
-        extract_cds ?pool config ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra)
+        extract_cds ~pool config ~litho ~chip ~mask ~ckpt_stage ~ckpt_extra)
   in
   let annotation =
     stage ~name:"flow.annotate" config (fun () ->
@@ -390,7 +391,7 @@ let run config netlist =
   (* One pool spans OPC and extraction; the merged mask is the barrier
      between them. *)
   let mask, opc_stats, opc_tiles, cds, annotation, post_opc_sta =
-    with_flow_pool config (fun pool ->
+    with_pool config (fun pool ->
         let mask, opc_stats, opc_tiles =
           stage ~name:"flow.opc" config
             ~checkpoint:
@@ -398,10 +399,10 @@ let run config netlist =
                 (fun () -> opc_key config ~extra:"" chip),
                 encode_opc,
                 decode_opc )
-            (fun () -> opc_of_config ?pool config litho chip)
+            (fun () -> opc_of_config ~pool config litho chip)
         in
         let cds, annotation, post_opc_sta =
-          extract_and_time ?pool config ~litho ~netlist ~chip ~mask ~loads
+          extract_and_time ~pool config ~litho ~netlist ~chip ~mask ~loads
             ~clock_period
         in
         (mask, opc_stats, opc_tiles, cds, annotation, post_opc_sta))
@@ -463,7 +464,7 @@ let run_selective r ~selected =
   in
   (* One pool spans OPC and extraction, as in [run]. *)
   let mask, opc_stats, cds, annotation, post_opc_sta =
-    with_flow_pool config (fun pool ->
+    with_pool config (fun pool ->
         let mask, opc_stats =
           stage ~name:"flow.opc" config
             ~checkpoint:
@@ -472,12 +473,12 @@ let run_selective r ~selected =
                 encode_mask,
                 decode_mask )
             (fun () ->
-              Opc.Chip_opc.correct_selective ?pool litho config.opc_config
+              Opc.Chip_opc.correct_selective ~pool litho config.opc_config
                 (Opc.Rule_opc.default_recipe config.tech)
                 r.chip ~tile:config.tile ~selected)
         in
         let cds, annotation, post_opc_sta =
-          extract_and_time ?pool ~ckpt_stage:"cds_sel" ~ckpt_extra:sel_extra
+          extract_and_time ~pool ~ckpt_stage:"cds_sel" ~ckpt_extra:sel_extra
             config ~litho ~netlist:r.netlist ~chip:r.chip ~mask ~loads:r.loads
             ~clock_period:r.clock_period
         in
@@ -486,12 +487,6 @@ let run_selective r ~selected =
   { r with mask; opc_stats; cds; annotation; post_opc_sta }
 
 (* --- warm re-query API (used by Timing_opc_serve) ----------------- *)
-
-(* Re-queries may be handed a long-lived pool owned by the caller (one
-   pool shared across service requests); without one they fall back to
-   the per-call flow pool.  Results are bit-identical either way. *)
-let with_pool_opt ?pool config f =
-  match pool with Some _ -> f pool | None -> with_flow_pool config f
 
 let lengths_of r = lengths_of_annotation r.annotation r.netlist
 
@@ -521,8 +516,8 @@ let extract_at ?pool ?gates ?condition ?chip ?mask r =
     ~attrs:(fun () -> [ ("gates", string_of_int (List.length gates)) ])
   @@ fun () ->
   let litho = litho_model config in
-  with_pool_opt ?pool config (fun pool ->
-      Cdex.Extract.extract ?pool litho condition
+  with_pool ?pool config (fun pool ->
+      Cdex.Extract.extract ~pool litho condition
         ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices
         ~tile:config.tile ()
       |> add_silicon_noise config)
@@ -542,9 +537,9 @@ let reopc_chip ?pool r chip =
       ])
   @@ fun () ->
   let litho = litho_model config in
-  with_pool_opt ?pool config (fun pool ->
+  with_pool ?pool config (fun pool ->
       let mask, stats, tiles =
-        opc_of_config ?pool ~reuse:r.opc_tiles config litho chip
+        opc_of_config ~pool ~reuse:r.opc_tiles config litho chip
       in
       results := tiles;
       (mask, stats))
@@ -615,10 +610,10 @@ let ssta ?pool ?(window = default_window) r =
   let conditions = window_conditions config window in
   Obs.Metrics.add m_ssta_conditions (List.length conditions);
   let dl =
-    with_pool_opt ?pool config (fun pool ->
+    with_pool ?pool config (fun pool ->
         List.map
           (fun condition ->
-            let cds = extract_at ?pool ~condition r in
+            let cds = extract_at ~pool ~condition r in
             let lengths =
               lengths_of_annotation (annotate config cds) r.netlist
             in

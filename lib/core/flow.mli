@@ -29,9 +29,9 @@ type config = {
   seed : int;  (** placement/filler randomisation seed *)
   slices : int;  (** CD cutlines per gate *)
   domains : int;
-      (** worker domains for the OPC/extraction hot paths (default 1 =
-          sequential); results are bit-identical for any value — see
-          [Exec.Pool] *)
+      (** worker domains of the OPC/extraction pool (default 1: one
+          domain, the caller's); results are bit-identical for any
+          value — see [Exec.Pool] *)
   shard : int;
       (** ignored; no flow code reads it.  Kept only because the
           benchmark's config literal ([perfbench/main.ml]) still sets
@@ -142,7 +142,9 @@ val leakage : run -> annotated:bool -> float
     so results are byte-identical regardless of worker-domain count or
     tile-cache state (the [Exec.Pool] / [Litho.Tile_cache]
     invariants), and a warm re-query equals the same computation
-    performed cold. *)
+    performed cold.  [extract_at], [reopc_chip] and [ssta] run on
+    [pool], by default a ["flow"] pool of [config.domains] opened for
+    the call. *)
 
 (** Per-instance effective lengths of the run's own annotation
     (memoised table over [run.annotation], same reduction as
@@ -180,9 +182,7 @@ val annotate : config -> Cdex.Gate_cd.t list -> Cdex.Annotate.t
     re-measure, [chip]/[mask] for a perturbed layout).  Applies the
     same per-gate silicon noise as {!run} (seeded per gate key, so a
     re-extraction of a subset splices bit-identically into the run's
-    records).  Uses [pool] when given, else an internal pool per
-    [config.domains]; no checkpointing — ad-hoc queries are not
-    stages. *)
+    records).  No checkpointing — ad-hoc queries are not stages. *)
 val extract_at :
   ?pool:Exec.Pool.t ->
   ?gates:Layout.Chip.gate_ref list ->

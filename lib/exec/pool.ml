@@ -163,13 +163,14 @@ let open_job t ~n body =
 
 let max_domains = 128
 
-let create ?(name = "pool") ~domains () =
+(* Occupancy gauges go to [registry], job counters to the global one. *)
+let make ?registry ~name ~domains () =
   if domains > max_domains then
     invalid_arg
       (Printf.sprintf "Exec.Pool.create: %d domains is above the limit of %d" domains
          max_domains);
   let n_domains = max 1 domains in
-  let metric suffix = Printf.sprintf "exec.pool.%s.%s" name suffix in
+  let gauge suffix = Obs.Metrics.gauge ?registry ("exec.pool." ^ name ^ "." ^ suffix) in
   let t =
     {
       name;
@@ -180,13 +181,19 @@ let create ?(name = "pool") ~domains () =
       stop = false;
       workers = [];
       created_s = Unix.gettimeofday ();
-      busy_m = Obs.Metrics.gauge (metric "busy_s");
-      up_m = Obs.Metrics.gauge (metric "up_s");
+      busy_m = gauge "busy_s";
+      up_m = gauge "up_s";
     }
   in
-  Obs.Metrics.set_gauge (Obs.Metrics.gauge (metric "domains")) (float_of_int n_domains);
+  Obs.Metrics.set_gauge (gauge "domains") (float_of_int n_domains);
   t.workers <- List.init (n_domains - 1) (fun _ -> Domain.spawn (worker t));
   t
+
+let create ?(name = "pool") ~domains () = make ~name ~domains ()
+
+(* It runs on its callers and is never shut down, so its occupancy
+   gauges would say nothing: they go to a registry nobody reads. *)
+let sequential = make ~registry:(Obs.Metrics.create ()) ~name:"sequential" ~domains:1 ()
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -45,6 +45,13 @@ val max_domains : int
     starts. *)
 val create : ?name:string -> domains:int -> unit -> t
 
+(** The one-domain pool that every fan-out given no [?pool] runs on,
+    so a sequential call runs the same code as a parallel one.  It
+    spawns nothing and needs no {!shutdown}.  Any number of domains
+    may dispatch on it at once, also from inside another pool's
+    task; each runs its own job's tasks on itself. *)
+val sequential : t
+
 (** Join the worker domains.  The pool must not be used afterwards;
     calling [shutdown] twice is harmless. *)
 val shutdown : t -> unit
@@ -104,7 +111,8 @@ val map_reduce :
     domains) stays within [0, 1] up to timer skew for one client
     domain ({!Obs.Report.pool_occupancy}, [potx obs-report]).  Pools
     sharing a name share these metrics, which accumulate across pool
-    instances. *)
+    instances.  {!sequential} publishes its jobs but no occupancy
+    gauges: it has no workers and no uptime. *)
 
 (** [Domain.recommended_domain_count] capped at [cap] (default 4) —
     the conventional worker count for benches. *)

@@ -7,7 +7,7 @@ type t = {
   conditions : int;
 }
 
-let compute ?pool (model : Model.t) conditions ~window polygons =
+let compute ?(pool = Exec.Pool.sequential) (model : Model.t) conditions ~window polygons =
   if conditions = [] then invalid_arg "Pvband.compute: no conditions";
   (* One independent simulation per condition; the band scan below
      walks the rasters in condition order, so the result is identical
@@ -16,11 +16,7 @@ let compute ?pool (model : Model.t) conditions ~window polygons =
     (Aerial.simulate model c ~window polygons,
      Model.printed_threshold model c)
   in
-  let rasters =
-    match pool with
-    | None -> List.map sim conditions
-    | Some p -> Exec.Pool.map_list ~label:"pvband.conditions" p sim conditions
-  in
+  let rasters = Exec.Pool.map_list ~label:"pvband.conditions" pool sim conditions in
   let first, _ = List.hd rasters in
   let step = Raster.step first in
   let lx = float_of_int window.G.Rect.lx and hx = float_of_int window.G.Rect.hx in

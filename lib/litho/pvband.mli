@@ -11,9 +11,10 @@ type t = {
 
 (** [compute model conditions ~window polygons] simulates each
     condition over the same raster grid and accumulates the band.
-    With [pool], the per-condition simulations run in parallel; the
-    band accumulation is sequential in condition order, so the result
-    is bit-identical for any worker count.
+    The per-condition simulations run as tasks on [pool], by default
+    the shared one-domain pool {!Exec.Pool.sequential}; the band
+    accumulation is sequential in condition order, so the result is
+    bit-identical for any worker count.
     @raise Invalid_argument on an empty condition list. *)
 val compute :
   ?pool:Exec.Pool.t ->

@@ -133,15 +133,32 @@ let write_chrome_trace path events =
       output_string oc (Json.to_string (chrome_trace events));
       output_char oc '\n')
 
+let pp_tree ppf events =
+  let rec walk indent n =
+    let e = n.event in
+    Format.fprintf ppf "@,%s%-*s wall=%.4fs cpu=%.4fs%s%s" indent
+      (max 1 (32 - String.length indent))
+      e.Span.name e.Span.wall_s e.Span.cpu_s
+      (if e.Span.alloc_w > 0.0 then Printf.sprintf " alloc=%.1fMw" (e.Span.alloc_w /. 1e6)
+       else "")
+      (match e.Span.attrs with
+      | [] -> ""
+      | attrs -> " " ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) attrs));
+    List.iter (walk (indent ^ "  ")) n.children
+  in
+  Format.fprintf ppf "@[<v>trace (%d spans)" (List.length events);
+  List.iter (walk "  ") (tree events);
+  Format.fprintf ppf "@]"
+
 let pp_table ppf events =
   let rows = aggregate events in
-  Format.fprintf ppf "@[<v>profile (%d span names, self-time order)"
+  Format.fprintf ppf "@[<v>profile (%d span names, self-time order, all domains summed)"
     (List.length rows);
-  Format.fprintf ppf "@,%-32s %6s %10s %10s %10s %10s" "name" "count"
-    "wall_s" "self_s" "alloc_Mw" "self_Mw";
+  Format.fprintf ppf "@,%-32s %6s %12s %12s %12s %12s" "name" "count"
+    "wall_dom_s" "self_dom_s" "alloc_dom_Mw" "self_dom_Mw";
   List.iter
     (fun r ->
-      Format.fprintf ppf "@,%-32s %6d %10.4f %10.4f %10.3f %10.3f" r.name
+      Format.fprintf ppf "@,%-32s %6d %12.4f %12.4f %12.3f %12.3f" r.name
         r.count r.wall_s r.self_wall_s (r.alloc_w /. 1e6)
         (r.self_alloc_w /. 1e6))
     rows;

@@ -17,9 +17,9 @@ type node = {
   self_alloc_w : float;  (** allocated words minus children's *)
 }
 
-(** Roots of the span forest (events with no parent), children nested
-    in id order.  Self metrics are clamped at 0 — children recorded
-    on other domains can overlap their parent. *)
+(** Roots of the span forest (events whose parent is not in the
+    list), children nested in id order.  Self metrics are clamped at
+    0 — children recorded on other domains can overlap their parent. *)
 val tree : Span.event list -> node list
 
 type row = {
@@ -42,7 +42,16 @@ val chrome_trace : Span.event list -> Json.t
 
 val write_chrome_trace : string -> Span.event list -> unit
 
-(** Render {!aggregate} as an aligned table. *)
+(** Render a log as an indented {!tree}, one span per line with
+    wall/CPU seconds, allocation and attrs; a span whose parent is
+    missing from the log prints as a root.  This is the [--trace]
+    stderr tree. *)
+val pp_tree : Format.formatter -> Span.event list -> unit
+
+(** Render {!aggregate} as an aligned table (behind [--profile] and
+    [potx obs-report --trace]).  It sums every domain's spans, so its
+    columns are domain-seconds and domain-words: at N domains a name's
+    self time can reach N times the run's wall time. *)
 val pp_table : Format.formatter -> Span.event list -> unit
 
 (** Parse one [{"type":"span",...}] JSONL object back into an event;

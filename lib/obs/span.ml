@@ -127,32 +127,3 @@ let events () =
   let evs = !log in
   Mutex.unlock mutex;
   List.rev evs
-
-let pp_tree ppf evs =
-  let by_parent = Hashtbl.create 32 in
-  List.iter
-    (fun e ->
-      let key = Option.value e.parent ~default:(-1) in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_parent key) in
-      Hashtbl.replace by_parent key (e :: cur))
-    evs;
-  let children key =
-    Option.value ~default:[] (Hashtbl.find_opt by_parent key)
-    |> List.sort (fun a b -> Int.compare a.id b.id)
-  in
-  let rec walk indent e =
-    Format.fprintf ppf "@,%s%-*s wall=%.4fs cpu=%.4fs%s%s" indent
-      (max 1 (32 - String.length indent))
-      e.name e.wall_s e.cpu_s
-      (if e.alloc_w > 0.0 then
-         Printf.sprintf " alloc=%.1fMw" (e.alloc_w /. 1e6)
-       else "")
-      (match e.attrs with
-      | [] -> ""
-      | attrs ->
-          " " ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) attrs));
-    List.iter (walk (indent ^ "  ")) (children e.id)
-  in
-  Format.fprintf ppf "@[<v>trace (%d spans)" (List.length evs);
-  List.iter (walk "  ") (children (-1));
-  Format.fprintf ppf "@]"

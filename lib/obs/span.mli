@@ -64,7 +64,3 @@ val with_ : ?attrs:(unit -> (string * string) list) -> name:string -> (unit -> '
 
 (** Finished spans in completion order. *)
 val events : unit -> event list
-
-(** Render a log as an indented tree (children in id order), one span
-    per line with wall/CPU seconds and attrs. *)
-val pp_tree : Format.formatter -> event list -> unit

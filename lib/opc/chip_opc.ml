@@ -93,7 +93,8 @@ let tile_key targets context =
    tile edge is a target of both tiles (Rect.contains_point is closed);
    applying results in canonical tile order keeps the later tile's
    polygon, exactly as the monolithic in-place pass did. *)
-let correct_tiles ?pool ?(reuse = []) litho_model config ?(want = fun _ -> true) p =
+let correct_tiles ?(pool = Exec.Pool.sequential) ?(reuse = []) litho_model config
+    ?(want = fun _ -> true) p =
   let stored = Hashtbl.create (List.length reuse) in
   List.iter (fun r -> Hashtbl.replace stored r.key r) reuse;
   let tiles =
@@ -126,15 +127,11 @@ let correct_tiles ?pool ?(reuse = []) litho_model config ?(want = fun _ -> true)
       p.tiles
   in
   let correct (key, ids, targets, context) =
-    let fixed, stats = Model_opc.correct ?pool litho_model config ~targets ~context in
+    let fixed, stats = Model_opc.correct ~pool litho_model config ~targets ~context in
     { key; ids; fixed; stats; reused = false }
   in
   let todo = List.filter_map Either.find_right tiles in
-  let corrected =
-    match pool with
-    | None -> List.map correct todo
-    | Some pool -> Exec.Pool.map_list ~label:"opc.correct_tiles" pool correct todo
-  in
+  let corrected = Exec.Pool.map_list ~label:"opc.correct_tiles" pool correct todo in
   let rec merge tiles corrected =
     match (tiles, corrected) with
     | Either.Left r :: tiles, _ -> r :: merge tiles corrected

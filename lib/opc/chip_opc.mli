@@ -19,7 +19,7 @@ val correct :
     model-based OPC only on poly shapes that intersect a gate in
     [selected] (rule-based bias elsewhere) — the paper's DFM feedback
     experiment.  [pool] is handed to {!correct_tiles}; the result is
-    byte-identical with or without it. *)
+    byte-identical for any worker count. *)
 val correct_selective :
   ?pool:Exec.Pool.t ->
   Litho.Model.t ->
@@ -46,11 +46,12 @@ val correct_selective :
 
     [correct_tiles ?pool] finds every tile's targets, context and key
     on the caller in tile order, then runs the corrections of the
-    tiles it does not reuse as pool tasks ([opc.correct_tiles] label).
-    Each task hands the same pool to {!Model_opc.correct}, which
-    simulates each pass's stale sim tiles on it as a nested job.
-    Results are byte-identical with or without a pool and for any
-    worker count (see {!Model_opc.correct} and {!Exec.Pool}). *)
+    tiles it does not reuse as tasks on [pool] ([opc.correct_tiles]
+    label), by default the shared one-domain pool
+    {!Exec.Pool.sequential}.  Each task hands the same pool to
+    {!Model_opc.correct}, which simulates each pass's stale sim tiles
+    on it as a nested job.  Results are byte-identical for any worker
+    count (see {!Model_opc.correct} and {!Exec.Pool}). *)
 
 type plan
 

@@ -53,7 +53,7 @@ let m_epe =
    reads it under this name. *)
 let m_sim_tiles = Obs.Metrics.counter "opc.dirty_tiles"
 
-let correct_untraced ?pool (model : Litho.Model.t) config ~targets ~context =
+let correct_untraced ~pool (model : Litho.Model.t) config ~targets ~context =
   match targets with
   | [] ->
       ([], { iterations_run = 0; max_epe = 0.0; rms_epe = 0.0; sites = 0; unresolved = 0 })
@@ -162,9 +162,7 @@ let correct_untraced ?pool (model : Litho.Model.t) config ~targets ~context =
             ~window:tiles.(idx) mask_polys
         in
         let rasters =
-          match pool with
-          | None -> Array.init (Array.length tiles) simulate
-          | Some p -> Exec.Pool.init ~label:"opc.tiles" p (Array.length tiles) simulate
+          Exec.Pool.init ~label:"opc.tiles" pool (Array.length tiles) simulate
         in
         let intensity_at c = rasters.(tile_of c) in
         (* EPE of the printed contour against the *drawn* control site,
@@ -284,11 +282,11 @@ let correct_untraced ?pool (model : Litho.Model.t) config ~targets ~context =
           unresolved;
         } )
 
-let correct ?pool model config ~targets ~context =
+let correct ?(pool = Exec.Pool.sequential) model config ~targets ~context =
   Obs.Span.with_ ~name:"opc.correct"
     ~attrs:(fun () -> [ ("targets", string_of_int (List.length targets)) ])
   @@ fun () ->
-  let mask, stats = correct_untraced ?pool model config ~targets ~context in
+  let mask, stats = correct_untraced ~pool model config ~targets ~context in
   Obs.Metrics.add m_iterations stats.iterations_run;
   Obs.Metrics.add m_sites stats.sites;
   Obs.Metrics.add m_unresolved stats.unresolved;

@@ -46,12 +46,12 @@ type stats = {
     whole correction ({!Litho.Aerial.buffers}), so a pass allocates no
     image, and its simulations never touch the tile cache
     ([Litho.Aerial.simulate ~into]).  Every pass simulates every sim
-    tile, counting each in [opc.dirty_tiles]; when [pool] is given, it
-    does so on the pool ([opc.tiles] label).  Every task writes only
-    its own tile's buffers, and the EPE measurement and fragment moves
-    run on the calling domain.  The polygons, stats and
-    [opc.dirty_tiles] count are therefore identical for any worker
-    count and cache setting, and to a call without a pool. *)
+    tile, counting each in [opc.dirty_tiles], as tasks on [pool]
+    ([opc.tiles] label), by default the shared one-domain pool
+    {!Exec.Pool.sequential}.  Every task writes only its own tile's
+    buffers, and the EPE measurement and fragment moves run on the
+    calling domain.  The polygons, stats and [opc.dirty_tiles] count
+    are therefore identical for any worker count and cache setting. *)
 val correct :
   ?pool:Exec.Pool.t ->
   Litho.Model.t ->

@@ -4,7 +4,7 @@ type t = {
   bench : string;
   run : Flow.run;
   mutable pool : Exec.Pool.t option;
-      (* session-owned, shared across requests; spawned by the first
+      (* session-owned, shared across requests; created by the first
          request that runs flow work (see [pool]) *)
   lengths : string -> Circuit.Delay_model.lengths option;  (* memoised *)
   counters : (string, int ref) Hashtbl.t;
@@ -31,12 +31,12 @@ let create ?(bench = "?") config netlist =
 
 let run t = t.run
 
-(* The worker pool for a request's flow work, spawned on first use so
-   that a session which only prints its report never starts one. *)
+(* The pool for a request's flow work, created on first use so that a
+   session which only prints its report never starts one. *)
 let pool t =
-  let domains = t.run.Flow.config.Flow.domains in
-  if Option.is_none t.pool && domains > 1 && not t.closed then
-    t.pool <- Some (Exec.Pool.create ~name:"serve" ~domains ());
+  if Option.is_none t.pool && not t.closed then
+    t.pool <-
+      Some (Exec.Pool.create ~name:"serve" ~domains:t.run.Flow.config.Flow.domains ());
   t.pool
 
 let close t =

@@ -31,9 +31,10 @@
 type t
 
 (** Run the flow on [netlist] under [config] and hold the result warm.
-    When [config.domains > 1], the first [move], [corner] or [ssta]
-    request (or {!print_report} with [ssta]) spawns the session's
-    worker pool; a session that answers none of them never spawns it.
+    The first [move], [corner] or [ssta] request (or {!print_report}
+    with [ssta]) creates the session's pool of [config.domains], one
+    domain included; a session that answers none of them never
+    creates it.
     [bench] is the benchmark name echoed by the [status] verb
     (default ["?"]). *)
 val create : ?bench:string -> Timing_opc.Flow.config -> Circuit.Netlist.t -> t
@@ -57,7 +58,7 @@ val handle : t -> Protocol.request -> (Protocol.reply, string) result
     survives any such request. *)
 val handle_line : t -> string -> Protocol.response
 
-(** Shut down the session's worker pool, if a request spawned it.
+(** Shut down the session's pool, if a request created it.
     Idempotent. *)
 val close : t -> unit
 

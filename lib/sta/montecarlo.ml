@@ -15,7 +15,8 @@ type summary = {
 
 let m_trials = Obs.Metrics.counter "sta.mc_trials"
 
-let run ?pool env (netlist : Circuit.Netlist.t) ~loads config rng =
+let run ?(pool = Exec.Pool.sequential) env (netlist : Circuit.Netlist.t) ~loads config
+    rng =
   if config.trials <= 0 then invalid_arg "Montecarlo.run: trials must be positive";
   Obs.Span.with_ ~name:"sta.montecarlo"
     ~attrs:(fun () -> [ ("trials", string_of_int config.trials) ])
@@ -66,15 +67,7 @@ let run ?pool env (netlist : Circuit.Netlist.t) ~loads config rng =
         | None -> ())
       endpoints
   in
-  (match pool with
-  | None ->
-      for trial = 0 to config.trials - 1 do
-        run_trial trial
-      done
-  | Some p ->
-      ignore
-        (Exec.Pool.init ~label:"sta.montecarlo" p config.trials (fun trial ->
-             run_trial trial)));
+  ignore (Exec.Pool.init ~label:"sta.montecarlo" pool config.trials run_trial);
   { wns; critical_delay = critical; endpoints; arrivals }
 
 let fail_probability s =

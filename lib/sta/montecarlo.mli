@@ -22,9 +22,10 @@ type summary = {
 
 (** [run env netlist ~loads config rng] draws one generator per trial
     from [rng] (sequentially, via {!Stats.Rng.split}), then evaluates
-    the trials — in parallel on [pool] when given.  Each trial is a
-    pure function of its derived generator, so the summary arrays are
-    bit-identical for any worker count. *)
+    the trials as tasks on [pool], by default the shared one-domain
+    pool {!Exec.Pool.sequential}.  Each trial is a pure function of
+    its derived generator, so the summary arrays are bit-identical for
+    any worker count. *)
 val run :
   ?pool:Exec.Pool.t ->
   Circuit.Delay_model.env ->

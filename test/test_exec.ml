@@ -21,16 +21,18 @@ let inputs = Array.init 97 (fun i -> i)
 
 let with_domains domains f = Exec.Pool.with_pool ~domains f
 
+(* [f what p] on fresh pools of 1, 2 and 4 domains, then on the shared
+   one-domain pool; [what] names the pool in check messages. *)
+let each_pool f =
+  List.iter
+    (fun domains -> with_domains domains (f (Printf.sprintf "%d domains" domains)))
+    [ 1; 2; 4 ];
+  f "the shared pool" Exec.Pool.sequential
+
 let test_map_matches_oracle () =
   let oracle = Array.map heavy inputs in
-  List.iter
-    (fun domains ->
-      let got = with_domains domains (fun p -> Exec.Pool.map p heavy inputs) in
-      checkb
-        (Printf.sprintf "map oracle, %d domains" domains)
-        true
-        (got = oracle))
-    [ 1; 2; 4 ]
+  each_pool (fun what p ->
+      checkb ("map oracle, " ^ what) true (Exec.Pool.map p heavy inputs = oracle))
 
 let test_map_list_order () =
   let xs = List.init 23 (fun i -> i) in
@@ -234,15 +236,32 @@ let test_lone_task_nested_parallel () =
 (* Two client domains map on one pool at once, each with nesting. *)
 let test_two_clients () =
   let values = sequential_values () in
-  List.iter
-    (fun domains ->
-      with_domains domains (fun p ->
-          let client () = Domain.spawn (fun () -> pool_values p) in
-          let a = client () and b = client () in
-          let a = Domain.join a and b = Domain.join b in
-          checkb (Printf.sprintf "two clients, %d domains" domains) true
-            (a = values && b = values)))
-    [ 1; 2; 4 ]
+  each_pool (fun what p ->
+      let client () = Domain.spawn (fun () -> pool_values p) in
+      let a = client () and b = client () in
+      let a = Domain.join a and b = Domain.join b in
+      checkb ("two clients, " ^ what) true (a = values && b = values))
+
+(* The shared pool runs every task on the domain that dispatched it:
+   the main domain, two client domains at once, and the domains that
+   run another pool's tasks. *)
+let test_sequential_runs_on_caller () =
+  let on_caller () =
+    let self = Domain.self () in
+    Exec.Pool.map Exec.Pool.sequential
+      (fun x ->
+        ignore (heavy x);
+        Domain.self ())
+      inputs
+    |> Array.for_all (fun d -> d = self)
+  in
+  checkb "main domain" true (on_caller ());
+  let a = Domain.spawn on_caller and b = Domain.spawn on_caller in
+  checkb "two client domains" true (Domain.join a && Domain.join b);
+  with_domains 4 (fun p ->
+      checkb "inside another pool's tasks" true
+        (Array.for_all Fun.id
+           (Exec.Pool.map p (fun _ -> on_caller ()) (Array.init 16 Fun.id))))
 
 (* A domain that helps a nested job is still in its outermost task, so
    its busy time counts once: the occupancy derived from the registry
@@ -358,6 +377,8 @@ let () =
           Alcotest.test_case "lone task's job runs in parallel" `Quick
             test_lone_task_nested_parallel;
           Alcotest.test_case "two client domains at once" `Quick test_two_clients;
+          Alcotest.test_case "shared pool runs on its caller" `Quick
+            test_sequential_runs_on_caller;
           Alcotest.test_case "occupancy counts a domain once" `Quick
             test_occupancy_nested;
         ] );

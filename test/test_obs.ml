@@ -71,7 +71,7 @@ let test_pp_tree_renders () =
   Obs.Span.with_ ~name:"root" (fun () ->
       Obs.Span.with_ ~name:"child" (fun () -> ()));
   Obs.Span.disable ();
-  let s = Format.asprintf "%a" Obs.Span.pp_tree (Obs.Span.events ()) in
+  let s = Format.asprintf "%a" Obs.Profile.pp_tree (Obs.Span.events ()) in
   let contains needle =
     let nl = String.length needle and sl = String.length s in
     let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
@@ -358,9 +358,12 @@ let test_profile_orphan_becomes_root () =
      the slice was taken, as in the serve `profile` verb) must surface
      as a root, not vanish. *)
   let evs = [ ev ~id:5 ~parent:99 ~name:"orphan" ~wall:0.1 () ] in
-  match Obs.Profile.tree evs with
+  (match Obs.Profile.tree evs with
   | [ root ] -> checks "orphan is a root" "orphan" root.Obs.Profile.event.Obs.Span.name
-  | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
+  | roots -> Alcotest.failf "expected one root, got %d" (List.length roots));
+  checks "the trace tree prints it as a root"
+    "trace (1 spans)\n  orphan                         wall=0.1000s cpu=0.1000s"
+    (Format.asprintf "%a" Obs.Profile.pp_tree evs)
 
 let test_profile_chrome_trace () =
   let evs =
@@ -551,7 +554,8 @@ let test_check_serve_latency () =
 (* ---- topology independence of flow metrics ---- *)
 
 (* Deterministic counters and histogram buckets are equal across
-   domains {1,2,4}. *)
+   domains {1,2,4}, the flow pool's job and task counters included:
+   a 1-domain run dispatches the same jobs on a one-domain pool. *)
 let test_flow_metrics_topology_independent () =
   let config ~domains =
     let c = Timing_opc.Flow.default_config () in
@@ -566,14 +570,10 @@ let test_flow_metrics_topology_independent () =
   (* Warm the global litho-model cache so every measured run sees the
      same call pattern (calibration simulates only on the first run). *)
   ignore (Timing_opc.Flow.run (config ~domains:1) (Circuit.Generator.c17 ()));
-  (* Gauges carry wall time and exec.pool.* exists only when a pool is
-     created; both are exempt from the contract, as are the
-     litho.cache.* hit/miss counters, which depend on whatever earlier
-     runs left in the process-wide cache. *)
-  let exempt name =
-    String.starts_with ~prefix:"exec.pool." name
-    || String.starts_with ~prefix:"litho.cache." name
-  in
+  (* Gauges carry wall time and are exempt from the contract, as are
+     the litho.cache.* hit/miss counters, which depend on whatever
+     earlier runs left in the process-wide cache. *)
+  let exempt name = String.starts_with ~prefix:"litho.cache." name in
   let deterministic_metrics domains =
     Obs.Metrics.reset Obs.Metrics.global;
     ignore (Timing_opc.Flow.run (config ~domains) (Circuit.Generator.c17 ()));
@@ -589,6 +589,12 @@ let test_flow_metrics_topology_independent () =
   in
   let reference = deterministic_metrics 1 in
   checkb "at least ten metric names" true (List.length reference >= 10);
+  let counted name =
+    match List.assoc_opt name reference with Some (`C n) -> n > 0 | _ -> false
+  in
+  checkb "the flow pool counts jobs and tasks at domains 1" true
+    (counted "exec.pool.flow.cdex.tiles.calls"
+    && counted "exec.pool.flow.cdex.tiles.tasks");
   List.iter
     (fun domains ->
       checkb

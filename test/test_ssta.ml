@@ -297,14 +297,7 @@ let mc_of_ssta trials (c : Sta.Ssta.config) =
     clock_period = c.Sta.Ssta.clock_period;
   }
 
-let with_pool domains f =
-  if domains <= 1 then f None
-  else begin
-    let pool = Exec.Pool.create ~name:"test_ssta" ~domains () in
-    Fun.protect
-      ~finally:(fun () -> Exec.Pool.shutdown pool)
-      (fun () -> f (Some pool))
-  end
+let with_pool domains f = Exec.Pool.with_pool ~name:"test_ssta" ~domains f
 
 (* One SSTA-vs-MC comparison: every endpoint's canonical arrival
    moments and criticality must match the sampled distribution within
@@ -317,7 +310,7 @@ let check_differential ~seed ~levels ~width ~spread ~shift ~domains =
   let ssta = Sta.Ssta.analyze env n ~loads config in
   let mc =
     with_pool domains (fun pool ->
-        Sta.Montecarlo.run ?pool env n ~loads (mc_of_ssta trials config)
+        Sta.Montecarlo.run ~pool env n ~loads (mc_of_ssta trials config)
           (Stats.Rng.create (seed + 1)))
   in
   let index_of net =
@@ -435,8 +428,8 @@ let render = Identity_helpers.render_ssta
 let test_ssta_bytes_stable_across_domains () =
   let r = Lazy.force base_run in
   let seq = Timing_opc.Flow.ssta ~window r in
-  let p2 = with_pool 2 (fun pool -> Timing_opc.Flow.ssta ?pool ~window r) in
-  let p4 = with_pool 4 (fun pool -> Timing_opc.Flow.ssta ?pool ~window r) in
+  let p2 = with_pool 2 (fun pool -> Timing_opc.Flow.ssta ~pool ~window r) in
+  let p4 = with_pool 4 (fun pool -> Timing_opc.Flow.ssta ~pool ~window r) in
   (* Structural equality on the float payloads is bit-identity. *)
   checkb "2 domains bit-identical" true
     (seq.Timing_opc.Flow.fit = p2.Timing_opc.Flow.fit
